@@ -5,10 +5,16 @@ H_{alpha,mp} = {x : <x, alpha> = mp}, over positive roots alpha and
 integers m, cut the space into open alcoves; an alcove is recorded by its
 integer index family {n_alpha}: (n_alpha - 1)p < <x, alpha> < n_alpha p
 for every positive root, listed in canonical root order.  A facette
-generalizes this by allowing equality (a wall datum) at some roots.  All
-membership and realizability questions are answered exactly by the
-difference-constraint engine, since every <x, eps_i - eps_j> is a
-difference of eps coordinates.
+generalizes this by allowing equality (a wall datum) at some roots.
+
+Realizability of an index family or facette datum is decided by a local
+integer rule on the splits alpha = beta + gamma of each root (Shi's
+characterization of alcoves, extended to facettes).  Point location,
+closures and stabilizer root systems compare the point's integer pairing
+numerators with multiples of p.  The difference-constraint engine, where
+every <x, eps_i - eps_j> is a difference of eps coordinates, remains for
+what needs a rational witness: interior points, wall witnesses, and the
+oracle the local rule is tested against.
 
 Points are always carried rho-shifted, so the affine Weyl group action
 implemented by AffineMap is the dot action written plainly.
@@ -30,6 +36,7 @@ from .rootsys import (
     Rational,
     RootA,
     ShiftedPoint,
+    check_p,
     inverse_cartan_numerators,
     point_from_e,
     positive_roots,
@@ -73,15 +80,49 @@ class Between:
 Datum = Union[Wall, Between]
 
 
-def _check_geometry_args(rank: int, p: int) -> None:
-    if rank < 1:
-        raise PreconditionError(f"rank must be positive, got {rank}")
-    if not isinstance(p, int) or p < 1:
-        raise PreconditionError(f"p must be a positive integer, got {p!r}")
+@lru_cache(maxsize=None)
+def _splits(rank: int) -> tuple[tuple[int, int, int], ...]:
+    """Root positions (ik, kj, ij) of every split (i,j) = (i,k) + (k,j)."""
+    pos = root_position(rank)
+    return tuple(
+        (pos[RootA(i, k)], pos[RootA(k, j)], pos[RootA(i, j)])
+        for i, j in positive_roots(rank)
+        for k in range(i + 1, j)
+    )
+
+
+def _realizable(rank: int, codes: Sequence[int]) -> bool:
+    """Whether per-root data cut out a non-empty region.
+
+    Data are coded on the doubled scale: 2m is Wall(m) and 2m - 1 is
+    Between(m), so in units of p/2 a datum is the point or the open
+    interval of length 2 centred on its code.  Along a split the pairing
+    at (i,j) is the sum of those at (i,k) and (k,j), and the sums of two
+    data are the code a + b when either is a wall, and the three codes
+    a + b - 1, a + b, a + b + 1 when both are windows.  The rule asks for
+    the datum at (i,j) to be one of these.
+
+    Necessary, since each split is a sub-system of the full difference
+    system.  Sufficient too: data and their sums are unions of cells of the
+    line cut at multiples of p, so passing the rule puts each of the three
+    data inside the sum or difference of the other two, which makes the
+    difference bounds closed on every triangle and leaves no negative
+    cycle.  For alcoves this is Shi's rule n_ij - n_ik - n_kj in {-1, 0}.
+    """
+    for ik, kj, ij in _splits(rank):
+        a, b = codes[ik], codes[kj]
+        gap = codes[ij] - a - b
+        if gap and not (a & b & 1 and gap in (-1, 1)):
+            return False
+    return True
 
 
 def _base_system(rank: int, p: int, data: Sequence[Datum]) -> DifferenceSystem:
-    """Difference system over eps coordinates e_1..e_{n+1} for the data."""
+    """Difference system over eps coordinates e_1..e_{n+1} for the data.
+
+    A shorter data sequence constrains only the leading roots in canonical
+    order, which is how the sweeps prune their depth-first enumerations.
+    """
     ds = DifferenceSystem(rank + 1)
     for r, d in zip(positive_roots(rank), data):
         i, j = r.i - 1, r.j - 1
@@ -90,12 +131,6 @@ def _base_system(rank: int, p: int, data: Sequence[Datum]) -> DifferenceSystem:
         else:
             ds.add_window(i, j, (d.index - 1) * p, d.index * p, strict=True)
     return ds
-
-
-def _add_box(ds: DifferenceSystem, rank: int, lo: Rational, hi: Rational) -> None:
-    """Restrict every simple coordinate a_k = e_k - e_{k+1} to [lo, hi]."""
-    for k in range(rank):
-        ds.add_window(k, k + 1, lo, hi, strict=False)
 
 
 @dataclass(frozen=True)
@@ -107,19 +142,16 @@ class Alcove:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_geometry_args(self.rank, self.p)
+        check_p(self.p)
         idx = tuple(int(v) for v in self.indices)
         object.__setattr__(self, "indices", idx)
-        count = self.rank * (self.rank + 1) // 2
+        count = len(positive_roots(self.rank))
         if len(idx) != count:
             raise PreconditionError(
                 f"expected {count} indices for rank {self.rank}, got {len(idx)}"
             )
-        if not _base_system(self.rank, self.p, self._data()).feasible():
+        if not _realizable(self.rank, tuple(2 * v - 1 for v in idx)):
             raise PreconditionError(f"index family {idx} cuts out an empty region")
-
-    def _data(self) -> tuple[Datum, ...]:
-        return tuple(Between(v) for v in self.indices)
 
     def index_of(self, r: RootA) -> int:
         return self.indices[root_position(self.rank)[r]]
@@ -137,8 +169,8 @@ class Facette:
     data: tuple[Datum, ...]
 
     def __post_init__(self) -> None:
-        _check_geometry_args(self.rank, self.p)
-        count = self.rank * (self.rank + 1) // 2
+        check_p(self.p)
+        count = len(positive_roots(self.rank))
         if len(self.data) != count:
             raise PreconditionError(
                 f"expected {count} per-root data for rank {self.rank}, got {len(self.data)}"
@@ -146,7 +178,8 @@ class Facette:
         for d in self.data:
             if not isinstance(d, (Wall, Between)) or not isinstance(d.index, int):
                 raise PreconditionError(f"bad facette datum {d!r}")
-        if not _base_system(self.rank, self.p, self.data).feasible():
+        codes = tuple(2 * d.index - isinstance(d, Between) for d in self.data)
+        if not _realizable(self.rank, codes):
             raise PreconditionError(f"facette data {self.data} cut out an empty region")
 
     def wall_roots(self) -> tuple[tuple[RootA, int], ...]:
@@ -178,22 +211,19 @@ def alcove_of(pt: ShiftedPoint, p: int) -> Alcove:
     The index at alpha is floor(pairing / p) + 1, so a pairing sitting
     exactly on a hyperplane is assigned the alcove directly above it.
     """
-    _check_geometry_args(pt.rank, p)
-    return Alcove(
-        pt.rank, p, tuple(pt.pairing(r) // p + 1 for r in positive_roots(pt.rank))
-    )
+    check_p(p)
+    step = pt.denominator * p
+    return Alcove(pt.rank, p, tuple(v // step + 1 for v in pt.pairing_numerators()))
 
 
 def facette_of(pt: ShiftedPoint, p: int) -> Facette:
     """The unique facette containing pt."""
-    _check_geometry_args(pt.rank, p)
+    check_p(p)
+    step = pt.denominator * p
     data: list[Datum] = []
-    for r in positive_roots(pt.rank):
-        v = pt.pairing(r)
-        if v % p == 0:
-            data.append(Wall(int(v // p)))
-        else:
-            data.append(Between(int(v // p) + 1))
+    for v in pt.pairing_numerators():
+        q, rest = divmod(v, step)
+        data.append(Between(q + 1) if rest else Wall(q))
     return Facette(pt.rank, p, tuple(data))
 
 
@@ -211,13 +241,12 @@ def lower_closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
     """
     f = _as_facette(f)
     _match_point(f, pt)
-    p = f.p
-    for r, d in zip(positive_roots(f.rank), f.data):
-        v = pt.pairing(r)
+    step = pt.denominator * f.p
+    for v, d in zip(pt.pairing_numerators(), f.data):
         if isinstance(d, Wall):
-            if v != d.index * p:
+            if v != d.index * step:
                 return False
-        elif not (d.index - 1) * p <= v < d.index * p:
+        elif not (d.index - 1) * step <= v < d.index * step:
             return False
     return True
 
@@ -226,13 +255,12 @@ def closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
     """Membership of pt in the topological closure of f."""
     f = _as_facette(f)
     _match_point(f, pt)
-    p = f.p
-    for r, d in zip(positive_roots(f.rank), f.data):
-        v = pt.pairing(r)
+    step = pt.denominator * f.p
+    for v, d in zip(pt.pairing_numerators(), f.data):
         if isinstance(d, Wall):
-            if v != d.index * p:
+            if v != d.index * step:
                 return False
-        elif not (d.index - 1) * p <= v <= d.index * p:
+        elif not (d.index - 1) * step <= v <= d.index * step:
             return False
     return True
 
@@ -327,13 +355,11 @@ def stabilizer_group(
     composition stops at `cap` elements (default (n+1)!, which the order
     always divides) and raises a resource-limit error beyond it.
     """
-    _check_geometry_args(pt.rank, p)
     if cap is None:
         cap = math.factorial(pt.rank + 1)
     gens = [
         AffineMap.reflection(pt.rank, r, pt.pairing(r))
-        for r in positive_roots(pt.rank)
-        if pt.pairing(r) % p == 0
+        for r in sorted(stabilizer_subroot_system(pt, p))
     ]
     group: set[AffineMap] = {AffineMap.identity(pt.rank)}
     frontier = list(group)
@@ -358,8 +384,11 @@ def stabilizer_group(
 
 def stabilizer_subroot_system(pt: ShiftedPoint, p: int) -> frozenset[RootA]:
     """Positive roots whose pairing with pt is divisible by p."""
-    _check_geometry_args(pt.rank, p)
-    return frozenset(r for r in positive_roots(pt.rank) if pt.pairing(r) % p == 0)
+    check_p(p)
+    step = pt.denominator * p
+    return frozenset(
+        r for r, v in zip(positive_roots(pt.rank), pt.pairing_numerators()) if v % step == 0
+    )
 
 
 def lower_closure_contains_via_stabilizer(

@@ -22,29 +22,22 @@ from .rootsys import (
     RootA,
     ShiftedPoint,
     chain_components,
+    check_p,
     positive_roots,
     root_leq,
     root_pairing,
     root_position,
 )
 
-# A basis is carried as a plain frozenset of roots; GoodBasis is the same
-# shape with the antichain property, kept as an alias for signatures.
-BasisSet = frozenset
-GoodBasis = frozenset
-
-
-def _check_p(p: int) -> None:
-    if not isinstance(p, int) or p < 1:
-        raise PreconditionError(f"p must be a positive integer, got {p!r}")
-
-
 def gamma(pt: ShiftedPoint, p: int) -> frozenset[RootA]:
     """Positive roots whose pairing with pt is at least p."""
-    _check_p(p)
+    check_p(p)
     if not pt.is_regular_dominant():
         raise PreconditionError(f"gamma needs a regular dominant point, got {pt.coords}")
-    return frozenset(r for r in positive_roots(pt.rank) if pt.pairing(r) >= p)
+    step = pt.denominator * p
+    return frozenset(
+        r for r, v in zip(positive_roots(pt.rank), pt.pairing_numerators()) if v >= step
+    )
 
 
 def is_subroot_basis(roots: Iterable[RootA]) -> bool:
@@ -194,6 +187,14 @@ def comparable_pairs(basis: Iterable[RootA]) -> int:
     )
 
 
+def comparable_pairs_of(basis: Iterable[RootA]) -> list[tuple[RootA, RootA]]:
+    """Comparable pairs (containing root, contained root), in canonical order."""
+    rs = sorted(basis)
+    return [
+        (big, small) for big in rs for small in rs if big != small and root_leq(small, big)
+    ]
+
+
 def _component_of(comps: Sequence[tuple[int, ...]], r: RootA) -> int:
     for k, nodes in enumerate(comps):
         if r.i in nodes and r.j in nodes:
@@ -257,21 +258,14 @@ def reduce_all(basis: Iterable[RootA], n: int) -> tuple[frozenset[RootA], ...]:
     leaves: list[frozenset[RootA]] = []
     seen: set[frozenset[RootA]] = set()
 
-    def first_pair(b: frozenset[RootA]) -> Optional[tuple[RootA, RootA]]:
-        for big in sorted(b):
-            for small in sorted(b):
-                if small != big and root_leq(small, big):
-                    return big, small
-        return None
-
     def walk(b: frozenset[RootA]) -> None:
-        pair = first_pair(b)
-        if pair is None:
+        pairs = comparable_pairs_of(b)
+        if not pairs:
             if b not in seen:
                 seen.add(b)
                 leaves.append(b)
             return
-        for out in reduce_step(b, pair, n):
+        for out in reduce_step(b, pairs[0], n):
             walk(out)
 
     walk(b0)
@@ -285,7 +279,6 @@ def d_partition(pt: ShiftedPoint, p: int) -> Partition:
     others inside it; in type A these are the consecutive pairs of each
     residue class, and they form a chain basis whose partition is taken.
     """
-    _check_p(p)
     system = stabilizer_subroot_system(pt, p)
     simple = frozenset(
         r

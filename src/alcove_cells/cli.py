@@ -126,10 +126,6 @@ def _fmt_roots(roots) -> str:
     return " ".join(_fmt_root(r) for r in sorted(roots)) or "-"
 
 
-def _fmt_q(c: Q) -> str:
-    return str(c)
-
-
 def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2))
 
@@ -187,7 +183,7 @@ def cmd_cell(config: RunConfig) -> int:
         w.writerow(["backing", pred.backing])
     else:
         print(f"cell report  n={n}  p={config.p}")
-        print(f"shifted point: {','.join(_fmt_q(c) for c in pt.coords)}")
+        print(f"shifted point: {','.join(str(c) for c in pt.coords)}")
         print(f"gamma: {_fmt_roots(g)}")
         if attaining:
             for b in attaining:
@@ -243,7 +239,7 @@ def cmd_alcove(config: RunConfig) -> int:
         w.writerow(["d", str(d)])
     else:
         print(f"alcove report  n={n}  p={config.p}")
-        print(f"shifted point: {','.join(_fmt_q(c) for c in pt.coords)}")
+        print(f"shifted point: {','.join(str(c) for c in pt.coords)}")
         print(f"roots:  {_root_header(n)}")
         print(f"alcove: {' '.join(f'{i:>5d}' for i in a.indices)}")
         if walls:
@@ -420,7 +416,7 @@ def cmd_certificate(config: RunConfig) -> int:
             )
     else:
         print(f"upper-bound certificate  n={config.n}  p={config.p}")
-        print(f"shifted point: {','.join(_fmt_q(c) for c in pt.coords)}")
+        print(f"shifted point: {','.join(str(c) for c in pt.coords)}")
         print(f"legs: {len(cert.legs)}")
         for leg in cert.legs:
             print(f"  basis {_fmt_roots(leg.basis)}")

@@ -8,9 +8,14 @@ some diagonal entry closes below (0, weak).  After closure, assigning the
 variables one by one to the midpoint of their remaining interval always
 succeeds, which yields an exact rational witness.
 
-Every facette, alcove, wall and box membership question in this package
-reduces to such a system, because all constraint functionals here are
-differences of eps coordinates.
+Every constraint functional in this package is a difference of eps
+coordinates, so each region cut out by facette data, optionally
+restricted to a box, is such a system.  The solver supplies what needs a
+rational witness or a box: interior points, wall witnesses, and the
+box-pruned facette and alcove enumerations of the sweeps.  Plain
+realizability of alcove and facette data is decided by the integer split
+rule in the alcove module, which is tested against this solver as its
+oracle.
 """
 
 from __future__ import annotations

@@ -160,10 +160,6 @@ def partitions_of(total: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in rec(total, total))
 
 
-def format_partition(a: Partition) -> str:
-    return str(a)
-
-
 def parse_partition(text: str) -> Partition:
     """Accepts '4+2', '4,2' or '[4,2]'."""
     s = text.strip().strip("[]()")

@@ -5,11 +5,15 @@ The positive roots of A_n are the vectors eps_i - eps_j for
 in fundamental-weight coordinates and are always rho-shifted: the k-th
 coordinate of a ShiftedPoint is <pt, alpha_k^v> for the k-th simple root,
 already including the +1 shift.  The system is simply laced, so roots and
-coroots are identified throughout and every pairing below is exact.
+coroots are identified throughout and every pairing below is exact.  A
+point keeps its pairings as integer numerators over one common
+denominator, so point location against the hyperplanes at multiples of p
+runs on ints alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -49,6 +53,12 @@ def simple_roots(n: int) -> tuple[RootA, ...]:
     return tuple(RootA(i, i + 1) for i in range(1, n + 1))
 
 
+def check_p(p: int) -> None:
+    """Reject a level p that is not a positive integer."""
+    if not isinstance(p, int) or p < 1:
+        raise PreconditionError(f"p must be a positive integer, got {p!r}")
+
+
 def _check_root(n: int, r: RootA) -> None:
     if not (1 <= r.i < r.j <= n + 1):
         raise PreconditionError(f"{tuple(r)} is not a positive root of A_{n}")
@@ -76,36 +86,52 @@ class ShiftedPoint:
     """A rho-shifted point of the weight space, in exact coordinates.
 
     coords[k-1] is the pairing with the k-th simple coroot; the point is
-    dominant and regular exactly when every coordinate is positive.
+    dominant and regular exactly when every coordinate is positive.  The
+    prefix sums coords[0] + ... + coords[k-1] are stored as the integer
+    numerators _num[k] over the least common denominator _den.
     """
 
     coords: tuple[Q, ...]
-    _prefix: tuple[Q, ...] = field(init=False, repr=False, compare=False)
+    _num: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.coords) < 1:
             raise PreconditionError("a point needs at least one coordinate")
         vals = tuple(c if isinstance(c, Q) else Q(c) for c in self.coords)
         object.__setattr__(self, "coords", vals)
-        acc: list[Q] = [Q(0)]
+        den = math.lcm(*(c.denominator for c in vals))
+        acc = [0]
         for c in vals:
-            acc.append(acc[-1] + c)
-        object.__setattr__(self, "_prefix", tuple(acc))
+            acc.append(acc[-1] + c.numerator * (den // c.denominator))
+        object.__setattr__(self, "_num", tuple(acc))
+        object.__setattr__(self, "_den", den)
 
     @property
     def rank(self) -> int:
         return len(self.coords)
 
+    @property
+    def denominator(self) -> int:
+        """The least common denominator of the coordinates."""
+        return self._den
+
     def pairing(self, r: RootA) -> Q:
         """Exact value of <pt, r^v>; additive over the root interval."""
         _check_root(self.rank, r)
-        return self._prefix[r.j - 1] - self._prefix[r.i - 1]
+        return Q(self._num[r.j - 1] - self._num[r.i - 1], self._den)
+
+    def pairing_numerators(self) -> tuple[int, ...]:
+        """denominator * <pt, r^v> for every positive root, in canonical order."""
+        num = self._num
+        m = len(num)
+        return tuple(num[j] - num[i] for i in range(m) for j in range(i + 1, m))
 
     def is_regular_dominant(self) -> bool:
         return all(c > 0 for c in self.coords)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self._den == 1
 
     def weight(self) -> tuple[int, ...]:
         """Unshifted weight coordinates; requires an integral dominant point."""
@@ -118,8 +144,8 @@ class ShiftedPoint:
 
         e_k - e_l is the pairing with eps_k - eps_l for k < l.
         """
-        total = self._prefix[-1]
-        return tuple(total - self._prefix[k] for k in range(self.rank + 1))
+        total = self._num[-1]
+        return tuple(Q(total - v, self._den) for v in self._num)
 
 
 def shifted_point(coords: Sequence[Rational]) -> ShiftedPoint:
@@ -152,16 +178,6 @@ def inverse_cartan_numerators(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(min(k, j) * (n + 1 - max(k, j)) for j in range(1, n + 1))
         for k in range(1, n + 1)
-    )
-
-
-def root_basis_coefficients(diff: Sequence[Rational]) -> tuple[Q, ...]:
-    """Simple-root-basis coefficients of a vector given in fundamental coords."""
-    n = len(diff)
-    num = inverse_cartan_numerators(n)
-    vals = [Q(c) for c in diff]
-    return tuple(
-        sum((num[k][j] * vals[j] for j in range(n)), Q(0)) / (n + 1) for k in range(n)
     )
 
 

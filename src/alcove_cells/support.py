@@ -46,7 +46,7 @@ from .partition import (
     sup,
     transpose,
 )
-from .rootsys import RootA, ShiftedPoint, positive_roots, root_position
+from .rootsys import RootA, ShiftedPoint, check_p, positive_roots, root_position
 
 THEOREM = "theorem"
 CONJECTURE = "conjecture"
@@ -84,11 +84,6 @@ class UpperBoundCertificate:
     legs: tuple[CertificateLeg, ...]
 
 
-def _check_p(p: int) -> None:
-    if not isinstance(p, int) or p < 1:
-        raise PreconditionError(f"p must be a positive integer, got {p!r}")
-
-
 def _require_integral_dominant(pt: ShiftedPoint, regular: bool) -> None:
     if not pt.is_integral():
         raise PreconditionError(f"{pt.coords} is not integral")
@@ -108,7 +103,7 @@ def tilting_support(pt: ShiftedPoint, p: int) -> SupportPrediction:
     Theorem-backed for p > n+1; for smaller p the same formula is the
     conjectural prediction and a warning is emitted.
     """
-    _check_p(p)
+    check_p(p)
     _require_integral_dominant(pt, regular=True)
     if p <= pt.rank + 1:
         warnings.warn(
@@ -128,7 +123,7 @@ def tilting_support(pt: ShiftedPoint, p: int) -> SupportPrediction:
 
 def induced_support(pt: ShiftedPoint, p: int) -> SupportPrediction:
     """Predicted induced-module support: the orbit of d(pt) transposed."""
-    _check_p(p)
+    check_p(p)
     _require_integral_dominant(pt, regular=False)
     d = d_partition(pt, p)
     return SupportPrediction(
@@ -143,7 +138,7 @@ def induced_support(pt: ShiftedPoint, p: int) -> SupportPrediction:
 
 def weight_cell_of(pt: ShiftedPoint, p: int) -> Partition:
     """The weight-cell label: the transpose of the s-partition."""
-    _check_p(p)
+    check_p(p)
     _require_integral_dominant(pt, regular=True)
     return transpose(s_partition(pt, p))
 
@@ -186,7 +181,7 @@ def construct_mu(pt: ShiftedPoint, good: Iterable[RootA], p: int) -> ShiftedPoin
     alcove weakly below pt's, and mu regular dominant.  All three
     properties are machine-checked on every call.
     """
-    _check_p(p)
+    check_p(p)
     basis = frozenset(good)
     if not is_good_basis(basis):
         raise PreconditionError(f"{sorted(basis)} is not a good basis")
@@ -267,7 +262,7 @@ def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
     dominates the basis partition, and the supremum of basis partitions
     reproduces the s-partition.
     """
-    _check_p(p)
+    check_p(p)
     _require_integral_dominant(pt, regular=True)
     if p < pt.rank + 1:
         raise PreconditionError(
@@ -321,7 +316,7 @@ def enumerate_cell(
     The rank is read off the target's total; points are listed in
     lexicographic coordinate order.
     """
-    _check_p(p)
+    check_p(p)
     if not isinstance(box, int) or box < 1:
         raise PreconditionError(f"box must be a positive integer, got {box!r}")
     n = target.total - 1

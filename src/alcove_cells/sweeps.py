@@ -22,6 +22,7 @@ from .alcove import (
     Datum,
     Facette,
     Wall,
+    _base_system,
     alcove_of,
     closure_contains,
     facette_of,
@@ -32,6 +33,8 @@ from .alcove import (
     weak_leq_oracle,
 )
 from .cells import (
+    comparable_pairs_of,
+    enumerate_good_bases,
     gamma,
     is_good_basis,
     is_subroot_basis,
@@ -42,7 +45,6 @@ from .cells import (
     s_partition_oracle,
     upward_closure,
 )
-from .constraints import DifferenceSystem
 from .errors import InvariantViolationError, PreconditionError
 from .partition import dominance_leq, partition_of_basis, sup
 from .rootsys import RootA, ShiftedPoint, positive_roots, shifted_point
@@ -67,6 +69,11 @@ class SweepResult:
             self.failures.append(message)
         else:
             self.failures[-1] = "... further failures suppressed"
+
+    def require_window(self, size: int, what: str) -> None:
+        """Fail when the window holds nothing to check: an empty sweep proves nothing."""
+        if size == 0:
+            self.fail(f"empty window: no {what} to check")
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -110,13 +117,7 @@ def facettes_meeting_box(n: int, p: int, hi: int) -> list[Facette]:
         return opts
 
     def feasible_prefix() -> bool:
-        ds = DifferenceSystem(n + 1)
-        for r, d in zip(roots, chosen):
-            i, j = r.i - 1, r.j - 1
-            if isinstance(d, Wall):
-                ds.add_equal(i, j, d.index * p)
-            else:
-                ds.add_window(i, j, (d.index - 1) * p, d.index * p, strict=True)
+        ds = _base_system(n, p, chosen)
         for k in range(n):
             ds.add_window(k, k + 1, 0, hi, strict=False)
         return ds.feasible()
@@ -142,10 +143,7 @@ def dominant_alcoves(n: int, p: int, index_bound: int) -> list[Alcove]:
     chosen: list[int] = []
 
     def feasible_prefix() -> bool:
-        ds = DifferenceSystem(n + 1)
-        for r, idx in zip(roots, chosen):
-            ds.add_window(r.i - 1, r.j - 1, (idx - 1) * p, idx * p, strict=True)
-        return ds.feasible()
+        return _base_system(n, p, [Between(idx) for idx in chosen]).feasible()
 
     def walk(depth: int) -> None:
         if depth == len(roots):
@@ -173,6 +171,7 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
     res = SweepResult(f"lclosure n={n} p={p} box={hi}")
     pts = integral_points(n, 0, hi)
     facettes = facettes_meeting_box(n, p, hi)
+    res.require_window(len(pts) * len(facettes), "(facette, point) pairs")
     known = set(facettes)
     for pt in pts:
         f_of = facette_of(pt, p)
@@ -206,6 +205,7 @@ def weak_order_sweep(
     """Weak order: index criterion against BFS, and raising consistency."""
     res = SweepResult(f"weak-order n={n} p={p} index_bound={index_bound}")
     alcoves = dominant_alcoves(n, p, index_bound)
+    res.require_window(len(alcoves), "dominant alcoves")
     for a in alcoves:
         for b in alcoves:
             res.cases += 1
@@ -254,6 +254,7 @@ def good_sup_sweep(
     hi = 2 * p if box is None else box
     res = SweepResult(f"good-sup n={n} p={p} box={hi}")
     pts = _sampled(integral_points(n, 1, hi), sample, seed)
+    res.require_window(len(pts), "points")
     if sample is not None and len(pts) < (hi) ** n:
         res.reports.append(f"sampled {len(pts)} of {hi ** n} points (seed={seed})")
     gamma_by_facette: dict = {}
@@ -314,6 +315,7 @@ def reduction_sweep(
     hi = 2 * p if box is None else box
     res = SweepResult(f"reduction n={n} p={p} box={hi}")
     pts = _sampled(integral_points(n, 1, hi), sample, seed)
+    res.require_window(len(pts), "points")
     if sample is not None:
         res.reports.append(f"sampled {len(pts)} points (seed={seed})")
     seen_bases: set[frozenset[RootA]] = set()
@@ -325,7 +327,7 @@ def reduction_sweep(
             seen_bases.add(basis)
             pi_in = partition_of_basis(basis, n)
             closure_bound = upward_closure(positive_roots_of(basis), n)
-            for big, small in _comparable_pairs_of(basis):
+            for big, small in comparable_pairs_of(basis):
                 res.cases += 1
                 try:
                     first, second = reduce_step(basis, (big, small), n)
@@ -352,19 +354,6 @@ def reduction_sweep(
     return res
 
 
-def _comparable_pairs_of(
-    basis: frozenset[RootA],
-) -> list[tuple[RootA, RootA]]:
-    from .rootsys import root_leq
-
-    return [
-        (big, small)
-        for big in sorted(basis)
-        for small in sorted(basis)
-        if big != small and root_leq(small, big)
-    ]
-
-
 def mu_sweep(
     n: int,
     p: int,
@@ -376,10 +365,9 @@ def mu_sweep(
     hi = 2 * p if box is None else box
     res = SweepResult(f"mu n={n} p={p} box={hi}")
     pts = _sampled(integral_points(n, 1, hi), sample, seed)
+    res.require_window(len(pts), "points")
     if sample is not None:
         res.reports.append(f"sampled {len(pts)} points (seed={seed})")
-    from .cells import enumerate_good_bases
-
     for pt in pts:
         for basis in enumerate_good_bases(gamma(pt, p)):
             res.cases += 1
@@ -398,7 +386,9 @@ def lattice_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
         )
     hi = 2 * p if box is None else box
     res = SweepResult(f"lattice n={n} p={p} box={hi}")
-    for f in facettes_meeting_box(n, p, hi):
+    facettes = facettes_meeting_box(n, p, hi)
+    res.require_window(len(facettes), "facettes")
+    for f in facettes:
         res.cases += 1
         pt = facette_lattice_point(f)
         if pt is None:

@@ -125,6 +125,22 @@ def test_verify_json(capsys):
     assert doc["suites"][0]["cases"] > 0 and doc["suites"][0]["failures"] == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["good-sup", "--n", "2", "--p", "3", "--box", "0"],
+        ["mu", "--n", "2", "--p", "3", "--box", "0"],
+        ["weak-order", "--n", "2", "--p", "3", "--index-bound", "0"],
+    ],
+)
+def test_verify_empty_window_fails(capsys, argv):
+    code, out, _ = run(capsys, ["verify", *argv])
+    assert code == 1
+    assert "cases=0 failures=1 FAIL" in out
+    assert "first failure: empty window" in out
+    assert out.endswith("verify: FAIL\n")
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense", "--n", "2", "--p", "3"])
