@@ -11,9 +11,13 @@ Realizability of an index family or facette datum is decided by a local
 integer rule on the splits alpha = beta + gamma of each root (Shi's
 characterization of alcoves, extended to facettes).  Point location,
 closures and stabilizer root systems compare the point's integer pairing
-numerators with multiples of p.  The difference-constraint engine, where
-every <x, eps_i - eps_j> is a difference of eps coordinates, remains for
-what needs a rational witness: interior points, wall witnesses, and the
+numerators with multiples of p.  The stabilizer route to lower closures
+runs on ints too: around a point, its stabilizer permutes the eps
+coordinates within the classes of equal prefix numerators mod p, so the
+group is enumerated as a product of symmetric groups instead of being
+closed under composition.  The difference-constraint engine, where every
+<x, eps_i - eps_j> is a difference of eps coordinates, remains for what
+needs a rational witness: interior points, wall witnesses, and the
 oracle the local rule is tested against.
 
 Points are always carried rho-shifted, so the affine Weyl group action
@@ -25,9 +29,11 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import permutations, product
+from operator import lt
 from typing import Optional, Sequence, Union
 
 from .constraints import DifferenceSystem
@@ -162,11 +168,15 @@ class Alcove:
 
 @dataclass(frozen=True)
 class Facette:
-    """A facette: per root either a wall equality or an open window."""
+    """A facette: per root either a wall equality or an open window.
+
+    _codes holds the data on the doubled scale of _realizable.
+    """
 
     rank: int
     p: int
     data: tuple[Datum, ...]
+    _codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_p(self.p)
@@ -181,6 +191,7 @@ class Facette:
         codes = tuple(2 * d.index - isinstance(d, Between) for d in self.data)
         if not _realizable(self.rank, codes):
             raise PreconditionError(f"facette data {self.data} cut out an empty region")
+        object.__setattr__(self, "_codes", codes)
 
     def wall_roots(self) -> tuple[tuple[RootA, int], ...]:
         return tuple(
@@ -237,16 +248,18 @@ def lower_closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
 
     Wall roots keep their equality; window roots admit the half-open
     interval [(index-1)p, index p), i.e. the lower bounding hyperplane is
-    adjoined and the upper one is not.
+    adjoined and the upper one is not.  On the doubled scale a datum with
+    code c is the point or open window centred on c * p / 2.
     """
     f = _as_facette(f)
     _match_point(f, pt)
     step = pt.denominator * f.p
-    for v, d in zip(pt.pairing_numerators(), f.data):
-        if isinstance(d, Wall):
-            if v != d.index * step:
+    for v, c in zip(pt.pairing_numerators(), f._codes):
+        gap = 2 * v - c * step
+        if c & 1:
+            if not -step <= gap < step:
                 return False
-        elif not (d.index - 1) * step <= v < d.index * step:
+        elif gap:
             return False
     return True
 
@@ -256,11 +269,8 @@ def closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
     f = _as_facette(f)
     _match_point(f, pt)
     step = pt.denominator * f.p
-    for v, d in zip(pt.pairing_numerators(), f.data):
-        if isinstance(d, Wall):
-            if v != d.index * step:
-                return False
-        elif not (d.index - 1) * step <= v <= d.index * step:
+    for v, c in zip(pt.pairing_numerators(), f._codes):
+        if abs(2 * v - c * step) > (c & 1) * step:
             return False
     return True
 
@@ -353,7 +363,9 @@ def stabilizer_group(
 
     Generators are the s_{alpha,mp} with <pt, alpha> = mp; closure under
     composition stops at `cap` elements (default (n+1)!, which the order
-    always divides) and raises a resource-limit error beyond it.
+    always divides) and raises a resource-limit error beyond it.  The
+    stabilizer route enumerates the same group as _class_permutations;
+    this Fraction closure is its oracle and decides the wall checks.
     """
     if cap is None:
         cap = math.factorial(pt.rank + 1)
@@ -391,6 +403,38 @@ def stabilizer_subroot_system(pt: ShiftedPoint, p: int) -> frozenset[RootA]:
     )
 
 
+def _node_classes(pt: ShiftedPoint, p: int) -> tuple[int, ...]:
+    """Class label of each node 0..n, numbered by first appearance.
+
+    Nodes i < j share a class iff <pt, eps_{i+1} - eps_{j+1}> is a
+    multiple of p, i.e. iff their prefix numerators agree mod den * p.
+    """
+    step = pt.denominator * p
+    labels: dict[int, int] = {}
+    return tuple(labels.setdefault(v % step, len(labels)) for v in pt._num)
+
+
+@lru_cache(maxsize=None)
+def _class_permutations(classes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every permutation of the nodes that maps each class onto itself.
+
+    Entry k of a permutation is the image of node k.  The tuple is the
+    product of the symmetric groups on the classes, in product order.
+    """
+    members: dict[int, list[int]] = {}
+    for node, label in enumerate(classes):
+        members.setdefault(label, []).append(node)
+    blocks = list(members.values())
+    out = []
+    for images in product(*(permutations(nodes) for nodes in blocks)):
+        sigma = [0] * len(classes)
+        for nodes, image in zip(blocks, images):
+            for node, target in zip(nodes, image):
+                sigma[node] = target
+        out.append(tuple(sigma))
+    return tuple(out)
+
+
 def lower_closure_contains_via_stabilizer(
     f: Union[Facette, Alcove], pt: ShiftedPoint
 ) -> bool:
@@ -398,21 +442,33 @@ def lower_closure_contains_via_stabilizer(
 
     Requires pt to lie in the topological closure of f.  Picks the
     deterministic interior point lam of f and tests lam - w.lam against
-    the nonnegative root cone for every stabilizer element w; because lam
-    may be a non-integral rational point, the cone test reads "lam >= w.lam"
-    through exact simple-root-basis coefficients.
+    the nonnegative root cone for every element w of Stab(pt), the group
+    generated by the reflections through pt's hyperplanes.
+
+    Stab(pt) is enumerated without group algebra.  Its reflections are the
+    s_{eps_i - eps_j, mp} with nodes i, j in one class of _node_classes,
+    and they generate every permutation sigma of the eps coordinates that
+    preserves the classes; the translation of each element is then fixed
+    by w.pt = pt.  So w.lam - pt is lam - pt with its eps coordinates
+    permuted, and with u_i = den(pt) * num_i(lam) - den(lam) * num_i(pt)
+    for the prefix numerators, lam - w.lam is a positive multiple of
+    sum_i (u_{sigma(i)} - u_i) eps_i, where sigma is the permutation of
+    w^{-1} and runs over the same group.  Its simple-root coefficients are
+    the prefix sums over nodes i < k, for k = 1..n, and the cone test asks
+    each to be nonnegative.
     """
     f = _as_facette(f)
     _match_point(f, pt)
     if not closure_contains(f, pt):
         raise PreconditionError("point lies outside the closure of the facette")
     lam = interior_point(f)
-    numerators = inverse_cartan_numerators(f.rank)
-    for w in stabilizer_group(pt, f.p):
-        moved = w.apply(lam)
-        diff = [a - b for a, b in zip(lam.coords, moved.coords)]
-        for row in numerators:
-            if sum(c * d for c, d in zip(row, diff)) < 0:
+    u = [a * pt.denominator - b * lam.denominator for a, b in zip(lam._num, pt._num)]
+    last = len(u) - 1
+    for sigma in _class_permutations(_node_classes(pt, f.p)):
+        total = 0
+        for k in range(last):
+            total += u[sigma[k]] - u[k]
+            if total < 0:
                 return False
     return True
 
@@ -571,6 +627,27 @@ def _raise_tables(rank: int) -> tuple[tuple[tuple[int, int, bool], ...], ...]:
     return tuple(tables)
 
 
+def _ceilings(rank: int, idx: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse-Cartan-weighted combinations of the simple-root indices."""
+    pos_of = root_position(rank)
+    simple = [idx[pos_of[RootA(k, k + 1)]] for k in range(1, rank + 1)]
+    return tuple(
+        sum(c * v for c, v in zip(row, simple)) for row in inverse_cartan_numerators(rank)
+    )
+
+
+@lru_cache(maxsize=None)
+def _raise_successors(
+    rank: int, indices: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every one-step raise of an index family, in root order, with its ceilings."""
+    out = []
+    for beta_pos in range(len(indices)):
+        nxt = _raise_step(rank, indices, beta_pos)
+        out.append((nxt, _ceilings(rank, nxt)))
+    return tuple(out)
+
+
 def _raise_step(rank: int, indices: tuple[int, ...], beta_pos: int) -> tuple[int, ...]:
     table = _raise_tables(rank)[beta_pos]
     m = indices[beta_pos]
@@ -596,7 +673,9 @@ def up_reachable(a: Alcove, b: Alcove, bound: Optional[int] = None) -> bool:
     search prunes through exact monotone coordinates: raising steps
     translate points by nonnegative rational multiples of positive roots,
     so each inverse-Cartan-weighted combination of simple-root indices
-    must stay above a's floor and below b's ceiling.
+    must stay above a's floor and below b's ceiling.  A family's floor is
+    its ceiling minus the row sum R_k, so a step to a family with
+    ceilings h is admissible when a_floor_k < h_k < b_ceiling_k + R_k.
     """
     if (a.rank, a.p) != (b.rank, b.p):
         raise PreconditionError("up_reachable compares alcoves of equal rank and p")
@@ -605,33 +684,15 @@ def up_reachable(a: Alcove, b: Alcove, bound: Optional[int] = None) -> bool:
     rank = a.rank
     if a.indices == b.indices:
         return True
-    simple_pos = [root_position(rank)[RootA(k, k + 1)] for k in range(1, rank + 1)]
-    numerators = inverse_cartan_numerators(rank)
-
-    def floors_and_ceils(idx: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        lo, hi = [], []
-        for row in numerators:
-            lo.append(sum(c * (idx[sp] - 1) for c, sp in zip(row, simple_pos)))
-            hi.append(sum(c * idx[sp] for c, sp in zip(row, simple_pos)))
-        return tuple(lo), tuple(hi)
-
-    a_lo, _ = floors_and_ceils(a.indices)
-    _, b_hi = floors_and_ceils(b.indices)
-
-    def admissible(idx: tuple[int, ...]) -> bool:
-        lo, hi = floors_and_ceils(idx)
-        return all(h > al for h, al in zip(hi, a_lo)) and all(
-            l < bh for l, bh in zip(lo, b_hi)
-        )
-
+    rows = [sum(row) for row in inverse_cartan_numerators(rank)]
+    lows = [h - r for h, r in zip(_ceilings(rank, a.indices), rows)]
+    tops = [h + r for h, r in zip(_ceilings(rank, b.indices), rows)]
     seen = {a.indices}
     queue = deque([a.indices])
-    count = len(positive_roots(rank))
     while queue:
         cur = queue.popleft()
-        for beta_pos in range(count):
-            nxt = _raise_step(rank, cur, beta_pos)
-            if nxt in seen or not admissible(nxt):
+        for nxt, hi in _raise_successors(rank, cur):
+            if nxt in seen or not (all(map(lt, lows, hi)) and all(map(lt, hi, tops))):
                 continue
             if nxt == b.indices:
                 return True

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import product
@@ -153,7 +154,11 @@ def cmd_cell(config: RunConfig) -> int:
         for b in enumerate_good_bases(g)
         if partition_of_basis(b, n) == s
     ]
-    pred = tilting_support(pt, config.p)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pred = tilting_support(pt, config.p)
+    for w in caught:
+        print(f"alcove-cells: note: {w.message}", file=sys.stderr)
     doc = {
         "n": n,
         "p": config.p,
@@ -505,9 +510,27 @@ def _config_of(args: argparse.Namespace) -> RunConfig:
     )
 
 
+POINT_OPTIONS = ("--weight", "--shifted")
+
+
+def _join_point_values(argv: Sequence[str]) -> list[str]:
+    """Join --weight/--shifted with a following value like -7/2,9/4.
+
+    argparse takes such a value for an option and reports the point
+    option as missing its argument; joined as --shifted=-7/2,9/4 it parses.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in POINT_OPTIONS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_point_values(sys.argv[1:] if argv is None else argv))
     try:
         config = _config_of(args)
         if args.command == "cell":

@@ -88,12 +88,14 @@ class ShiftedPoint:
     coords[k-1] is the pairing with the k-th simple coroot; the point is
     dominant and regular exactly when every coordinate is positive.  The
     prefix sums coords[0] + ... + coords[k-1] are stored as the integer
-    numerators _num[k] over the least common denominator _den.
+    numerators _num[k] over the least common denominator _den, and the
+    pairing numerators of every positive root as _pairs.
     """
 
     coords: tuple[Q, ...]
     _num: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _den: int = field(init=False, repr=False, compare=False)
+    _pairs: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.coords) < 1:
@@ -104,8 +106,12 @@ class ShiftedPoint:
         acc = [0]
         for c in vals:
             acc.append(acc[-1] + c.numerator * (den // c.denominator))
+        m = len(acc)
         object.__setattr__(self, "_num", tuple(acc))
         object.__setattr__(self, "_den", den)
+        object.__setattr__(
+            self, "_pairs", tuple(acc[j] - acc[i] for i in range(m) for j in range(i + 1, m))
+        )
 
     @property
     def rank(self) -> int:
@@ -123,9 +129,7 @@ class ShiftedPoint:
 
     def pairing_numerators(self) -> tuple[int, ...]:
         """denominator * <pt, r^v> for every positive root, in canonical order."""
-        num = self._num
-        m = len(num)
-        return tuple(num[j] - num[i] for i in range(m) for j in range(i + 1, m))
+        return self._pairs
 
     def is_regular_dominant(self) -> bool:
         return all(c > 0 for c in self.coords)

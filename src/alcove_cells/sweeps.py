@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import Optional
 
 from .alcove import (
     Alcove,
@@ -87,11 +87,29 @@ def integral_points(n: int, lo: int, hi: int) -> list[ShiftedPoint]:
     ]
 
 
-def _sampled(items: Sequence, sample: Optional[int], seed: int) -> list:
-    if sample is None or len(items) <= sample:
-        return list(items)
-    rng = random.Random(seed)
-    return rng.sample(list(items), sample)
+def _sampled_points(
+    n: int, lo: int, hi: int, sample: Optional[int], seed: int
+) -> list[ShiftedPoint]:
+    """integral_points(n, lo, hi), or a seeded sample of `sample` of them.
+
+    Sampling never builds the box: it draws positions in the order of
+    integral_points and decodes each in mixed radix, most significant
+    coordinate first.  random.sample draws the same positions from a range
+    as from a list of the same length, so the sample is the one taken from
+    the full list.
+    """
+    width = max(hi - lo + 1, 0)
+    total = width**n
+    if sample is None or total <= sample:
+        return integral_points(n, lo, hi)
+    out = []
+    for index in random.Random(seed).sample(range(total), sample):
+        coords = []
+        for _ in range(n):
+            index, digit = divmod(index, width)
+            coords.append(lo + digit)
+        out.append(shifted_point(coords[::-1]))
+    return out
 
 
 def facettes_meeting_box(n: int, p: int, hi: int) -> list[Facette]:
@@ -223,17 +241,20 @@ def weak_order_sweep(
     return res
 
 
+def _chain_bases_in(g: frozenset[RootA]) -> list[frozenset[RootA]]:
+    """All chain bases made of roots of g."""
+    pool = sorted(g)
+    return [
+        frozenset(combo)
+        for size in range(len(pool) + 1)
+        for combo in combinations(pool, size)
+        if is_subroot_basis(combo)
+    ]
+
+
 def _bases_within(g: frozenset[RootA]) -> list[frozenset[RootA]]:
     """All chain bases inside g whose generated system also lies inside g."""
-    pool = sorted(g)
-    out = []
-    for size in range(len(pool) + 1):
-        for combo in combinations(pool, size):
-            if not is_subroot_basis(combo):
-                continue
-            if positive_roots_of(combo) <= g:
-                out.append(frozenset(combo))
-    return out
+    return [b for b in _chain_bases_in(g) if positive_roots_of(b) <= g]
 
 
 def good_sup_sweep(
@@ -246,14 +267,14 @@ def good_sup_sweep(
 ) -> SweepResult:
     """s-partition against the brute-force oracle over a dominant box.
 
-    Also asserts that every basis inside gamma generates a system inside
-    gamma, and that points sharing a facette share gamma.  The weak-order
-    monotonicity of s is probed on sampled pairs and surfaced as reports
-    only, never failures.
+    Also asserts that every chain basis made of roots of gamma generates
+    a system inside gamma, and that points sharing a facette share gamma.
+    The weak-order monotonicity of s is probed on sampled pairs and
+    surfaced as reports only, never failures.
     """
     hi = 2 * p if box is None else box
     res = SweepResult(f"good-sup n={n} p={p} box={hi}")
-    pts = _sampled(integral_points(n, 1, hi), sample, seed)
+    pts = _sampled_points(n, 1, hi, sample, seed)
     res.require_window(len(pts), "points")
     if sample is not None and len(pts) < (hi) ** n:
         res.reports.append(f"sampled {len(pts)} of {hi ** n} points (seed={seed})")
@@ -269,7 +290,7 @@ def good_sup_sweep(
             res.fail(
                 f"s mismatch at {pt.coords}: good-basis {fast} brute-force {brute}"
             )
-        for basis in _bases_within(g):
+        for basis in _chain_bases_in(g):
             if not positive_roots_of(basis) <= g:
                 res.fail(f"system of {sorted(basis)} escapes gamma at {pt.coords}")
         key = facette_of(pt, p)
@@ -314,7 +335,7 @@ def reduction_sweep(
     """
     hi = 2 * p if box is None else box
     res = SweepResult(f"reduction n={n} p={p} box={hi}")
-    pts = _sampled(integral_points(n, 1, hi), sample, seed)
+    pts = _sampled_points(n, 1, hi, sample, seed)
     res.require_window(len(pts), "points")
     if sample is not None:
         res.reports.append(f"sampled {len(pts)} points (seed={seed})")
@@ -364,7 +385,7 @@ def mu_sweep(
     """construct_mu postconditions on every (point, good basis) pair."""
     hi = 2 * p if box is None else box
     res = SweepResult(f"mu n={n} p={p} box={hi}")
-    pts = _sampled(integral_points(n, 1, hi), sample, seed)
+    pts = _sampled_points(n, 1, hi, sample, seed)
     res.require_window(len(pts), "points")
     if sample is not None:
         res.reports.append(f"sampled {len(pts)} points (seed={seed})")

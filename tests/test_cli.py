@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +212,31 @@ def test_certificate_csv(capsys):
 def test_rejects_bad_n(capsys):
     code, _, err = run(capsys, ["cell", "--n", "0", "--p", "5", "--weight", ""])
     assert code == 2 and err != ""
+
+
+def test_cell_conjecture_caveat_is_a_structured_note(capsys):
+    code, out, err = run(capsys, ["cell", "--n", "4", "--p", "5", "--weight", "6,2,9,3"])
+    assert code == 0
+    assert err == (
+        "alcove-cells: note: p=5 is at most n+1=5: the prediction is conjecture-backed\n"
+    )
+    golden = Path(__file__).parent / "golden" / "cell_n4_p5_weight_6_2_9_3.human"
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def test_theorem_backed_cell_prints_no_note(capsys):
+    code, _, err = run(capsys, ["cell", "--n", "2", "--p", "5", "--weight", "5,5"])
+    assert code == 0 and err == ""
+
+
+def test_negative_shifted_value_is_not_taken_for_an_option(capsys):
+    joined = run(capsys, ["alcove", "--n", "2", "--p", "4", "--shifted=-7/2,9/4"])
+    spaced = run(capsys, ["alcove", "--n", "2", "--p", "4", "--shifted", "-7/2,9/4"])
+    assert joined[0] == 0 and "shifted point: -7/2,9/4" in joined[1]
+    assert spaced == joined
+
+
+def test_negative_weight_value_reaches_the_domain_check(capsys):
+    code, out, err = run(capsys, ["cell", "--n", "2", "--p", "5", "--weight", "-1,2"])
+    assert code == 2 and out == ""
+    assert err == "alcove-cells: error: weight (-1, 2) is not dominant\n"

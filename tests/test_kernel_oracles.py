@@ -4,9 +4,14 @@ Realizability: the local split rule behind Alcove and Facette against
 the Floyd-Warshall difference system over every family in fixed index
 windows.  Point location: the integer-numerator forms of alcove_of,
 facette_of, gamma, stabilizer_subroot_system and the closures against
-the Fraction pairing formulas, on random rational points.
+the Fraction pairing formulas, on random rational points.  Stabilizers:
+the class-permutation group against the Fraction closure of
+stabilizer_group, and the integer cone test against the Fraction loop
+over AffineMap.apply.  Raising: the memoized up_reachable against the
+BFS that recomputed every step.
 """
 
+from collections import deque
 from fractions import Fraction as Q
 from itertools import product
 
@@ -15,21 +20,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcove_cells.alcove import (
+    AffineMap,
     Alcove,
     Between,
     Facette,
     Wall,
     _base_system,
+    _class_permutations,
+    _node_classes,
+    _raise_step,
     _splits,
     alcove_of,
     closure_contains,
     facette_of,
+    interior_point,
     lower_closure_contains,
+    lower_closure_contains_via_stabilizer,
+    stabilizer_group,
     stabilizer_subroot_system,
+    up_reachable,
+    weak_leq,
 )
 from alcove_cells.cells import gamma
 from alcove_cells.errors import PreconditionError
-from alcove_cells.rootsys import ShiftedPoint, positive_roots
+from alcove_cells.rootsys import (
+    RootA,
+    ShiftedPoint,
+    inverse_cartan_numerators,
+    positive_roots,
+    root_position,
+)
+from alcove_cells.sweeps import dominant_alcoves, facettes_meeting_box, integral_points
 
 P = 2
 
@@ -183,3 +204,141 @@ def test_pairings_keep_their_fraction_values(pt):
         assert pt.pairing(r) == prefix[r.j - 1] - prefix[r.i - 1]
     assert pt.e_coords() == tuple(prefix[-1] - v for v in prefix)
     assert pt.is_integral() == all(c.denominator == 1 for c in pt.coords)
+
+
+# -- stabilizers: class permutations against the Fraction closure ---------
+
+
+def _class_group(pt, p):
+    """The class-permutation group as affine maps, each with the translation fixing pt."""
+    e = pt.e_coords()
+    perms = _class_permutations(_node_classes(pt, p))
+    assert len(set(perms)) == len(perms)
+    maps = set()
+    for sigma in perms:
+        inverse = [0] * len(sigma)
+        for node, image in enumerate(sigma):
+            inverse[image] = node
+        trans = tuple(e[i] - e[inverse[i]] for i in range(len(sigma)))
+        maps.add(AffineMap(pt.rank, tuple(image + 1 for image in sigma), trans))
+    return maps
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_class_permutations_match_the_stabilizer_closure_on_a_box(rank):
+    orders = set()
+    for pt in integral_points(rank, 0, 6):
+        group = stabilizer_group(pt, 3)
+        assert _class_group(pt, 3) == group, pt.coords
+        orders.add(len(group))
+    # four prefix numerators among three residues mod 3 always share one
+    assert orders == ({1, 2, 6} if rank == 2 else {2, 4, 6, 24})
+
+
+@st.composite
+def points_on_walls(draw):
+    """(pt, p) with coordinates in (p/3)Z, so pt sits on many hyperplanes."""
+    p = draw(st.integers(min_value=1, max_value=4))
+    parts = st.tuples(st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3]))
+    coords = draw(st.lists(parts, min_size=1, max_size=4))
+    return ShiftedPoint(tuple(Q(k * p, d) for k, d in coords)), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(st.tuples(points, levels), points_on_walls()))
+def test_class_permutations_match_the_stabilizer_closure(case):
+    pt, p = case
+    assert _class_group(pt, p) == stabilizer_group(pt, p)
+
+
+def _via_stabilizer_by_fractions(f, pt):
+    """The stabilizer route as it ran on Fractions: apply every w to lam."""
+    lam = interior_point(f)
+    for w in stabilizer_group(pt, f.p):
+        moved = w.apply(lam)
+        diff = [a - b for a, b in zip(lam.coords, moved.coords)]
+        for row in inverse_cartan_numerators(f.rank):
+            if sum(c * d for c, d in zip(row, diff)) < 0:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_stabilizer_route_matches_the_fraction_loop_on_the_lclosure_window(rank):
+    pts = integral_points(rank, 0, 6)
+    answers = []
+    for f in facettes_meeting_box(rank, 3, 6):
+        for pt in pts:
+            if closure_contains(f, pt):
+                fast = lower_closure_contains_via_stabilizer(f, pt)
+                assert fast == _via_stabilizer_by_fractions(f, pt), (f.data, pt.coords)
+                answers.append(fast)
+    assert True in answers and False in answers
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.one_of(st.tuples(points, levels), points_on_walls()),
+    nudge=st.lists(st.sampled_from([0, Q(1, 997), -Q(1, 997)]), min_size=4, max_size=4),
+)
+def test_stabilizer_route_matches_the_fraction_loop(case, nudge):
+    pt, p = case
+    near = ShiftedPoint(tuple(c + d for c, d in zip(pt.coords, nudge)))
+    f = facette_of(near, p)
+    if closure_contains(f, pt):
+        assert lower_closure_contains_via_stabilizer(f, pt) == _via_stabilizer_by_fractions(
+            f, pt
+        )
+
+
+# -- raising reachability: memoized steps against the plain BFS -----------
+
+
+def _up_reachable_plain(a, b):
+    """up_reachable as it was, recomputing every step and both bounds."""
+    rank = a.rank
+    if a.indices == b.indices:
+        return True
+    simple_pos = [root_position(rank)[RootA(k, k + 1)] for k in range(1, rank + 1)]
+    numerators = inverse_cartan_numerators(rank)
+
+    def floors_and_ceils(idx):
+        lo = tuple(sum(c * (idx[sp] - 1) for c, sp in zip(row, simple_pos)) for row in numerators)
+        hi = tuple(sum(c * idx[sp] for c, sp in zip(row, simple_pos)) for row in numerators)
+        return lo, hi
+
+    a_lo, _ = floors_and_ceils(a.indices)
+    _, b_hi = floors_and_ceils(b.indices)
+    seen = {a.indices}
+    queue = deque([a.indices])
+    while queue:
+        cur = queue.popleft()
+        for beta_pos in range(len(cur)):
+            nxt = _raise_step(rank, cur, beta_pos)
+            lo, hi = floors_and_ceils(nxt)
+            if nxt in seen or not (
+                all(h > al for h, al in zip(hi, a_lo)) and all(l < bh for l, bh in zip(lo, b_hi))
+            ):
+                continue
+            if nxt == b.indices:
+                return True
+            seen.add(nxt)
+            queue.append(nxt)
+    return False
+
+
+def test_up_reachable_matches_the_plain_bfs_on_every_pair():
+    alcoves = dominant_alcoves(2, 3, 4)
+    answers = [
+        (up_reachable(a, b), _up_reachable_plain(a, b)) for a in alcoves for b in alcoves
+    ]
+    assert all(fast == plain for fast, plain in answers)
+    assert {fast for fast, _ in answers} == {True, False}
+
+
+def test_up_reachable_matches_the_plain_bfs_on_comparable_pairs():
+    alcoves = dominant_alcoves(3, 5, 4)
+    pairs = [(a, b) for a in alcoves for b in alcoves if weak_leq(a, b)]
+    assert len(pairs) == 848
+    for a, b in pairs:
+        assert up_reachable(a, b) == _up_reachable_plain(a, b), (a.indices, b.indices)

@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
+from alcove_cells import sweeps
 from alcove_cells.errors import PreconditionError
+from alcove_cells.rootsys import RootA
 from alcove_cells.sweeps import (
     SweepResult,
+    _sampled_points,
     dominant_alcoves,
     facettes_meeting_box,
     good_sup_sweep,
@@ -95,3 +100,34 @@ def test_lattice_sweep_small():
 def test_lattice_sweep_guards_small_p():
     with pytest.raises(PreconditionError):
         lattice_sweep(2, 2, box=4)
+
+
+@pytest.mark.parametrize(
+    "n, lo, hi, sample, seed",
+    [(2, 1, 6, 5, 0), (3, 1, 10, 50, 3), (1, 0, 7, 3, 1), (4, 1, 10, 500, 7), (2, 1, 3, 9, 0)],
+)
+def test_sampled_points_match_sampling_the_full_list(n, lo, hi, sample, seed):
+    full = integral_points(n, lo, hi)
+    expected = full if len(full) <= sample else random.Random(seed).sample(full, sample)
+    assert _sampled_points(n, lo, hi, sample, seed) == expected
+
+
+def test_sampling_never_builds_the_box(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("integral_points called while sampling")
+
+    monkeypatch.setattr(sweeps, "integral_points", refuse)
+    pts = _sampled_points(5, 1, 14, 20, 0)
+    assert len(set(pts)) == 20
+    assert all(pt.is_integral() and min(pt.coords) >= 1 and max(pt.coords) <= 14 for pt in pts)
+    r = good_sup_sweep(2, 3, box=6, sample=10, seed=1)
+    assert r.ok and r.cases == 10
+
+
+def test_good_sup_sweep_fails_when_gamma_is_not_upward_closed(monkeypatch):
+    # (1,2) and (2,3) form a chain basis whose system also holds (1,3)
+    holes = frozenset({RootA(1, 2), RootA(2, 3)})
+    monkeypatch.setattr(sweeps, "gamma", lambda pt, p: holes)
+    r = good_sup_sweep(2, 3, box=6)
+    assert not r.ok
+    assert any("escapes gamma" in f for f in r.failures)
