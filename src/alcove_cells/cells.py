@@ -11,11 +11,12 @@ lowering the eventual supremum, mirroring how the two routes agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .alcove import stabilizer_subroot_system
+from .alcove import _node_classes
 from .errors import InvariantViolationError, PreconditionError
 from .partition import Partition, partition_of_basis, sup
 from .rootsys import (
@@ -25,7 +26,6 @@ from .rootsys import (
     check_p,
     positive_roots,
     root_leq,
-    root_pairing,
     root_position,
 )
 
@@ -46,13 +46,17 @@ def is_subroot_basis(roots: Iterable[RootA]) -> bool:
 
 
 def is_good_basis(roots: Iterable[RootA]) -> bool:
-    """A basis is good when it is also an antichain in the root order."""
-    rs = tuple(roots)
-    if chain_components(rs) is None:
-        return False
-    return not any(
-        root_leq(a, b) or root_leq(b, a) for a, b in combinations(rs, 2)
-    )
+    """A basis is good when it is also an antichain in the root order.
+
+    Equivalently: sorted by left end, both ends strictly increase.  A
+    chain basis repeats no left end and no right end (see
+    chain_components), and for roots a, b with a.i < b.i incomparability
+    means a.j < b.j, since [b.i, b.j] cannot then contain [a.i, a.j].
+    Conversely, roots whose ends both strictly increase share no end and
+    contain no one another.
+    """
+    rs = sorted(roots)
+    return all(a.i < b.i and a.j < b.j for a, b in zip(rs, rs[1:]))
 
 
 def positive_roots_of(basis: Iterable[RootA]) -> frozenset[RootA]:
@@ -85,30 +89,28 @@ def upward_closure(roots: Iterable[RootA], n: int) -> frozenset[RootA]:
 def enumerate_good_bases(scope: Iterable[RootA]) -> tuple[frozenset[RootA], ...]:
     """All good bases inside scope, smallest first, then lexicographic.
 
+    A good basis, sorted by left end, has strictly increasing left and
+    right ends (see is_good_basis), so it is an increasing chain of roots.
     Backtracks over the scope in canonical root order; a root extends a
-    partial basis when its bracket with every chosen root is 0 or -1 and
-    it is incomparable to each of them.  Includes the empty basis.
+    partial basis exactly when both of its ends exceed those of the last
+    chosen root, which then exceed those of every chosen root.  Includes
+    the empty basis.
     """
     pool = sorted(set(scope))
-    found: list[frozenset[RootA]] = []
+    found: list[tuple[RootA, ...]] = []
 
-    def extend(start: int, chosen: list[RootA]) -> None:
-        found.append(frozenset(chosen))
+    def extend(start: int, chosen: list[RootA], last_i: int, last_j: int) -> None:
+        found.append(tuple(chosen))
         for k in range(start, len(pool)):
             r = pool[k]
-            ok = all(
-                root_pairing(c, r) in (0, -1)
-                and not (root_leq(c, r) or root_leq(r, c))
-                for c in chosen
-            )
-            if ok:
+            if r.i > last_i and r.j > last_j:
                 chosen.append(r)
-                extend(k + 1, chosen)
+                extend(k + 1, chosen, r.i, r.j)
                 chosen.pop()
 
-    extend(0, [])
-    found.sort(key=lambda b: (len(b), sorted(b)))
-    return tuple(found)
+    extend(0, [], 0, 0)
+    found.sort(key=lambda b: (len(b), b))
+    return tuple(frozenset(b) for b in found)
 
 
 def s_partition(pt: ShiftedPoint, p: int) -> Partition:
@@ -275,19 +277,14 @@ def reduce_all(basis: Iterable[RootA], n: int) -> tuple[frozenset[RootA], ...]:
 def d_partition(pt: ShiftedPoint, p: int) -> Partition:
     """Partition of the stabilizer subroot system of pt.
 
-    The system's simple roots are the members that are not a sum of two
-    others inside it; in type A these are the consecutive pairs of each
-    residue class, and they form a chain basis whose partition is taken.
+    A root (i, j) lies in the system iff p divides its pairing, i.e. iff
+    the prefix numerators of nodes i-1 and j-1 agree mod den * p (the
+    classes of alcove._node_classes).  The system is therefore every pair
+    of nodes inside one class; its simple roots are the consecutive pairs
+    of each class, a chain basis whose components are the classes with
+    two or more nodes.  Padding with 1s for the singletons, the partition
+    is the class sizes in decreasing order.
     """
-    system = stabilizer_subroot_system(pt, p)
-    simple = frozenset(
-        r
-        for r in system
-        if not any(RootA(r.i, k) in system and RootA(k, r.j) in system
-                   for k in range(r.i + 1, r.j))
-    )
-    if chain_components(tuple(simple)) is None:
-        raise InvariantViolationError(
-            f"stabilizer system of {pt.coords} has a non-chain simple system"
-        )
-    return partition_of_basis(simple, pt.rank)
+    check_p(p)
+    sizes = Counter(_node_classes(pt, p)).values()
+    return Partition(tuple(sorted(sizes, reverse=True)))

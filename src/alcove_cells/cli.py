@@ -53,6 +53,7 @@ from .support import tilting_support, upper_bound_certificate
 from . import sweeps
 
 SAMPLE_CAP = 5000
+ATLAS_POINT_CAP = 1_000_000
 
 SUITES = ("lclosure", "weak-order", "good-sup", "reduction", "mu", "lattice", "all")
 
@@ -337,6 +338,14 @@ def cmd_atlas(config: RunConfig) -> int:
     box = config.box if config.box is not None else 2 * p
     if box < 1:
         raise PreconditionError(f"--box must be at least 1, got {box}")
+    # past rank 64 any box > 1 is over the cap, so the exponent stays small
+    points = box ** min(n, 64)
+    if points > ATLAS_POINT_CAP:
+        count = points if n <= 64 else f"{box}^{n}"
+        raise PreconditionError(
+            f"atlas would locate {count} points ([1, {box}]^{n}), "
+            f"above the cap of {ATLAS_POINT_CAP}; lower --box or --n"
+        )
     from .support import weight_cell_of
 
     buckets: dict[Partition, list[tuple[int, ...]]] = {

@@ -188,33 +188,30 @@ def inverse_cartan_numerators(n: int) -> tuple[tuple[int, ...], ...]:
 def chain_components(roots: Sequence[RootA]) -> tuple[tuple[int, ...], ...] | None:
     """Decompose a root set into ascending chains, or return None.
 
-    A set of positive roots has pairwise brackets in {0, -1} exactly when
-    it splits into disjoint chains (i_1,i_2), (i_2,i_3), ..., with strictly
-    increasing nodes and no index shared between chains.  Returns the
-    components as tuples of their node indices, ordered canonically:
-    weakly decreasing node count, ties by smallest node.  Returns None when
-    some pairwise bracket falls outside {0, -1} (duplicates included).
+    For roots a != b the bracket is [a.i = b.i] - [a.i = b.j] - [a.j = b.i]
+    + [a.j = b.j].  Since a.i < a.j and b.i < b.j, the two middle terms
+    cannot both be 1, nor can a root share both ends with another, so the
+    bracket is 1 exactly when a and b share their left end or their right
+    end, -1 when one ends where the other starts, and 0 otherwise (a
+    repeated root has bracket 2 and repeats both ends).  Hence the pairwise
+    brackets lie in {0, -1} exactly when no left end and no right end
+    repeats.  Then every node has at most one root leaving it to the right
+    and at most one arriving, so the roots form disjoint chains
+    (i_1,i_2), (i_2,i_3), ... with strictly increasing nodes, found by
+    walking the next-node pointers from each left end that is no root's
+    right end.  Returns the components as tuples of their node indices,
+    ordered canonically: weakly decreasing node count, ties by smallest
+    node.  Returns None when a left or right end repeats.
     """
-    rs = list(roots)
-    for a in range(len(rs)):
-        for b in range(a + 1, len(rs)):
-            if root_pairing(rs[a], rs[b]) not in (0, -1):
-                return None
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r in rs:
-        parent.setdefault(r.i, r.i)
-        parent.setdefault(r.j, r.j)
-        parent[find(r.i)] = find(r.j)
-    groups: dict[int, set[int]] = {}
-    for node in parent:
-        groups.setdefault(find(node), set()).add(node)
-    comps = [tuple(sorted(g)) for g in groups.values()]
+    nxt = {r.i: r.j for r in roots}
+    ends = {r.j for r in roots}
+    if len(nxt) != len(roots) or len(ends) != len(roots):
+        return None
+    comps = []
+    for head in nxt.keys() - ends:
+        nodes = [head]
+        while nodes[-1] in nxt:
+            nodes.append(nxt[nodes[-1]])
+        comps.append(tuple(nodes))
     comps.sort(key=lambda c: (-len(c), c[0]))
     return tuple(comps)

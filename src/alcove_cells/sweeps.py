@@ -331,7 +331,8 @@ def reduction_sweep(
     For each comparable pair of each non-good basis inside gamma, the
     one-step outputs and the full reduction tree must consist of bases
     inside the upward closure, end in good leaves, and recover at least
-    the input partition at the supremum.
+    the input partition at the supremum.  At n <= 2 every chain basis is
+    good, so the sweep has no case and says so in a report.
     """
     hi = 2 * p if box is None else box
     res = SweepResult(f"reduction n={n} p={p} box={hi}")
@@ -339,6 +340,8 @@ def reduction_sweep(
     res.require_window(len(pts), "points")
     if sample is not None:
         res.reports.append(f"sampled {len(pts)} points (seed={seed})")
+    if n <= 2:
+        res.reports.append("not applicable: A_1 and A_2 have no non-good chain basis")
     seen_bases: set[frozenset[RootA]] = set()
     for pt in pts:
         g = gamma(pt, p)

@@ -171,6 +171,18 @@ def test_atlas_rejects_empty_box(capsys):
     assert code == 2 and err != ""
 
 
+def test_atlas_refuses_a_box_over_the_point_cap(capsys, monkeypatch):
+    import alcove_cells.support
+
+    def fail(*args):
+        raise AssertionError("atlas located a point before refusing")
+
+    monkeypatch.setattr(alcove_cells.support, "weight_cell_of", fail)
+    code, out, err = run(capsys, ["atlas", "--n", "7", "--p", "5"])
+    assert code == 2 and out == ""
+    assert "10000000 points" in err and "1000000" in err
+
+
 def test_atlas_deterministic(capsys):
     argv = ["atlas", "--n", "2", "--p", "5", "--box", "8", "--format", "json"]
     _, first, _ = run(capsys, argv)

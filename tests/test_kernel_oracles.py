@@ -8,12 +8,15 @@ the Fraction pairing formulas, on random rational points.  Stabilizers:
 the class-permutation group against the Fraction closure of
 stabilizer_group, and the integer cone test against the Fraction loop
 over AffineMap.apply.  Raising: the memoized up_reachable against the
-BFS that recomputed every step.
+BFS that recomputed every step.  Chain bases: the increasing-chain rule
+behind is_good_basis and enumerate_good_bases, the next-pointer walk of
+chain_components and the class sizes of d_partition against the pairwise
+bracket, union-find and stabilizer-system routes they replaced.
 """
 
 from collections import deque
 from fractions import Fraction as Q
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -41,13 +44,17 @@ from alcove_cells.alcove import (
     up_reachable,
     weak_leq,
 )
-from alcove_cells.cells import gamma
+from alcove_cells.cells import d_partition, enumerate_good_bases, gamma, is_good_basis
 from alcove_cells.errors import PreconditionError
+from alcove_cells.partition import Partition
 from alcove_cells.rootsys import (
     RootA,
     ShiftedPoint,
+    chain_components,
     inverse_cartan_numerators,
     positive_roots,
+    root_leq,
+    root_pairing,
     root_position,
 )
 from alcove_cells.sweeps import dominant_alcoves, facettes_meeting_box, integral_points
@@ -342,3 +349,144 @@ def test_up_reachable_matches_the_plain_bfs_on_comparable_pairs():
     assert len(pairs) == 848
     for a, b in pairs:
         assert up_reachable(a, b) == _up_reachable_plain(a, b), (a.indices, b.indices)
+
+
+# -- chain bases: increasing root chains against the pairwise routes ------
+
+
+def _chain_components_union_find(roots):
+    """chain_components as it was: pairwise brackets, then union-find."""
+    rs = list(roots)
+    for a in range(len(rs)):
+        for b in range(a + 1, len(rs)):
+            if root_pairing(rs[a], rs[b]) not in (0, -1):
+                return None
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for r in rs:
+        parent.setdefault(r.i, r.i)
+        parent.setdefault(r.j, r.j)
+        parent[find(r.i)] = find(r.j)
+    groups = {}
+    for node in parent:
+        groups.setdefault(find(node), set()).add(node)
+    comps = [tuple(sorted(g)) for g in groups.values()]
+    comps.sort(key=lambda c: (-len(c), c[0]))
+    return tuple(comps)
+
+
+def _is_good_basis_pairwise(roots):
+    rs = tuple(roots)
+    if _chain_components_union_find(rs) is None:
+        return False
+    return not any(root_leq(a, b) or root_leq(b, a) for a, b in combinations(rs, 2))
+
+
+def _enumerate_good_bases_pairwise(scope):
+    """enumerate_good_bases as it was: bracket and order test against every chosen root."""
+    pool = sorted(set(scope))
+    found = []
+
+    def extend(start, chosen):
+        found.append(frozenset(chosen))
+        for k in range(start, len(pool)):
+            r = pool[k]
+            if all(
+                root_pairing(c, r) in (0, -1) and not (root_leq(c, r) or root_leq(r, c))
+                for c in chosen
+            ):
+                chosen.append(r)
+                extend(k + 1, chosen)
+                chosen.pop()
+
+    extend(0, [])
+    found.sort(key=lambda b: (len(b), sorted(b)))
+    return tuple(found)
+
+
+def _subsets(roots):
+    return [
+        tuple(r for k, r in enumerate(roots) if mask >> k & 1) for mask in range(1 << len(roots))
+    ]
+
+
+def _upper_sets(n):
+    """Every upward-closed set of positive roots: closed under (i, j) -> (i-1, j), (i, j+1)."""
+    out = []
+    for sub in _subsets(positive_roots(n)):
+        s = set(sub)
+        if all(
+            (r.i == 1 or RootA(r.i - 1, r.j) in s) and (r.j == n + 1 or RootA(r.i, r.j + 1) in s)
+            for r in s
+        ):
+            out.append(frozenset(s))
+    return out
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_good_bases_match_the_pairwise_route_on_every_subset(rank):
+    for sub in _subsets(positive_roots(rank)):
+        assert is_good_basis(sub) == _is_good_basis_pairwise(sub), sub
+        assert enumerate_good_bases(sub) == _enumerate_good_bases_pairwise(sub), sub
+
+
+def test_good_bases_match_the_pairwise_route_on_every_upper_set_of_rank_five():
+    uppers = _upper_sets(5)
+    assert len(uppers) == 132  # Catalan(6): the upper sets are the antichains' closures
+    for g in uppers:
+        assert is_good_basis(g) == _is_good_basis_pairwise(g)
+        bases = _enumerate_good_bases_pairwise(g)
+        assert enumerate_good_bases(g) == bases, sorted(g)
+        assert all(is_good_basis(b) for b in bases)
+
+
+def test_chain_components_match_union_find_on_every_subset():
+    answers = []
+    for sub in _subsets(positive_roots(4)):
+        expected = _chain_components_union_find(sub)
+        assert chain_components(sub) == expected, sub
+        assert chain_components(sub[::-1]) == expected, sub
+        if sub:
+            assert chain_components(sub + sub[:1]) is None
+        answers.append(expected is None)
+    assert True in answers and False in answers
+
+
+def _d_partition_via_stabilizer(pt, p):
+    """d_partition as it was: simple roots of the stabilizer system, then components."""
+    system = stabilizer_subroot_system(pt, p)
+    simple = [
+        r
+        for r in system
+        if not any(
+            RootA(r.i, k) in system and RootA(k, r.j) in system for k in range(r.i + 1, r.j)
+        )
+    ]
+    comps = _chain_components_union_find(simple)
+    assert comps is not None
+    parts = sorted((len(c) for c in comps), reverse=True)
+    return Partition(tuple(parts) + (1,) * (pt.rank + 1 - sum(parts)))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_d_partition_matches_the_stabilizer_route_on_a_box(rank, p):
+    seen = set()
+    for pt in integral_points(rank, 0, 2 * p):
+        d = d_partition(pt, p)
+        assert d == _d_partition_via_stabilizer(pt, p), pt.coords
+        seen.add(d)
+    assert len(seen) > 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(st.tuples(points, levels), points_on_walls()))
+def test_d_partition_matches_the_stabilizer_route(case):
+    pt, p = case
+    assert d_partition(pt, p) == _d_partition_via_stabilizer(pt, p)

@@ -87,6 +87,18 @@ def test_reduction_sweep_rank_three_has_cases():
     assert r3.ok and r3.cases > 0
 
 
+NOT_APPLICABLE = "not applicable: A_1 and A_2 have no non-good chain basis"
+
+
+def test_reduction_sweep_says_when_it_cannot_apply():
+    r2 = reduction_sweep(2, 3, box=6)
+    assert r2.ok and r2.cases == 0
+    assert NOT_APPLICABLE in r2.reports
+    r3 = reduction_sweep(3, 3, box=4)
+    assert r3.ok and r3.cases > 0
+    assert NOT_APPLICABLE not in r3.reports
+
+
 def test_mu_sweep_small():
     r = mu_sweep(2, 5, box=10)
     assert r.ok and r.cases > 0
