@@ -9,16 +9,17 @@ generalizes this by allowing equality (a wall datum) at some roots.
 
 Realizability of an index family or facette datum is decided by a local
 integer rule on the splits alpha = beta + gamma of each root (Shi's
-characterization of alcoves, extended to facettes).  Point location,
+characterization of alcoves, extended to facettes); read on the splits
+that touch one root, the rule also decides the walls.  Point location,
 closures and stabilizer root systems compare the point's integer pairing
 numerators with multiples of p.  The stabilizer route to lower closures
 runs on ints too: around a point, its stabilizer permutes the eps
 coordinates within the classes of equal prefix numerators mod p, so the
 group is enumerated as a product of symmetric groups instead of being
 closed under composition.  The difference-constraint engine, where every
-<x, eps_i - eps_j> is a difference of eps coordinates, remains for what
-needs a rational witness: interior points, wall witnesses, and the
-oracle the local rule is tested against.
+<x, eps_i - eps_j> is a difference of eps coordinates, remains for
+interior points and as the oracle of the local rule; AffineMap and the
+Fraction closure of stabilizer_group are oracles too.
 
 Points are always carried rho-shifted, so the affine Weyl group action
 implemented by AffineMap is the dot action written plainly.
@@ -127,7 +128,7 @@ def _base_system(rank: int, p: int, data: Sequence[Datum]) -> DifferenceSystem:
     """Difference system over eps coordinates e_1..e_{n+1} for the data.
 
     A shorter data sequence constrains only the leading roots in canonical
-    order, which is how the sweeps prune their depth-first enumerations.
+    order, which is how facettes_meeting_box prunes its depth-first search.
     """
     ds = DifferenceSystem(rank + 1)
     for r, d in zip(positive_roots(rank), data):
@@ -365,7 +366,7 @@ def stabilizer_group(
     composition stops at `cap` elements (default (n+1)!, which the order
     always divides) and raises a resource-limit error beyond it.  The
     stabilizer route enumerates the same group as _class_permutations;
-    this Fraction closure is its oracle and decides the wall checks.
+    this Fraction closure is its oracle.
     """
     if cap is None:
         cap = math.factorial(pt.rank + 1)
@@ -473,73 +474,53 @@ def lower_closure_contains_via_stabilizer(
     return True
 
 
-def _wall_witness(a: Alcove, pos: int, value_index: int) -> Optional[ShiftedPoint]:
-    """A point on H_{alpha, value_index * p} interior to that candidate facet."""
-    data = list(facette_from_alcove(a).data)
-    data[pos] = Wall(value_index)
-    ds = _base_system(a.rank, a.p, data)
-    witness = ds.witness()
-    return None if witness is None else point_from_e(witness)
+def _wall_positions(rank: int, indices: Sequence[int], upper: bool) -> tuple[int, ...]:
+    """Root positions whose top (upper) or bottom hyperplane carries a facet.
 
-
-def _walls(a: Alcove, upper: bool) -> frozenset[tuple[RootA, int]]:
-    out = []
-    for pos, r in enumerate(positive_roots(a.rank)):
-        m = a.indices[pos] if upper else a.indices[pos] - 1
-        w = _wall_witness(a, pos, m)
-        if w is None:
-            continue
-        stab = stabilizer_group(w, a.p)
-        if len(stab) != 2:
-            raise InvariantViolationError(
-                f"wall witness for {tuple(r)} has stabilizer order {len(stab)}"
-            )
-        out.append((r, m))
-    return frozenset(out)
+    The candidate facet is the alcove's facette with a wall at alpha, and
+    only the splits touching alpha change its _realizable codes.  With gap
+    n_ij - n_ik - n_kj in {-1, 0}, a top wall needs gap -1 on the splits of
+    alpha and gap 0 where alpha is a summand; a bottom wall swaps the two.
+    """
+    blocked = set()
+    for ik, kj, ij in _splits(rank):
+        if (indices[ij] - indices[ik] - indices[kj] == 0) == upper:
+            blocked.add(ij)
+        else:
+            blocked.update((ik, kj))
+    return tuple(pos for pos in range(len(indices)) if pos not in blocked)
 
 
 def upper_walls(a: Alcove) -> frozenset[tuple[RootA, int]]:
-    """Pairs (alpha, n_alpha) whose top hyperplane carries a facet of a.
-
-    Wall-ness is decided by exhibiting an exact rational point on the
-    hyperplane that keeps every other pairing strictly inside its window;
-    such a witness has stabilizer of order exactly 2, which is verified.
-    """
-    return _walls(a, upper=True)
+    """Pairs (alpha, n_alpha) whose top hyperplane carries a facet of a."""
+    roots = positive_roots(a.rank)
+    walls = _wall_positions(a.rank, a.indices, True)
+    return frozenset((roots[k], a.indices[k]) for k in walls)
 
 
 def lower_walls(a: Alcove) -> frozenset[tuple[RootA, int]]:
     """Pairs (alpha, n_alpha - 1) whose bottom hyperplane carries a facet."""
-    return _walls(a, upper=False)
+    roots = positive_roots(a.rank)
+    walls = _wall_positions(a.rank, a.indices, False)
+    return frozenset((roots[k], a.indices[k] - 1) for k in walls)
 
 
 @lru_cache(maxsize=None)
 def _up_step_index_families(
-    rank: int, p: int, indices: tuple[int, ...]
+    rank: int, indices: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
-    a = Alcove(rank, p, indices)
-    roots = positive_roots(rank)
-    pos_of = root_position(rank)
-    found: list[tuple[int, tuple[int, ...]]] = []
-    for r, m in upper_walls(a):
-        x = interior_point(facette_from_alcove(a))
-        y = AffineMap.reflection(rank, r, m * p).apply(x)
-        found.append((pos_of[r], alcove_of(y, p).indices))
-    found.sort()
-    return tuple(idx for _, idx in found)
+    walls = _wall_positions(rank, indices, True)
+    return tuple(_raise_step(rank, indices, k) for k in walls)
 
 
 def up_step_neighbors(a: Alcove) -> tuple[Alcove, ...]:
     """Alcoves one raising step above a, one per upper wall.
 
-    Each neighbor is obtained by reflecting an interior point of a across
-    the wall hyperplane and re-identifying its alcove; results are ordered
-    by the wall root's canonical position.
+    Each neighbor is the reflection of a across the wall hyperplane, as
+    computed by _raise_step; results follow the wall roots' canonical order.
     """
-    return tuple(
-        Alcove(a.rank, a.p, idx)
-        for idx in _up_step_index_families(a.rank, a.p, a.indices)
-    )
+    families = _up_step_index_families(a.rank, a.indices)
+    return tuple(Alcove(a.rank, a.p, idx) for idx in families)
 
 
 def weak_leq(a: Alcove, b: Alcove) -> bool:
@@ -572,7 +553,7 @@ def weak_leq_oracle(a: Alcove, b: Alcove, bound: Optional[int] = None) -> bool:
         cur = queue.popleft()
         if cur == goal:
             return True
-        for nxt in _up_step_index_families(a.rank, a.p, cur):
+        for nxt in _up_step_index_families(a.rank, cur):
             if nxt in seen or any(x > y for x, y in zip(nxt, goal)):
                 continue
             seen.add(nxt)

@@ -504,6 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_of(args: argparse.Namespace) -> RunConfig:
     if args.n < 1 or args.p < 1:
         raise PreconditionError("need n >= 1 and p >= 1")
+    if args.bfs_bound is not None and args.bfs_bound < 1:
+        raise PreconditionError(f"--bfs-bound must be positive, got {args.bfs_bound}")
     weight = getattr(args, "weight", None)
     shifted = getattr(args, "shifted", None)
     return RunConfig(

@@ -11,11 +11,11 @@ succeeds, which yields an exact rational witness.
 Every constraint functional in this package is a difference of eps
 coordinates, so each region cut out by facette data, optionally
 restricted to a box, is such a system.  The solver supplies what needs a
-rational witness or a box: interior points, wall witnesses, and the
-box-pruned facette and alcove enumerations of the sweeps.  Plain
-realizability of alcove and facette data is decided by the integer split
-rule in the alcove module, which is tested against this solver as its
-oracle.
+rational witness or a box: interior points and the box-pruned facette
+enumeration of the sweeps.  Realizability of alcove and facette data,
+walls and the dominant-alcove enumeration are decided by the integer
+split rule in the alcove module, which is tested against this solver as
+its oracle.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from .alcove import (
     Facette,
     Wall,
     _base_system,
+    _splits,
     alcove_of,
     closure_contains,
     facette_of,
@@ -155,13 +156,20 @@ def facettes_meeting_box(n: int, p: int, hi: int) -> list[Facette]:
 
 
 def dominant_alcoves(n: int, p: int, index_bound: int) -> list[Alcove]:
-    """All dominant alcoves with every index in [1, index_bound]."""
+    """All dominant alcoves with every index in [1, index_bound].
+
+    Depth-first in canonical root order, pruned by the split rule on the
+    splits (h,i) + (i,j) = (h,j), h < i, that the newest root (i,j) closes.
+    A lexicographic prefix has a chordal constraint graph whose triangles
+    are those splits, and a passing split leaves its windows closed (see
+    _realizable), so the rule accepts exactly the feasible prefixes.
+    """
     roots = positive_roots(n)
+    closing: list[list[tuple[int, int, int]]] = [[] for _ in roots]
+    for split in _splits(n):
+        closing[max(split)].append(split)
     out: list[Alcove] = []
     chosen: list[int] = []
-
-    def feasible_prefix() -> bool:
-        return _base_system(n, p, [Between(idx) for idx in chosen]).feasible()
 
     def walk(depth: int) -> None:
         if depth == len(roots):
@@ -169,7 +177,8 @@ def dominant_alcoves(n: int, p: int, index_bound: int) -> list[Alcove]:
             return
         for idx in range(1, index_bound + 1):
             chosen.append(idx)
-            if feasible_prefix():
+            gaps = (chosen[ij] - chosen[ik] - chosen[kj] for ik, kj, ij in closing[depth])
+            if all(gap in (-1, 0) for gap in gaps):
                 walk(depth + 1)
             chosen.pop()
 

@@ -154,6 +154,15 @@ def test_verify_resource_limit_exits_one(capsys, monkeypatch):
     assert code == 1 and err != ""
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_verify_rejects_a_non_positive_bfs_bound(capsys, bound):
+    code, out, err = run(
+        capsys, ["verify", "weak-order", "--n", "2", "--p", "3", "--bfs-bound", bound]
+    )
+    assert code == 2 and out == ""
+    assert err == f"alcove-cells: error: --bfs-bound must be positive, got {bound}\n"
+
+
 def test_atlas_counts_tile_box(capsys):
     code, out, _ = run(
         capsys, ["atlas", "--n", "2", "--p", "3", "--box", "6", "--format", "json"]

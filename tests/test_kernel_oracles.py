@@ -8,10 +8,15 @@ the Fraction pairing formulas, on random rational points.  Stabilizers:
 the class-permutation group against the Fraction closure of
 stabilizer_group, and the integer cone test against the Fraction loop
 over AffineMap.apply.  Raising: the memoized up_reachable against the
-BFS that recomputed every step.  Chain bases: the increasing-chain rule
-behind is_good_basis and enumerate_good_bases, the next-pointer walk of
-chain_components and the class sizes of d_partition against the pairwise
-bracket, union-find and stabilizer-system routes they replaced.
+BFS that recomputed every step.  Walls and up-steps: the split rule behind
+upper_walls / lower_walls and the index transform behind up_step_neighbors
+against a difference-system witness per root (with its order-2 stabilizer)
+and the reflection of an interior point; the split-rule prune of
+dominant_alcoves against the difference system on every prefix.  Chain
+bases: the increasing-chain rule behind is_good_basis and
+enumerate_good_bases, the next-pointer walk of chain_components and the
+class sizes of d_partition against the pairwise bracket, union-find and
+stabilizer-system routes they replaced.
 """
 
 from collections import deque
@@ -35,13 +40,17 @@ from alcove_cells.alcove import (
     _splits,
     alcove_of,
     closure_contains,
+    facette_from_alcove,
     facette_of,
     interior_point,
     lower_closure_contains,
     lower_closure_contains_via_stabilizer,
+    lower_walls,
     stabilizer_group,
     stabilizer_subroot_system,
     up_reachable,
+    up_step_neighbors,
+    upper_walls,
     weak_leq,
 )
 from alcove_cells.cells import d_partition, enumerate_good_bases, gamma, is_good_basis
@@ -52,6 +61,7 @@ from alcove_cells.rootsys import (
     ShiftedPoint,
     chain_components,
     inverse_cartan_numerators,
+    point_from_e,
     positive_roots,
     root_leq,
     root_pairing,
@@ -349,6 +359,85 @@ def test_up_reachable_matches_the_plain_bfs_on_comparable_pairs():
     assert len(pairs) == 848
     for a, b in pairs:
         assert up_reachable(a, b) == _up_reachable_plain(a, b), (a.indices, b.indices)
+
+
+# -- walls, up-steps and dominant alcoves against the Floyd-Warshall routes -
+
+
+def _walls_by_witness(a, upper):
+    """upper_walls / lower_walls as they were: a difference-system witness
+    on each candidate facet, whose stabilizer must be the one reflection."""
+    out = set()
+    for pos, r in enumerate(positive_roots(a.rank)):
+        m = a.indices[pos] if upper else a.indices[pos] - 1
+        data = [Between(v) for v in a.indices]
+        data[pos] = Wall(m)
+        witness = _base_system(a.rank, a.p, data).witness()
+        if witness is None:
+            continue
+        assert len(stabilizer_group(point_from_e(witness), a.p)) == 2, (a.indices, r)
+        out.add((r, m))
+    return frozenset(out)
+
+
+def _up_steps_by_reflection(a):
+    """up_step_neighbors as it was: reflect an interior point across each
+    upper wall and locate its alcove."""
+    x = interior_point(facette_from_alcove(a))
+    pos_of = root_position(a.rank)
+    found = sorted(
+        (pos_of[r], alcove_of(AffineMap.reflection(a.rank, r, m * a.p).apply(x), a.p).indices)
+        for r, m in _walls_by_witness(a, True)
+    )
+    return tuple(idx for _, idx in found)
+
+
+def _dominant_alcoves_by_floyd_warshall(n, p, index_bound):
+    """dominant_alcoves as it was: every prefix pruned by the difference system."""
+    count = len(positive_roots(n))
+    out, chosen = [], []
+
+    def walk(depth):
+        if depth == count:
+            out.append(tuple(chosen))
+            return
+        for idx in range(1, index_bound + 1):
+            chosen.append(idx)
+            if _base_system(n, p, [Between(v) for v in chosen]).feasible():
+                walk(depth + 1)
+            chosen.pop()
+
+    walk(0)
+    return out
+
+
+@pytest.mark.parametrize("rank, lo, hi, count", [(2, -2, 3, 54), (3, -1, 3, 361), (4, 0, 2, 501)])
+def test_walls_match_the_witness_route_on_every_alcove_of_a_window(rank, lo, hi, count):
+    families = product(range(lo, hi + 1), repeat=len(positive_roots(rank)))
+    alcoves = [Alcove(rank, P, idx) for idx in families if _accepts(Alcove, rank, idx)]
+    assert len(alcoves) == count
+    for a in alcoves:
+        assert upper_walls(a) == _walls_by_witness(a, True), a.indices
+        assert lower_walls(a) == _walls_by_witness(a, False), a.indices
+
+
+DOMINANT_WINDOWS = [(2, 3, 6, 36), (3, 5, 5, 125), (4, 3, 3, 81)]
+
+
+@pytest.mark.parametrize("n, p, index_bound, count", DOMINANT_WINDOWS)
+def test_dominant_alcoves_match_the_floyd_warshall_prune(n, p, index_bound, count):
+    fast = [a.indices for a in dominant_alcoves(n, p, index_bound)]
+    assert len(fast) == count
+    assert fast == _dominant_alcoves_by_floyd_warshall(n, p, index_bound)
+
+
+@pytest.mark.parametrize("n, p, index_bound, count", DOMINANT_WINDOWS)
+def test_up_steps_match_the_reflection_route(n, p, index_bound, count):
+    alcoves = dominant_alcoves(n, p, index_bound)
+    assert len(alcoves) == count
+    for a in alcoves:
+        fast = tuple(b.indices for b in up_step_neighbors(a))
+        assert fast == _up_steps_by_reflection(a), a.indices
 
 
 # -- chain bases: increasing root chains against the pairwise routes ------
