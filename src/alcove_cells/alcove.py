@@ -9,17 +9,17 @@ generalizes this by allowing equality (a wall datum) at some roots.
 
 Realizability of an index family or facette datum is decided by a local
 integer rule on the splits alpha = beta + gamma of each root (Shi's
-characterization of alcoves, extended to facettes); read on the splits
-that touch one root, the rule also decides the walls.  Point location,
-closures and stabilizer root systems compare the point's integer pairing
-numerators with multiples of p.  The stabilizer route to lower closures
-runs on ints too: around a point, its stabilizer permutes the eps
-coordinates within the classes of equal prefix numerators mod p, so the
-group is enumerated as a product of symmetric groups instead of being
-closed under composition.  The difference-constraint engine, where every
-<x, eps_i - eps_j> is a difference of eps coordinates, remains for
-interior points and as the oracle of the local rule; AffineMap and the
-Fraction closure of stabilizer_group are oracles too.
+characterization of alcoves, extended to facettes).  Read on the splits
+that touch one root, it decides the walls; run root by root, it enumerates
+the families within given code ranges; and as it leaves the difference
+bounds closed, an interior point is a midpoint of a facette's own bounds.
+Point location, closures and stabilizer root systems compare the point's
+integer pairing numerators with multiples of p.  The stabilizer route to
+lower closures runs on ints too: around a point, its stabilizer permutes
+the eps coordinates within the classes of equal prefix numerators mod p,
+so the group is enumerated as a product of symmetric groups instead of
+being closed under composition.  AffineMap, the Fraction closure of
+stabilizer_group and the solver of the constraints module are oracles.
 
 Points are always carried rho-shifted, so the affine Weyl group action
 implemented by AffineMap is the dot action written plainly.
@@ -35,9 +35,8 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import permutations, product
 from operator import lt
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from .constraints import DifferenceSystem
 from .errors import InvariantViolationError, PreconditionError, ResourceLimitError
 from .rootsys import (
     Rational,
@@ -88,14 +87,19 @@ Datum = Union[Wall, Between]
 
 
 @lru_cache(maxsize=None)
-def _splits(rank: int) -> tuple[tuple[int, int, int], ...]:
-    """Root positions (ik, kj, ij) of every split (i,j) = (i,k) + (k,j)."""
+def _closing_order(rank: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """Each root's position and its splits' positions, by (j, -i) of the root."""
     pos = root_position(rank)
     return tuple(
-        (pos[RootA(i, k)], pos[RootA(k, j)], pos[RootA(i, j)])
-        for i, j in positive_roots(rank)
-        for k in range(i + 1, j)
+        (pos[r], tuple((pos[RootA(r.i, k)], pos[RootA(k, r.j)]) for k in range(r.i + 1, r.j)))
+        for r in sorted(positive_roots(rank), key=lambda r: (r.j, -r.i))
     )
+
+
+@lru_cache(maxsize=None)
+def _splits(rank: int) -> tuple[tuple[int, int, int], ...]:
+    """Root positions (ik, kj, ij) of every split (i,j) = (i,k) + (k,j)."""
+    return tuple((ik, kj, ij) for ij, splits in _closing_order(rank) for ik, kj in splits)
 
 
 def _realizable(rank: int, codes: Sequence[int]) -> bool:
@@ -118,26 +122,56 @@ def _realizable(rank: int, codes: Sequence[int]) -> bool:
     """
     for ik, kj, ij in _splits(rank):
         a, b = codes[ik], codes[kj]
-        gap = codes[ij] - a - b
-        if gap and not (a & b & 1 and gap in (-1, 1)):
+        if abs(codes[ij] - a - b) > a & b & 1:
             return False
     return True
 
 
-def _base_system(rank: int, p: int, data: Sequence[Datum]) -> DifferenceSystem:
-    """Difference system over eps coordinates e_1..e_{n+1} for the data.
+def _code_families(rank: int, allowed: Sequence[range]) -> Iterator[tuple[int, ...]]:
+    """Every family passing _realizable with each code in allowed[position].
 
-    A shorter data sequence constrains only the leading roots in canonical
-    order, which is how facettes_meeting_box prunes its depth-first search.
+    Families are code tuples in canonical root order.  The roots are visited
+    node by node, those ending at j = 2, ..., n+1 with i from j - 1 down to 1,
+    so both summands of every split (i,k) + (k,j) are fixed when (i,j) is
+    reached: each split is checked once, at its sum, and (i,j) takes the
+    allowed codes in [a + b - w, a + b + w], w = a & b & 1, for every split.
+
+    The split rule alone leads into no dead end.  The constraint graph of a
+    prefix is chordal (the nodes before j form a clique, as do j's neighbours
+    i..j-1), and a prefix that passes its splits is closed on each triangle,
+    hence consistent (directional path consistency: Dechter, Meiri and Pearl,
+    "Temporal constraint networks", 1991).  The pairing at (i,j) of a point
+    of its region has a code that every split admits; only allowed prunes.
+    A range of step 2 must hold codes of one parity in every position; the
+    bounds a + b - w then share it, so range(lo, hi + 1, step) is exact.
     """
-    ds = DifferenceSystem(rank + 1)
-    for r, d in zip(positive_roots(rank), data):
-        i, j = r.i - 1, r.j - 1
-        if isinstance(d, Wall):
-            ds.add_equal(i, j, d.index * p)
+    order = _closing_order(rank)
+    codes = [0] * len(order)
+
+    def candidates(depth: int) -> range:
+        pos, splits = order[depth]
+        window = allowed[pos]
+        lo, hi = window.start, window.stop - 1
+        for ik, kj in splits:
+            a, b = codes[ik], codes[kj]
+            w = a & b & 1
+            if a + b - w > lo:
+                lo = a + b - w
+            if a + b + w < hi:
+                hi = a + b + w
+        return range(lo, hi + 1, window.step)
+
+    stack = [iter(candidates(0))]
+    while stack:
+        pos = order[len(stack) - 1][0]
+        for codes[pos] in stack[-1]:
+            if len(stack) == len(order):
+                yield tuple(codes)
+            else:
+                stack.append(iter(candidates(len(stack))))
+                break
         else:
-            ds.add_window(i, j, (d.index - 1) * p, d.index * p, strict=True)
-    return ds
+            stack.pop()
 
 
 @dataclass(frozen=True)
@@ -278,11 +312,24 @@ def closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
 
 @lru_cache(maxsize=None)
 def interior_point(f: Facette) -> ShiftedPoint:
-    """A deterministic exact rational point inside f."""
-    witness = _base_system(f.rank, f.p, f.data).witness()
-    if witness is None:
-        raise InvariantViolationError(f"validated facette {f} has no interior point")
-    return point_from_e(witness)
+    """A deterministic exact rational point inside f.
+
+    With e_1 = 0, each later eps coordinate e_k is the midpoint of the
+    interval left by the data at (m, k), m < k: code c puts e_m - e_k in
+    [c - (c & 1), c + (c & 1)] p / 2.  The bounds of a realizable facette
+    are closed (see _realizable), so no interval is empty and this is the
+    closure-then-midpoint witness of the solver.  In units of p / 2^rank
+    every value is an integer (e_k is a multiple of 2^(rank - k + 1)).
+    """
+    pos = root_position(f.rank)
+    half = 1 << (f.rank - 1)
+    e = [0]
+    for k in range(2, f.rank + 2):
+        bounds = [(e[m - 1], f._codes[pos[RootA(m, k)]]) for m in range(1, k)]
+        lo = max(x - (c + (c & 1)) * half for x, c in bounds)
+        hi = min(x - (c - (c & 1)) * half for x, c in bounds)
+        e.append((lo + hi) // 2)
+    return point_from_e([Q(v * f.p, 2 * half) for v in e])
 
 
 @dataclass(frozen=True)

@@ -321,7 +321,7 @@ def cmd_verify(config: RunConfig, suite: str) -> int:
         w = _csv_writer()
         w.writerow(["name", "cases", "failures", "ok"])
         for r in results:
-            w.writerow([r.name, r.cases, len(r.failures), r.ok])
+            w.writerow([r.name, r.cases, r.failed, r.ok])
     else:
         for r in results:
             print(r.summary())

@@ -10,18 +10,20 @@ succeeds, which yields an exact rational witness.
 
 Every constraint functional in this package is a difference of eps
 coordinates, so each region cut out by facette data, optionally
-restricted to a box, is such a system.  The solver supplies what needs a
-rational witness or a box: interior points and the box-pruned facette
-enumeration of the sweeps.  Realizability of alcove and facette data,
-walls and the dominant-alcove enumeration are decided by the integer
-split rule in the alcove module, which is tested against this solver as
-its oracle.
+restricted to a box, is such a system; _base_system builds it.  No
+production module calls the solver: realizability, walls, interior points,
+the dominant alcoves and the box enumeration of the sweeps all run on the
+integer split rule of the alcove module, and the tests compare each of
+them with this solver as their oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
+
+from .alcove import Datum, Wall
+from .rootsys import positive_roots
 
 Rational = Union[int, Q]
 # A bound is (value, strict): x_i - x_j < value when strict, <= value when not.
@@ -143,3 +145,15 @@ class DifferenceSystem:
                 x = (Q(lo[0]) + Q(hi[0])) / 2
             vals.append(x)
         return vals
+
+
+def _base_system(rank: int, p: int, data: Sequence[Datum]) -> DifferenceSystem:
+    """Difference system over e_1..e_{n+1} for the data, or for its leading roots."""
+    ds = DifferenceSystem(rank + 1)
+    for r, d in zip(positive_roots(rank), data):
+        i, j = r.i - 1, r.j - 1
+        if isinstance(d, Wall):
+            ds.add_equal(i, j, d.index * p)
+        else:
+            ds.add_window(i, j, (d.index - 1) * p, d.index * p, strict=True)
+    return ds

@@ -20,9 +20,8 @@ from typing import Iterable, Optional, Sequence
 
 from .alcove import (
     Alcove,
-    Between,
     Facette,
-    Wall,
+    _code_families,
     alcove_of,
     facette_of,
     weak_leq,
@@ -45,7 +44,7 @@ from .partition import (
     sup,
     transpose,
 )
-from .rootsys import RootA, ShiftedPoint, check_p, positive_roots, root_position
+from .rootsys import RootA, ShiftedPoint, check_p, root_position
 
 THEOREM = "theorem"
 CONJECTURE = "conjecture"
@@ -207,52 +206,17 @@ def construct_mu(pt: ShiftedPoint, good: Iterable[RootA], p: int) -> ShiftedPoin
 def facette_lattice_point(f: Facette) -> Optional[ShiftedPoint]:
     """The coordinate-lexicographically smallest integral point of f, if any.
 
-    Integer candidates for each fundamental coordinate come from the
-    facette's simple-root data (a wall pins the coordinate, a window
-    bounds it); depth-first search in ascending coordinate order checks
-    every root whose interval closes at the current depth, so the first
-    full assignment found is the lex-smallest solution.
+    Integral pairings v are the even codes 2v at step 1: (c - 1) p + 2 up to
+    (c + 1) p - 2 in a window of code c, p c on a wall.  _code_families fixes
+    the simple roots in coordinate order, ascending, and with even codes each
+    other root has the one candidate a + b: the first family is the answer.
     """
-    rank, p = f.rank, f.p
-    pos_of = root_position(rank)
-    ranges: list[range] = []
-    for k in range(1, rank + 1):
-        d = f.data[pos_of[RootA(k, k + 1)]]
-        if isinstance(d, Wall):
-            v = d.index * p
-            ranges.append(range(v, v + 1))
-        else:
-            ranges.append(range((d.index - 1) * p + 1, d.index * p))
-    by_depth: list[list[tuple[int, Wall | Between]]] = [[] for _ in range(rank)]
-    for r in positive_roots(rank):
-        if r.j - r.i > 1:
-            by_depth[r.j - 2].append((r.i, f.data[pos_of[r]]))
-
-    prefix = [0] * (rank + 1)  # prefix[k] = a_1 + ... + a_k
-
-    def admissible(depth: int) -> bool:
-        for i, d in by_depth[depth]:
-            v = prefix[depth + 1] - prefix[i - 1]
-            if isinstance(d, Wall):
-                if v != d.index * p:
-                    return False
-            elif not (d.index - 1) * p < v < d.index * p:
-                return False
-        return True
-
-    def search(depth: int) -> Optional[tuple[int, ...]]:
-        if depth == rank:
-            return tuple(prefix[k + 1] - prefix[k] for k in range(rank))
-        for v in ranges[depth]:
-            prefix[depth + 1] = prefix[depth] + v
-            if admissible(depth):
-                hit = search(depth + 1)
-                if hit is not None:
-                    return hit
-        return None
-
-    coords = search(0)
-    return None if coords is None else ShiftedPoint(tuple(Q(c) for c in coords))
+    p = f.p
+    evens = [range(p * c - (c & 1) * (p - 2), p * c + (c & 1) * (p - 2) + 1, 2) for c in f._codes]
+    for codes in _code_families(f.rank, evens):
+        sums = (0, *codes[: f.rank])  # the roots (1, j): prefix sums of the coordinates
+        return ShiftedPoint(tuple(Q((b - a) // 2) for a, b in zip(sums, sums[1:])))
+    return None
 
 
 def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:

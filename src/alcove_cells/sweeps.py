@@ -6,24 +6,25 @@ the index criterion for the weak order against raw BFS, the good-basis
 supremum against the all-bases brute force, the reduction step against
 its contract, the mu construction against its postconditions, and
 facette lattice-point existence.  Results carry case counts, failure
-descriptions (capped), and non-failing observational reports.
+counts with the first descriptions, and non-failing observational reports.
+The dominant alcoves, the facettes meeting a box and the box test are calls
+of one integer generator, alcove._code_families.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Optional
+from typing import Optional, Sequence
 
 from .alcove import (
     Alcove,
     Between,
-    Datum,
     Facette,
     Wall,
-    _base_system,
-    _splits,
+    _code_families,
     alcove_of,
     closure_contains,
     facette_of,
@@ -60,12 +61,14 @@ class SweepResult:
     cases: int = 0
     failures: list[str] = field(default_factory=list)
     reports: list[str] = field(default_factory=list)
+    failed: int = 0  # every failure; failures keeps the first descriptions
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def fail(self, message: str) -> None:
+        self.failed += 1
         if len(self.failures) < MAX_RECORDED_FAILURES:
             self.failures.append(message)
         else:
@@ -78,7 +81,7 @@ class SweepResult:
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
-        return f"{self.name}: cases={self.cases} failures={len(self.failures)} {status}"
+        return f"{self.name}: cases={self.cases} failures={self.failed} {status}"
 
 
 def integral_points(n: int, lo: int, hi: int) -> list[ShiftedPoint]:
@@ -113,77 +116,47 @@ def _sampled_points(
     return out
 
 
+def _meets_box(rank: int, p: int, hi: int, codes: Sequence[int]) -> bool:
+    """Whether the facette with these codes meets the box [0, hi]^n.
+
+    Every multiple of p and both box bounds are multiples of q = gcd(p, hi),
+    so the facette is a union of q-facettes, each inside the box or outside
+    it.  A p-code c covers the q-codes r c - (c & 1)(r - 1) .. r c + (c & 1)(r - 1),
+    r = p / q, and on a root of span s the q-cells inside [0, s hi] have the
+    q-codes 0 .. 2 s hi / q: the box on the simple roots, and implied by it on
+    the others.  So the facette meets the box iff a refined family exists.
+    """
+    q = math.gcd(p, hi)
+    ratio = p // q
+    fine = []
+    for r, c in zip(positive_roots(rank), codes):
+        spread = (c & 1) * (ratio - 1)
+        top = 2 * hi * (r.j - r.i) // q
+        fine.append(range(max(ratio * c - spread, 0), min(ratio * c + spread, top) + 1))
+    return next(_code_families(rank, fine), None) is not None
+
+
 def facettes_meeting_box(n: int, p: int, hi: int) -> list[Facette]:
     """All facettes whose region meets the dominant box [0, hi]^n.
 
-    Depth-first assignment of per-root data in canonical root order,
-    pruned by exact feasibility of the partial system together with the
-    box constraints; every leaf is a realizable facette meeting the box.
+    On the box a root of span s pairs into [0, s hi], met by the cells of the
+    codes 0 .. floor(s hi / p) + ceil(s hi / p); _meets_box keeps the families
+    that meet the box.  Sorted root by root: walls before windows, by index.
     """
-    roots = positive_roots(n)
-    out: list[Facette] = []
-    chosen: list[Datum] = []
-
-    def candidates(r: RootA) -> list[Datum]:
-        span = r.j - r.i
-        top = hi * span
-        opts: list[Datum] = []
-        for m in range(0, top // p + 1):
-            opts.append(Wall(m))
-        for idx in range(1, top // p + 2):
-            if (idx - 1) * p < top:
-                opts.append(Between(idx))
-        return opts
-
-    def feasible_prefix() -> bool:
-        ds = _base_system(n, p, chosen)
-        for k in range(n):
-            ds.add_window(k, k + 1, 0, hi, strict=False)
-        return ds.feasible()
-
-    def walk(depth: int) -> None:
-        if depth == len(roots):
-            out.append(Facette(n, p, tuple(chosen)))
-            return
-        for d in candidates(roots[depth]):
-            chosen.append(d)
-            if feasible_prefix():
-                walk(depth + 1)
-            chosen.pop()
-
-    walk(0)
-    return out
+    windows = [range(t // p - (-t // p) + 1) for t in (hi * (j - i) for i, j in positive_roots(n))]
+    found = [
+        Facette(n, p, tuple(Between((c + 1) // 2) if c & 1 else Wall(c // 2) for c in codes))
+        for codes in _code_families(n, windows)
+        if _meets_box(n, p, hi, codes)
+    ]
+    return sorted(found, key=lambda f: tuple((isinstance(d, Between), d.index) for d in f.data))
 
 
 def dominant_alcoves(n: int, p: int, index_bound: int) -> list[Alcove]:
-    """All dominant alcoves with every index in [1, index_bound].
-
-    Depth-first in canonical root order, pruned by the split rule on the
-    splits (h,i) + (i,j) = (h,j), h < i, that the newest root (i,j) closes.
-    A lexicographic prefix has a chordal constraint graph whose triangles
-    are those splits, and a passing split leaves its windows closed (see
-    _realizable), so the rule accepts exactly the feasible prefixes.
-    """
-    roots = positive_roots(n)
-    closing: list[list[tuple[int, int, int]]] = [[] for _ in roots]
-    for split in _splits(n):
-        closing[max(split)].append(split)
-    out: list[Alcove] = []
-    chosen: list[int] = []
-
-    def walk(depth: int) -> None:
-        if depth == len(roots):
-            out.append(Alcove(n, p, tuple(chosen)))
-            return
-        for idx in range(1, index_bound + 1):
-            chosen.append(idx)
-            gaps = (chosen[ij] - chosen[ik] - chosen[kj] for ik, kj, ij in closing[depth])
-            if all(gap in (-1, 0) for gap in gaps):
-                walk(depth + 1)
-            chosen.pop()
-
-    walk(0)
-    return out
+    """All dominant alcoves with indices in [1, index_bound] (odd codes), lexicographic."""
+    windows = [range(1, 2 * index_bound, 2)] * len(positive_roots(n))
+    families = sorted(_code_families(n, windows))
+    return [Alcove(n, p, tuple((c + 1) // 2 for c in codes)) for codes in families]
 
 
 def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
@@ -347,7 +320,7 @@ def reduction_sweep(
     res = SweepResult(f"reduction n={n} p={p} box={hi}")
     pts = _sampled_points(n, 1, hi, sample, seed)
     res.require_window(len(pts), "points")
-    if sample is not None:
+    if sample is not None and len(pts) < hi**n:
         res.reports.append(f"sampled {len(pts)} points (seed={seed})")
     if n <= 2:
         res.reports.append("not applicable: A_1 and A_2 have no non-good chain basis")
@@ -399,7 +372,7 @@ def mu_sweep(
     res = SweepResult(f"mu n={n} p={p} box={hi}")
     pts = _sampled_points(n, 1, hi, sample, seed)
     res.require_window(len(pts), "points")
-    if sample is not None:
+    if sample is not None and len(pts) < hi**n:
         res.reports.append(f"sampled {len(pts)} points (seed={seed})")
     for pt in pts:
         for basis in enumerate_good_bases(gamma(pt, p)):

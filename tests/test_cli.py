@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from alcove_cells import sweeps
 from alcove_cells.cli import main
 
 
@@ -140,6 +141,22 @@ def test_verify_empty_window_fails(capsys, argv):
     assert "cases=0 failures=1 FAIL" in out
     assert "first failure: empty window" in out
     assert out.endswith("verify: FAIL\n")
+
+
+@pytest.mark.parametrize(
+    "fmt, line", [("human", "demo: cases=0 failures=50 FAIL"), ("csv", "demo,0,50,False")]
+)
+def test_verify_reports_every_failure(capsys, monkeypatch, fmt, line):
+    def failing(n, p, box):
+        res = sweeps.SweepResult("demo")
+        for k in range(50):
+            res.fail(f"msg {k}")
+        return res
+
+    monkeypatch.setattr(sweeps, "lclosure_sweep", failing)
+    code, out, _ = run(capsys, ["verify", "lclosure", "--n", "2", "--p", "3", "--format", fmt])
+    assert code == 1
+    assert line in out.splitlines()
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -1,8 +1,12 @@
+import ast
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alcove_cells
 from alcove_cells.constraints import DifferenceSystem
 
 
@@ -98,3 +102,16 @@ def test_witness_satisfies_every_constraint(data):
             assert lo < diff < hi
         else:
             assert lo <= diff <= hi
+
+
+def test_the_solver_is_loaded_but_only_tests_call_it():
+    pkg = Path(alcove_cells.__file__).parent
+    assert "alcove_cells.constraints" in sys.modules
+    for path in pkg.glob("*.py"):
+        if path.name in ("__init__.py", "constraints.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "constraints", path.name
+                names = {alias.name for alias in node.names}
+                assert not names & {"DifferenceSystem", "_base_system"}, path.name

@@ -16,7 +16,11 @@ dominant_alcoves against the difference system on every prefix.  Chain
 bases: the increasing-chain rule behind is_good_basis and
 enumerate_good_bases, the next-pointer walk of chain_components and the
 class sizes of d_partition against the pairwise bracket, union-find and
-stabilizer-system routes they replaced.
+stabilizer-system routes they replaced.  Box facettes, interior points and
+lattice points: the split-rule generator behind facettes_meeting_box, its
+box test on the gcd grid, the midpoint interior_point and the first-family
+facette_lattice_point against the Floyd-Warshall box search, the solver's
+feasibility and witness, and the coordinate-by-coordinate lattice search.
 """
 
 from collections import deque
@@ -33,7 +37,6 @@ from alcove_cells.alcove import (
     Between,
     Facette,
     Wall,
-    _base_system,
     _class_permutations,
     _node_classes,
     _raise_step,
@@ -54,6 +57,7 @@ from alcove_cells.alcove import (
     weak_leq,
 )
 from alcove_cells.cells import d_partition, enumerate_good_bases, gamma, is_good_basis
+from alcove_cells.constraints import _base_system
 from alcove_cells.errors import PreconditionError
 from alcove_cells.partition import Partition
 from alcove_cells.rootsys import (
@@ -67,7 +71,13 @@ from alcove_cells.rootsys import (
     root_pairing,
     root_position,
 )
-from alcove_cells.sweeps import dominant_alcoves, facettes_meeting_box, integral_points
+from alcove_cells.support import facette_lattice_point
+from alcove_cells.sweeps import (
+    _meets_box,
+    dominant_alcoves,
+    facettes_meeting_box,
+    integral_points,
+)
 
 P = 2
 
@@ -579,3 +589,178 @@ def test_d_partition_matches_the_stabilizer_route_on_a_box(rank, p):
 def test_d_partition_matches_the_stabilizer_route(case):
     pt, p = case
     assert d_partition(pt, p) == _d_partition_via_stabilizer(pt, p)
+
+
+# -- box facettes, interior points and lattice points against the routes ---
+# -- they replaced: the Floyd-Warshall box search, the solver's witness and ---
+# -- the coordinate-by-coordinate lattice search ----------------------------
+
+
+def _facettes_meeting_box_by_floyd_warshall(n, p, hi):
+    """facettes_meeting_box as it was: every prefix of a depth-first search
+    in canonical root order pruned by the difference system with the box."""
+    roots = positive_roots(n)
+    out, chosen = [], []
+
+    def candidates(r):
+        top = hi * (r.j - r.i)
+        opts = [Wall(m) for m in range(0, top // p + 1)]
+        opts += [Between(idx) for idx in range(1, top // p + 2) if (idx - 1) * p < top]
+        return opts
+
+    def feasible_prefix():
+        ds = _base_system(n, p, chosen)
+        for k in range(n):
+            ds.add_window(k, k + 1, 0, hi, strict=False)
+        return ds.feasible()
+
+    def walk(depth):
+        if depth == len(roots):
+            out.append(tuple(chosen))
+            return
+        for d in candidates(roots[depth]):
+            chosen.append(d)
+            if feasible_prefix():
+                walk(depth + 1)
+            chosen.pop()
+
+    walk(0)
+    return out
+
+
+def _interior_point_by_witness(f):
+    return point_from_e(_base_system(f.rank, f.p, f.data).witness())
+
+
+def _boxes(p):
+    return [-1, 0, 1, p - 1, p, 2 * p, 2 * p + 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_box_facettes_and_interior_points_match_the_floyd_warshall_routes(n, p):
+    for hi in _boxes(p):
+        fast = facettes_meeting_box(n, p, hi)
+        assert [f.data for f in fast] == _facettes_meeting_box_by_floyd_warshall(n, p, hi), hi
+        assert (len(fast) > 0) == (hi >= 0), hi
+        for f in fast:
+            assert interior_point(f) == _interior_point_by_witness(f), f.data
+
+
+@pytest.mark.parametrize("n, p, hi, count", [(4, 3, 6, 3393), (4, 2, 3, 1870)])
+def test_box_facettes_and_interior_points_match_at_rank_four(n, p, hi, count):
+    fast = facettes_meeting_box(n, p, hi)
+    assert len(fast) == count
+    assert [f.data for f in fast] == _facettes_meeting_box_by_floyd_warshall(n, p, hi)
+    for f in fast:
+        assert interior_point(f) == _interior_point_by_witness(f), f.data
+
+
+@pytest.mark.parametrize(
+    "rank, lo, hi, count, p",
+    [
+        (2, -2, 3, 162, 2),
+        (2, -2, 3, 162, 5),
+        (3, -1, 1, 332, 2),
+        (3, -1, 1, 332, 5),
+        (3, 0, 2, 302, 3),
+        (4, -1, 2, 12000, 2),
+        (5, 0, 1, 6492, 5),
+    ],
+)
+def test_interior_points_match_the_witness_on_the_realizability_windows(rank, lo, hi, count, p):
+    families = list(_families(rank, lo, hi, prune=True))
+    assert len(families) == count
+    for data in families:
+        f = Facette(rank, p, data)
+        assert interior_point(f) == _interior_point_by_witness(f), data
+    interior_point.cache_clear()
+
+
+def _cell_meets(d, top):
+    """Whether the pairing interval of d meets [0, top], in units of p."""
+    lo, hi, is_open = _bounds(d)
+    return lo < top and hi > 0 if is_open else 0 <= lo <= top
+
+
+def _codes_of(data):
+    return tuple(2 * d.index - isinstance(d, Between) for d in data)
+
+
+@pytest.mark.parametrize(
+    "rank, p, hi", [(2, 3, 4), (2, 5, 7), (2, 4, 6), (2, 5, 2), (3, 3, 4), (3, 5, 7), (3, 4, 6)]
+)
+def test_box_test_matches_the_solver_on_straddling_facettes(rank, p, hi):
+    """Every realizable family in a window around the box: both answers occur.
+    From rank 3 on, so do families whose every datum meets [0, span * hi]
+    while the facette misses the box, which only the box test rejects."""
+    answers, straddling = set(), 0
+    for data in _families(rank, -1, 2 * hi // p + 2, prune=True):
+        ds = _base_system(rank, p, data)
+        for k in range(rank):
+            ds.add_window(k, k + 1, 0, hi, strict=False)
+        meets = _meets_box(rank, p, hi, _codes_of(data))
+        assert meets == ds.feasible(), data
+        answers.add(meets)
+        spans = zip(positive_roots(rank), data)
+        near = all(_cell_meets(d, Q(hi * (r.j - r.i), p)) for r, d in spans)
+        straddling += near and not meets
+    assert answers == {True, False}
+    assert (straddling > 0) == (rank > 2)
+
+
+def _facette_lattice_point_by_search(f):
+    """facette_lattice_point as it was: depth-first over the fundamental
+    coordinates, each in the integers its simple-root datum allows, checking
+    every root whose interval closes at the current depth."""
+    rank, p = f.rank, f.p
+    pos_of = root_position(rank)
+    ranges = []
+    for k in range(1, rank + 1):
+        d = f.data[pos_of[RootA(k, k + 1)]]
+        if isinstance(d, Wall):
+            ranges.append(range(d.index * p, d.index * p + 1))
+        else:
+            ranges.append(range((d.index - 1) * p + 1, d.index * p))
+    by_depth = [[] for _ in range(rank)]
+    for r in positive_roots(rank):
+        if r.j - r.i > 1:
+            by_depth[r.j - 2].append((r.i, f.data[pos_of[r]]))
+    prefix = [0] * (rank + 1)
+
+    def admissible(depth):
+        for i, d in by_depth[depth]:
+            v = prefix[depth + 1] - prefix[i - 1]
+            if isinstance(d, Wall):
+                if v != d.index * p:
+                    return False
+            elif not (d.index - 1) * p < v < d.index * p:
+                return False
+        return True
+
+    def search(depth):
+        if depth == rank:
+            return tuple(prefix[k + 1] - prefix[k] for k in range(rank))
+        for v in ranges[depth]:
+            prefix[depth + 1] = prefix[depth] + v
+            if admissible(depth):
+                hit = search(depth + 1)
+                if hit is not None:
+                    return hit
+        return None
+
+    coords = search(0)
+    return None if coords is None else ShiftedPoint(tuple(Q(c) for c in coords))
+
+
+@pytest.mark.parametrize("rank, lo, hi", [(2, -2, 3), (3, -1, 2), (4, 0, 1)])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_lattice_points_match_the_coordinate_search(rank, lo, hi, p):
+    found = missing = 0
+    for data in _families(rank, lo, hi, prune=True):
+        f = Facette(rank, p, data)
+        fast = facette_lattice_point(f)
+        assert fast == _facette_lattice_point_by_search(f), data
+        found += fast is not None
+        missing += fast is None
+    assert found > 0 and (missing > 0) == (p < rank + 1)

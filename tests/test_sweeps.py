@@ -36,6 +36,22 @@ def test_sweep_result_caps_recorded_failures():
     assert r.failures[-1] == "... further failures suppressed"
 
 
+def test_sweep_result_counts_every_failure():
+    r = SweepResult(name="demo")
+    for k in range(50):
+        r.fail(f"msg {k}")
+    assert r.failed == 50 and len(r.failures) == 20
+    assert r.summary() == "demo: cases=0 failures=50 FAIL"
+
+
+@pytest.mark.parametrize("sweep", [reduction_sweep, mu_sweep])
+def test_sampled_report_only_when_points_are_dropped(sweep):
+    whole = sweep(3, 3, box=4, sample=10**6)
+    assert not any(line.startswith("sampled") for line in whole.reports)
+    part = sweep(3, 3, box=4, sample=10, seed=1)
+    assert "sampled 10 points (seed=1)" in part.reports
+
+
 def test_integral_points_count():
     pts = integral_points(2, 1, 3)
     assert len(pts) == 9
