@@ -4,17 +4,18 @@ For a regular dominant point the threshold set gamma collects the
 positive roots whose pairing reaches p.  Subsets of it that form chain
 bases select subroot systems; the partition s is the dominance supremum
 of the component partitions, computed both over good (antichain) bases
-with a fast enumeration and over all bases by brute force.  The
-reduction step rewrites a non-good basis into two smaller ones without
+with a fast enumeration and over all bases by the oracle's walk.  A chain
+basis of A_n is a set partition of the nodes 1..n+1, one chain per block,
+so that walk visits at most Bell(n+1) bases, whatever the size of gamma.
+The reduction step rewrites a non-good basis into two smaller ones without
 lowering the eventual supremum, mirroring how the two routes agree.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .alcove import _node_classes
 from .errors import InvariantViolationError, PreconditionError
@@ -26,7 +27,6 @@ from .rootsys import (
     check_p,
     positive_roots,
     root_leq,
-    root_position,
 )
 
 def gamma(pt: ShiftedPoint, p: int) -> frozenset[RootA]:
@@ -126,59 +126,50 @@ def s_partition(pt: ShiftedPoint, p: int) -> Partition:
     return sup([partition_of_basis(b, n) for b in enumerate_good_bases(g)])
 
 
-@lru_cache(maxsize=None)
-def _mask_tables(n: int) -> tuple[tuple[Optional[tuple[int, ...]], ...], tuple[int, ...]]:
-    """Per subset bitmask of positive roots: partition parts or None, closure mask.
+def chain_bases_in(scope: Iterable[RootA]) -> tuple[frozenset[RootA], ...]:
+    """All chain bases made of roots of scope, smallest first, then lexicographic.
 
-    Masks follow canonical root order bit positions.  Only built for the
-    small ranks the brute-force oracle is meant for.
+    A root set is a chain basis exactly when no left end and no right end
+    repeats (see chain_components).  Backtracks over the scope in
+    canonical root order; a root extends a partial basis exactly when its
+    left end is no chosen root's left end and its right end no chosen
+    root's right end.  Every node of the walk is a basis, so it has no dead
+    branch and takes at most |scope| steps per basis.  A chain basis of A_n is a set partition of the
+    nodes 1..n+1, one block per chain, with roots joining consecutive
+    nodes of a block, so there are at most Bell(n+1) of them: 52 at n = 4,
+    877 at n = 6.  Includes the empty basis.  Independent of
+    enumerate_good_bases, whose output it contains.
     """
-    roots = positive_roots(n)
-    count = len(roots)
-    if count > 20:
-        raise PreconditionError(f"brute-force oracle limited to small ranks, rank {n}")
-    pos_of = root_position(n)
-    parts: list[Optional[tuple[int, ...]]] = []
-    closures: list[int] = []
-    for mask in range(1 << count):
-        subset = tuple(roots[k] for k in range(count) if mask >> k & 1)
-        comps = chain_components(subset)
-        if comps is None:
-            parts.append(None)
-            closures.append(0)
-            continue
-        parts.append(tuple(partition_of_basis(subset, n).parts))
-        closure = 0
-        for b in positive_roots_of(subset):
-            closure |= 1 << pos_of[b]
-        closures.append(closure)
-    return tuple(parts), tuple(closures)
+    pool = sorted(set(scope))
+    found: list[tuple[RootA, ...]] = []
+
+    def extend(start: int, chosen: list[RootA], lefts: int, rights: int) -> None:
+        found.append(tuple(chosen))
+        for k in range(start, len(pool)):
+            r = pool[k]
+            if not (lefts >> r.i & 1 or rights >> r.j & 1):
+                chosen.append(r)
+                extend(k + 1, chosen, lefts | 1 << r.i, rights | 1 << r.j)
+                chosen.pop()
+
+    extend(0, [], 0, 0)
+    found.sort(key=lambda b: (len(b), b))
+    return tuple(frozenset(b) for b in found)
 
 
 def s_partition_oracle(pt: ShiftedPoint, p: int) -> Partition:
     """Brute-force supremum over every basis whose whole system fits in gamma.
 
-    Enumerates all subsets of gamma (not only antichains), keeps those
-    that are chain bases generating a system inside gamma, and takes the
-    supremum of their partitions.  Independent route from s_partition.
+    Walks all chain bases made of roots of gamma (not only antichains,
+    at most Bell(n+1) of them, see chain_bases_in), keeps those whose
+    generated system lies inside gamma, and takes the supremum of their
+    partitions.  Independent route from s_partition.
     """
     g = gamma(pt, p)
     n = pt.rank
-    parts_by_mask, closure_by_mask = _mask_tables(n)
-    pos_of = root_position(n)
-    gmask = 0
-    for r in g:
-        gmask |= 1 << pos_of[r]
-    seen_parts: set[tuple[int, ...]] = set()
-    sub = gmask
-    while True:
-        parts = parts_by_mask[sub]
-        if parts is not None and closure_by_mask[sub] & ~gmask == 0:
-            seen_parts.add(parts)
-        if sub == 0:
-            break
-        sub = (sub - 1) & gmask
-    return sup([Partition(parts) for parts in seen_parts])
+    return sup(
+        [partition_of_basis(b, n) for b in chain_bases_in(g) if positive_roots_of(b) <= g]
+    )
 
 
 def comparable_pairs(basis: Iterable[RootA]) -> int:

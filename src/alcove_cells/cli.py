@@ -308,6 +308,7 @@ def cmd_verify(config: RunConfig, suite: str) -> int:
                     {
                         "name": r.name,
                         "cases": r.cases,
+                        "failed": r.failed,
                         "ok": r.ok,
                         "failures": r.failures,
                         "reports": r.reports,
@@ -459,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, needs_point: bool) -> None:
+    def common(sp: argparse.ArgumentParser, needs_point: bool, box: bool = False) -> None:
         sp.add_argument("--n", type=int, required=True, help="rank (n >= 1)")
         sp.add_argument("--p", type=int, required=True, help="integer parameter (p >= 1)")
         if needs_point:
@@ -471,29 +472,30 @@ def build_parser() -> argparse.ArgumentParser:
                 "--shifted",
                 help="rho-shifted point, comma-separated rationals like 9/2",
             )
-        sp.add_argument("--box", type=int, help="coordinate bound for sweeps/atlases")
-        sp.add_argument(
-            "--index-bound", type=int, default=3, help="alcove index cap for sweeps"
-        )
-        sp.add_argument(
-            "--bfs-bound",
-            type=int,
-            help="frontier cap for reachability searches (env ALCOVE_CELLS_BFS_BOUND)",
-        )
+        if box:
+            sp.add_argument("--box", type=int, help="coordinate bound for sweeps/atlases")
         sp.add_argument(
             "--format",
             choices=("human", "json", "csv"),
             default="human",
             dest="fmt",
         )
-        sp.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
 
     common(sub.add_parser("cell", help="weight-cell report for one weight"), True)
     common(sub.add_parser("alcove", help="alcove and facette report for one point"), True)
     verify = sub.add_parser("verify", help="run a consistency sweep")
     verify.add_argument("suite", choices=SUITES)
-    common(verify, False)
-    common(sub.add_parser("atlas", help="cell decomposition of a box of weights"), False)
+    common(verify, False, box=True)
+    verify.add_argument(
+        "--index-bound", type=int, default=3, help="alcove index cap for sweeps"
+    )
+    verify.add_argument(
+        "--bfs-bound",
+        type=int,
+        help="frontier cap for reachability searches (env ALCOVE_CELLS_BFS_BOUND)",
+    )
+    verify.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
+    common(sub.add_parser("atlas", help="cell decomposition of a box of weights"), False, box=True)
     common(
         sub.add_parser("certificate", help="upper-bound certificate for one weight"),
         True,
@@ -504,8 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_of(args: argparse.Namespace) -> RunConfig:
     if args.n < 1 or args.p < 1:
         raise PreconditionError("need n >= 1 and p >= 1")
-    if args.bfs_bound is not None and args.bfs_bound < 1:
-        raise PreconditionError(f"--bfs-bound must be positive, got {args.bfs_bound}")
+    bfs_bound = getattr(args, "bfs_bound", None)
+    if bfs_bound is not None and bfs_bound < 1:
+        raise PreconditionError(f"--bfs-bound must be positive, got {bfs_bound}")
     weight = getattr(args, "weight", None)
     shifted = getattr(args, "shifted", None)
     return RunConfig(
@@ -513,11 +516,11 @@ def _config_of(args: argparse.Namespace) -> RunConfig:
         p=args.p,
         weight=_parse_weight(weight, args.n) if weight is not None else None,
         shifted=_parse_shifted(shifted, args.n) if shifted is not None else None,
-        box=args.box,
-        index_bound=args.index_bound,
-        bfs_bound=args.bfs_bound,
+        box=getattr(args, "box", None),
+        index_bound=getattr(args, "index_bound", 3),
+        bfs_bound=bfs_bound,
         fmt=args.fmt,
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
     )
 
 

@@ -3,10 +3,13 @@
 Each sweep pits an operation against an independent characterization
 over a finite window: closure membership against the stabilizer route,
 the index criterion for the weak order against raw BFS, the good-basis
-supremum against the all-bases brute force, the reduction step against
+supremum against the all-bases oracle, the reduction step against
 its contract, the mu construction against its postconditions, and
-facette lattice-point existence.  Results carry case counts, failure
-counts with the first descriptions, and non-failing observational reports.
+facette lattice-point existence.  The good-sup and reduction sweeps walk
+the chain bases inside gamma (cells.chain_bases_in, at most Bell(n+1) of
+them) once per distinct gamma, not once per point.  Results carry case
+counts, failure counts with the first descriptions, and non-failing
+observational reports.
 The dominant alcoves, the facettes meeting a box and the box test are calls
 of one integer generator, alcove._code_families.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from typing import Optional, Sequence
 
 from .alcove import (
@@ -35,11 +38,11 @@ from .alcove import (
     weak_leq_oracle,
 )
 from .cells import (
+    chain_bases_in,
     comparable_pairs_of,
     enumerate_good_bases,
     gamma,
     is_good_basis,
-    is_subroot_basis,
     positive_roots_of,
     reduce_all,
     reduce_step,
@@ -223,22 +226,6 @@ def weak_order_sweep(
     return res
 
 
-def _chain_bases_in(g: frozenset[RootA]) -> list[frozenset[RootA]]:
-    """All chain bases made of roots of g."""
-    pool = sorted(g)
-    return [
-        frozenset(combo)
-        for size in range(len(pool) + 1)
-        for combo in combinations(pool, size)
-        if is_subroot_basis(combo)
-    ]
-
-
-def _bases_within(g: frozenset[RootA]) -> list[frozenset[RootA]]:
-    """All chain bases inside g whose generated system also lies inside g."""
-    return [b for b in _chain_bases_in(g) if positive_roots_of(b) <= g]
-
-
 def good_sup_sweep(
     n: int,
     p: int,
@@ -251,6 +238,8 @@ def good_sup_sweep(
 
     Also asserts that every chain basis made of roots of gamma generates
     a system inside gamma, and that points sharing a facette share gamma.
+    The oracle and the gamma check run once per distinct gamma; the
+    comparisons and failures stay per point.
     The weak-order monotonicity of s is probed on sampled pairs and
     surfaced as reports only, never failures.
     """
@@ -262,19 +251,22 @@ def good_sup_sweep(
         res.reports.append(f"sampled {len(pts)} of {hi ** n} points (seed={seed})")
     gamma_by_facette: dict = {}
     s_by_point: dict = {}
+    by_gamma: dict = {}  # gamma -> (oracle s, chain bases whose system escapes gamma)
     for pt in pts:
         res.cases += 1
         g = gamma(pt, p)
+        if g not in by_gamma:
+            escaping = [b for b in chain_bases_in(g) if not positive_roots_of(b) <= g]
+            by_gamma[g] = (s_partition_oracle(pt, p), escaping)
+        brute, escaping = by_gamma[g]
         fast = s_partition(pt, p)
-        brute = s_partition_oracle(pt, p)
         s_by_point[pt] = fast
         if fast != brute:
             res.fail(
                 f"s mismatch at {pt.coords}: good-basis {fast} brute-force {brute}"
             )
-        for basis in _chain_bases_in(g):
-            if not positive_roots_of(basis) <= g:
-                res.fail(f"system of {sorted(basis)} escapes gamma at {pt.coords}")
+        for basis in escaping:
+            res.fail(f"system of {sorted(basis)} escapes gamma at {pt.coords}")
         key = facette_of(pt, p)
         if key in gamma_by_facette:
             if gamma_by_facette[key] != g:
@@ -324,11 +316,15 @@ def reduction_sweep(
         res.reports.append(f"sampled {len(pts)} points (seed={seed})")
     if n <= 2:
         res.reports.append("not applicable: A_1 and A_2 have no non-good chain basis")
+    seen_gammas: set[frozenset[RootA]] = set()
     seen_bases: set[frozenset[RootA]] = set()
     for pt in pts:
         g = gamma(pt, p)
-        for basis in _bases_within(g):
-            if basis in seen_bases or is_good_basis(basis):
+        if g in seen_gammas:
+            continue
+        seen_gammas.add(g)
+        for basis in chain_bases_in(g):
+            if basis in seen_bases or is_good_basis(basis) or not positive_roots_of(basis) <= g:
                 continue
             seen_bases.add(basis)
             pi_in = partition_of_basis(basis, n)

@@ -144,7 +144,8 @@ def test_verify_empty_window_fails(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "fmt, line", [("human", "demo: cases=0 failures=50 FAIL"), ("csv", "demo,0,50,False")]
+    "fmt, line",
+    [("human", "demo: cases=0 failures=50 FAIL"), ("csv", "demo,0,50,False"), ("json", None)],
 )
 def test_verify_reports_every_failure(capsys, monkeypatch, fmt, line):
     def failing(n, p, box):
@@ -156,7 +157,27 @@ def test_verify_reports_every_failure(capsys, monkeypatch, fmt, line):
     monkeypatch.setattr(sweeps, "lclosure_sweep", failing)
     code, out, _ = run(capsys, ["verify", "lclosure", "--n", "2", "--p", "3", "--format", fmt])
     assert code == 1
-    assert line in out.splitlines()
+    if fmt == "json":
+        (suite,) = json.loads(out)["suites"]
+        assert suite["failed"] == 50 and len(suite["failures"]) == 20
+    else:
+        assert line in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cell", "--weight", "5,5", "--seed", "1"],
+        ["alcove", "--weight", "5,5", "--box", "6"],
+        ["certificate", "--weight", "5,5", "--bfs-bound", "4"],
+        ["atlas", "--index-bound", "2"],
+        ["atlas", "--seed", "1"],
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", "2", "--p", "5"])
+    assert exc.value.code == 2
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -16,7 +16,9 @@ dominant_alcoves against the difference system on every prefix.  Chain
 bases: the increasing-chain rule behind is_good_basis and
 enumerate_good_bases, the next-pointer walk of chain_components and the
 class sizes of d_partition against the pairwise bracket, union-find and
-stabilizer-system routes they replaced.  Box facettes, interior points and
+stabilizer-system routes they replaced; the set-partition walk of
+chain_bases_in behind s_partition_oracle and the sweeps against the subset
+routes it replaced.  Box facettes, interior points and
 lattice points: the split-rule generator behind facettes_meeting_box, its
 box test on the gcd grid, the midpoint interior_point and the first-family
 facette_lattice_point against the Floyd-Warshall box search, the solver's
@@ -56,10 +58,19 @@ from alcove_cells.alcove import (
     upper_walls,
     weak_leq,
 )
-from alcove_cells.cells import d_partition, enumerate_good_bases, gamma, is_good_basis
+from alcove_cells import cells, sweeps
+from alcove_cells.cells import (
+    chain_bases_in,
+    d_partition,
+    enumerate_good_bases,
+    gamma,
+    is_good_basis,
+    positive_roots_of,
+    s_partition_oracle,
+)
 from alcove_cells.constraints import _base_system
 from alcove_cells.errors import PreconditionError
-from alcove_cells.partition import Partition
+from alcove_cells.partition import Partition, partition_of_basis, sup
 from alcove_cells.rootsys import (
     RootA,
     ShiftedPoint,
@@ -70,13 +81,16 @@ from alcove_cells.rootsys import (
     root_leq,
     root_pairing,
     root_position,
+    shifted_point,
 )
 from alcove_cells.support import facette_lattice_point
 from alcove_cells.sweeps import (
     _meets_box,
     dominant_alcoves,
     facettes_meeting_box,
+    good_sup_sweep,
     integral_points,
+    reduction_sweep,
 )
 
 P = 2
@@ -764,3 +778,122 @@ def test_lattice_points_match_the_coordinate_search(rank, lo, hi, p):
         found += fast is not None
         missing += fast is None
     assert found > 0 and (missing > 0) == (p < rank + 1)
+
+
+# -- all chain bases: the set-partition walk against the subset routes ----
+
+
+def _chain_bases_by_combinations(g):
+    """The sweeps' chain-basis route as it was: every subset of g, smallest
+    first, kept when chain_components accepts it."""
+    pool = sorted(g)
+    return tuple(
+        frozenset(combo)
+        for size in range(len(pool) + 1)
+        for combo in combinations(pool, size)
+        if chain_components(combo) is not None
+    )
+
+
+def _s_by_mask_tables(g, n):
+    """s_partition_oracle as it was: every subset of gamma as a bitmask over
+    all positive roots, kept when it is a chain basis whose closure mask
+    lies inside gamma's mask."""
+    roots = positive_roots(n)
+    pos_of = root_position(n)
+    gmask = sum(1 << pos_of[r] for r in g)
+    seen = set()
+    sub = gmask
+    while True:
+        subset = tuple(roots[k] for k in range(len(roots)) if sub >> k & 1)
+        if chain_components(subset) is not None:
+            closure = sum(1 << pos_of[r] for r in positive_roots_of(subset))
+            if closure & ~gmask == 0:
+                seen.add(partition_of_basis(subset, n))
+        if sub == 0:
+            break
+        sub = (sub - 1) & gmask
+    return sup(list(seen))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_chain_bases_match_the_subset_route_on_every_subset(rank):
+    subsets = _subsets(positive_roots(rank))
+    for sub in subsets:
+        assert chain_bases_in(sub) == _chain_bases_by_combinations(sub), sub
+    assert len(subsets) == (2, 8, 64, 1024)[rank - 1]
+
+
+def test_chain_bases_match_the_subset_route_on_every_upper_set_of_rank_five():
+    uppers = _upper_sets(5)
+    assert len(uppers) == 132
+    for g in uppers:
+        bases = chain_bases_in(g)
+        assert bases == _chain_bases_by_combinations(g), sorted(g)
+        assert set(enumerate_good_bases(g)) <= set(bases)
+
+
+@pytest.mark.parametrize("n, bell", [(1, 2), (2, 5), (3, 15), (4, 52), (5, 203), (6, 877)])
+def test_all_chain_bases_of_a_rank_are_the_set_partitions(n, bell):
+    bases = chain_bases_in(positive_roots(n))
+    assert len(bases) == len(set(bases)) == bell
+    assert all(chain_components(tuple(b)) is not None for b in bases)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_oracle_matches_the_mask_tables_on_every_subset(rank, monkeypatch):
+    """Subsets that are not upward closed make the oracle's filter bite:
+    a basis made of roots of g whose system leaves g must not count."""
+    pt = shifted_point((1,) * rank)
+    filtered = 0
+    for sub in _subsets(positive_roots(rank)):
+        g = frozenset(sub)
+        monkeypatch.setattr(cells, "gamma", lambda pt, p: g)
+        assert s_partition_oracle(pt, 1) == _s_by_mask_tables(g, rank), sub
+        filtered += any(not positive_roots_of(b) <= g for b in chain_bases_in(g))
+    assert (filtered > 0) == (rank > 1)
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (2, 5), (3, 3), (3, 5)])
+def test_oracle_matches_the_mask_tables_on_the_criterion_four_windows(n, p):
+    values = set()
+    for pt in integral_points(n, 1, 2 * p):
+        s = s_partition_oracle(pt, p)
+        assert s == _s_by_mask_tables(gamma(pt, p), n), pt.coords
+        values.add(s)
+    assert len(values) > 2
+
+
+@pytest.mark.parametrize("n, p", [(6, 3), (6, 7)])
+def test_good_sup_sweep_runs_past_rank_five(n, p):
+    r = good_sup_sweep(n, p, box=2)
+    assert r.ok and r.cases == 64
+
+
+@pytest.mark.parametrize("n, p, box, cases", [(4, 5, 10, 11), (6, 3, 2, 89), (6, 7, 3, 11)])
+def test_reduction_sweep_case_counts(n, p, box, cases):
+    r = reduction_sweep(n, p, box=box)
+    assert r.ok and r.cases == cases
+
+
+def test_gamma_check_runs_for_every_distinct_gamma(monkeypatch):
+    """A gamma missing (1,3) beside (1,2) and (2,3) lets the basis of both
+    escape; the first point's gamma has no such pair, so only a check made
+    for every distinct gamma sees it, and it fails once per point."""
+    n, p, hi = 3, 3, 6
+
+    def holed(pt, p):
+        g = gamma(pt, p)
+        return g - {RootA(1, 3)} if {RootA(1, 2), RootA(2, 3)} <= g else g
+
+    pts = integral_points(n, 1, hi)
+    expected = sum(
+        not positive_roots_of(b) <= holed(pt, p)
+        for pt in pts
+        for b in _chain_bases_by_combinations(holed(pt, p))
+    )
+    assert holed(pts[0], p) == gamma(pts[0], p) and expected > 0
+    monkeypatch.setattr(sweeps, "gamma", holed)
+    r = good_sup_sweep(n, p, box=hi)
+    assert r.failed == expected
+    assert all("escapes gamma" in f for f in r.failures[:-1])
