@@ -28,14 +28,13 @@ implemented by AffineMap is the dot action written plainly.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import permutations, product
 from operator import lt
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import InvariantViolationError, PreconditionError, ResourceLimitError
 from .rootsys import (
@@ -51,20 +50,6 @@ from .rootsys import (
 )
 
 DEFAULT_BFS_BOUND = 10**6
-BFS_BOUND_ENV = "ALCOVE_CELLS_BFS_BOUND"
-
-
-def default_bfs_bound() -> int:
-    raw = os.environ.get(BFS_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_BFS_BOUND
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise PreconditionError(f"{BFS_BOUND_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise PreconditionError(f"{BFS_BOUND_ENV} must be positive, got {value}")
-    return value
 
 
 # Plain frozen classes, not NamedTuples: tuple equality would make
@@ -184,7 +169,9 @@ class Alcove:
 
     def __post_init__(self) -> None:
         check_p(self.p)
-        idx = tuple(int(v) for v in self.indices)
+        idx = tuple(self.indices)
+        if not all(isinstance(v, int) for v in idx):
+            raise PreconditionError(f"alcove indices must be integers, got {idx}")
         object.__setattr__(self, "indices", idx)
         count = len(positive_roots(self.rank))
         if len(idx) != count:
@@ -193,9 +180,6 @@ class Alcove:
             )
         if not _realizable(self.rank, tuple(2 * v - 1 for v in idx)):
             raise PreconditionError(f"index family {idx} cuts out an empty region")
-
-    def index_of(self, r: RootA) -> int:
-        return self.indices[root_position(self.rank)[r]]
 
     def is_dominant(self) -> bool:
         return all(v >= 1 for v in self.indices)
@@ -404,19 +388,16 @@ class AffineMap:
 
 
 @lru_cache(maxsize=None)
-def stabilizer_group(
-    pt: ShiftedPoint, p: int, cap: Optional[int] = None
-) -> frozenset[AffineMap]:
+def stabilizer_group(pt: ShiftedPoint, p: int) -> frozenset[AffineMap]:
     """The subgroup generated by the reflections through pt's hyperplanes.
 
     Generators are the s_{alpha,mp} with <pt, alpha> = mp; closure under
-    composition stops at `cap` elements (default (n+1)!, which the order
-    always divides) and raises a resource-limit error beyond it.  The
-    stabilizer route enumerates the same group as _class_permutations;
-    this Fraction closure is its oracle.
+    composition stops at (n+1)! elements, which the order always divides,
+    and raises a resource-limit error beyond it.  The stabilizer route
+    enumerates the same group as _class_permutations; this Fraction
+    closure is its oracle.
     """
-    if cap is None:
-        cap = math.factorial(pt.rank + 1)
+    cap = math.factorial(pt.rank + 1)
     gens = [
         AffineMap.reflection(pt.rank, r, pt.pairing(r))
         for r in sorted(stabilizer_subroot_system(pt, p))
@@ -579,7 +560,7 @@ def weak_leq(a: Alcove, b: Alcove) -> bool:
     return all(x <= y for x, y in zip(a.indices, b.indices))
 
 
-def weak_leq_oracle(a: Alcove, b: Alcove, bound: Optional[int] = None) -> bool:
+def weak_leq_oracle(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
     """Weak order decided independently by BFS along up_step_neighbors.
 
     The search never visits an alcove whose index exceeds b's anywhere
@@ -589,8 +570,6 @@ def weak_leq_oracle(a: Alcove, b: Alcove, bound: Optional[int] = None) -> bool:
         raise PreconditionError("weak_leq_oracle compares alcoves of equal rank and p")
     if not (a.is_dominant() and b.is_dominant()):
         raise PreconditionError("weak_leq_oracle is defined on dominant alcoves only")
-    if bound is None:
-        bound = default_bfs_bound()
     start, goal = a.indices, b.indices
     if any(x > y for x, y in zip(start, goal)):
         return False
@@ -690,7 +669,7 @@ def _raise_step(rank: int, indices: tuple[int, ...], beta_pos: int) -> tuple[int
     return tuple(out)
 
 
-def up_reachable(a: Alcove, b: Alcove, bound: Optional[int] = None) -> bool:
+def up_reachable(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
     """Reachability of b from a by raising reflections, one per step.
 
     A single step from alcove C reflects across the upper bounding
@@ -707,8 +686,6 @@ def up_reachable(a: Alcove, b: Alcove, bound: Optional[int] = None) -> bool:
     """
     if (a.rank, a.p) != (b.rank, b.p):
         raise PreconditionError("up_reachable compares alcoves of equal rank and p")
-    if bound is None:
-        bound = default_bfs_bound()
     rank = a.rank
     if a.indices == b.indices:
         return True

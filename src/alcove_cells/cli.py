@@ -23,13 +23,13 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .alcove import (
-    Wall,
+    DEFAULT_BFS_BOUND,
     alcove_of,
     facette_of,
     stabilizer_subroot_system,
     upper_walls,
 )
-from .cells import d_partition, enumerate_good_bases, gamma, s_partition
+from .cells import d_partition, enumerate_good_bases, gamma
 from .errors import (
     InvariantViolationError,
     PreconditionError,
@@ -66,7 +66,7 @@ class RunConfig:
     shifted: Optional[tuple[Q, ...]]
     box: Optional[int]
     index_bound: int
-    bfs_bound: Optional[int]
+    bfs_bound: int
     fmt: str
     seed: int
 
@@ -147,19 +147,19 @@ def cmd_cell(config: RunConfig) -> int:
             "cell reports need a dominant weight (shifted point strictly dominant)"
         )
     n = config.n
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pred = tilting_support(pt, config.p)
+    for w in caught:
+        print(f"alcove-cells: note: {w.message}", file=sys.stderr)
     g = gamma(pt, config.p)
-    s = s_partition(pt, config.p)
+    s = pred.partition
     cell = transpose(s)
     attaining = [
         b
         for b in enumerate_good_bases(g)
         if partition_of_basis(b, n) == s
     ]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pred = tilting_support(pt, config.p)
-    for w in caught:
-        print(f"alcove-cells: note: {w.message}", file=sys.stderr)
     doc = {
         "n": n,
         "p": config.p,
@@ -212,11 +212,7 @@ def cmd_alcove(config: RunConfig) -> int:
     n = config.n
     a = alcove_of(pt, config.p)
     f = facette_of(pt, config.p)
-    walls = [
-        (r, d.index)
-        for r, d in zip(positive_roots(n), f.data)
-        if isinstance(d, Wall)
-    ]
+    walls = f.wall_roots()
     ups = sorted(upper_walls(a))
     stab = stabilizer_subroot_system(pt, config.p)
     d = d_partition(pt, config.p)
@@ -492,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--bfs-bound",
         type=int,
-        help="frontier cap for reachability searches (env ALCOVE_CELLS_BFS_BOUND)",
+        default=DEFAULT_BFS_BOUND,
+        help=f"frontier cap for reachability searches (default {DEFAULT_BFS_BOUND})",
     )
     verify.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
     common(sub.add_parser("atlas", help="cell decomposition of a box of weights"), False, box=True)
@@ -506,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_of(args: argparse.Namespace) -> RunConfig:
     if args.n < 1 or args.p < 1:
         raise PreconditionError("need n >= 1 and p >= 1")
-    bfs_bound = getattr(args, "bfs_bound", None)
-    if bfs_bound is not None and bfs_bound < 1:
+    bfs_bound = getattr(args, "bfs_bound", DEFAULT_BFS_BOUND)
+    if bfs_bound < 1:
         raise PreconditionError(f"--bfs-bound must be positive, got {bfs_bound}")
     weight = getattr(args, "weight", None)
     shifted = getattr(args, "shifted", None)

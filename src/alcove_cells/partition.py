@@ -22,9 +22,11 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        p = tuple(int(x) for x in self.parts)
+        p = tuple(self.parts)
         if len(p) == 0:
             raise PreconditionError("empty partitions are not used here")
+        if not all(isinstance(x, int) for x in p):
+            raise PreconditionError(f"parts must be integers, got {p}")
         if any(x < 1 for x in p):
             raise PreconditionError(f"parts must be positive, got {p}")
         if any(p[k] < p[k + 1] for k in range(len(p) - 1)):

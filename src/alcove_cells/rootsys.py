@@ -100,7 +100,7 @@ class ShiftedPoint:
     def __post_init__(self) -> None:
         if len(self.coords) < 1:
             raise PreconditionError("a point needs at least one coordinate")
-        vals = tuple(c if isinstance(c, Q) else Q(c) for c in self.coords)
+        vals = tuple(c if isinstance(c, Q) else _rational(c) for c in self.coords)
         object.__setattr__(self, "coords", vals)
         den = math.lcm(*(c.denominator for c in vals))
         acc = [0]
@@ -152,12 +152,21 @@ class ShiftedPoint:
         return tuple(Q(total - v, self._den) for v in self._num)
 
 
+def _rational(c: Rational) -> Q:
+    """c as an exact Fraction; a float is refused, as it is not exact."""
+    if isinstance(c, float):
+        raise PreconditionError(f"coordinate {c!r} is a float; give an int or a Fraction")
+    return Q(c)
+
+
 def shifted_point(coords: Sequence[Rational]) -> ShiftedPoint:
-    return ShiftedPoint(tuple(Q(c) for c in coords))
+    return ShiftedPoint(tuple(coords))
 
 
 def point_from_weight(weight: Sequence[int]) -> ShiftedPoint:
     """Rho-shift a dominant integral weight given by fundamental coordinates."""
+    if not all(isinstance(w, int) for w in weight):
+        raise PreconditionError(f"weight {tuple(weight)} is not integral")
     if any(w < 0 for w in weight):
         raise PreconditionError(f"weight {tuple(weight)} is not dominant")
     return ShiftedPoint(tuple(Q(w + 1) for w in weight))
@@ -165,7 +174,7 @@ def point_from_weight(weight: Sequence[int]) -> ShiftedPoint:
 
 def point_from_e(e: Sequence[Rational]) -> ShiftedPoint:
     """Inverse of ShiftedPoint.e_coords up to the irrelevant global shift."""
-    vals = [Q(c) for c in e]
+    vals = [_rational(c) for c in e]
     if len(vals) < 2:
         raise PreconditionError("eps coordinates need at least two entries")
     return ShiftedPoint(tuple(vals[k] - vals[k + 1] for k in range(len(vals) - 1)))

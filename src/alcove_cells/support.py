@@ -7,7 +7,10 @@ orbit of the transposed d-partition.  The certificate pipeline backs the
 tilting upper bound: for every good basis inside gamma it constructs an
 exact rational point mu whose stabilizer system contains the basis'
 system while its alcove stays weakly below, locates an integral point in
-mu's facette, and compares partitions.
+mu's facette, and compares partitions; the supremum over the legs is
+checked against the all-bases oracle.  mu is computed in one loop on
+integer numerators over a denominator fixed up front, so the module does
+no Fraction arithmetic: Fractions appear only as point coordinates.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import product
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate, product
+from typing import Iterable, Optional
 
 from .alcove import (
     Alcove,
@@ -33,6 +36,7 @@ from .cells import (
     is_good_basis,
     positive_roots_of,
     s_partition,
+    s_partition_oracle,
 )
 from .errors import InvariantViolationError, PreconditionError
 from .partition import (
@@ -141,36 +145,6 @@ def weight_cell_of(pt: ShiftedPoint, p: int) -> Partition:
     return transpose(s_partition(pt, p))
 
 
-def _mu_coords(
-    n: int, p: int, roots: Sequence[RootA], lam_alcove: Alcove
-) -> list[Q]:
-    """The recursive coordinate construction behind construct_mu.
-
-    Peels the root with the smallest left endpoint, solves the rest, then
-    fixes the peeled coordinate so the peeled root's pairing is exactly p
-    and chooses the flat prefix value at half its largest feasible bound.
-    The window bounds always reference the original outer alcove.
-    """
-    if not roots:
-        return [Q(1, n)] * n
-    i1, j1 = roots[0]
-    a = _mu_coords(n, p, roots[1:], lam_alcove)
-    a[i1 - 1] = p - sum(a[k - 1] for k in range(i1 + 1, j1))
-    if i1 == 1:
-        return a
-    bounds = []
-    partial = sum(a[k - 1] for k in range(i1, j1 - 1))
-    bounds.append(Q(p - partial, i1 - 1))
-    for j in range(j1, n + 2):
-        window = 1 if j == j1 else lam_alcove.index_of(RootA(j1, j))
-        tail = sum(a[k - 1] for k in range(j1, j))
-        bounds.append(Q(window * p - tail, i1 - 1))
-    flat = min(bounds) / 2
-    for k in range(i1 - 1):
-        a[k] = flat
-    return a
-
-
 def construct_mu(pt: ShiftedPoint, good: Iterable[RootA], p: int) -> ShiftedPoint:
     """An exact rational point whose walls carry a good basis' system.
 
@@ -178,6 +152,25 @@ def construct_mu(pt: ShiftedPoint, good: Iterable[RootA], p: int) -> ShiftedPoin
     divisible by p on every root of the generated system, with mu's
     alcove weakly below pt's, and mu regular dominant.  All three
     properties are machine-checked on every call.
+
+    Starting from the coordinates 1/n, the roots (i, j) are taken in
+    decreasing left end (a good basis has distinct left ends, and its right
+    ends decrease with them).  Each sets a_i so that a_i + ... + a_{j-1} = p,
+    then, when i > 1, sets a_1 = ... = a_{i-1} to half the least of
+    a_{j-1} / (i - 1) and (w_k p - a_j - ... - a_{k-1}) / (i - 1) for k = j,
+    ..., n+1, where w_k = floor(<pt, eps_j - eps_k> / p) + 1 is pt's window
+    at (j, k), read from pt's own prefix numerators (w_j = 1).
+
+    The coordinates are integer numerators a over the one denominator
+    D = n * prod 2(i - 1), the product over the basis roots with i > 1.
+    Claim: when root (i, j) is reached, every numerator is a multiple of
+    M, the product of 2(i' - 1) over the roots (i', j') with i' > 1 not yet
+    done, this one included.  At the start every numerator is D / n, the
+    full product.  M divides D, so a_i = p D - (a_{i+1} + ... + a_{j-1})
+    is a multiple of M, and so is each bound's numerator: a_{j-1}, or
+    w_k p D minus a sum of numerators.  Hence the flat value, the least
+    numerator // 2(i - 1), is exact and a multiple of M / 2(i - 1), the M
+    of the next root.  No Fraction is built before mu's coordinates a / D.
     """
     check_p(p)
     basis = frozenset(good)
@@ -186,8 +179,21 @@ def construct_mu(pt: ShiftedPoint, good: Iterable[RootA], p: int) -> ShiftedPoin
     if not basis <= gamma(pt, p):
         raise PreconditionError(f"{sorted(basis)} does not lie inside gamma")
     n = pt.rank
-    lam_alcove = alcove_of(pt, p)
-    mu = ShiftedPoint(tuple(_mu_coords(n, p, sorted(basis), lam_alcove)))
+    roots = sorted(basis, reverse=True)
+    den = n
+    for i, _ in roots:
+        if i > 1:
+            den *= 2 * (i - 1)
+    num, width = pt._num, pt.denominator * p
+    a = [den // n] * n
+    for i, j in roots:
+        a[i - 1] = p * den - sum(a[i : j - 1])
+        if i > 1:
+            windows = ((num[k] - num[j - 1]) // width + 1 for k in range(j - 1, n + 1))
+            tails = accumulate(a[j - 1 :], initial=0)
+            low = min(a[j - 2], *(w * p * den - t for w, t in zip(windows, tails)))
+            a[: i - 1] = [low // (2 * (i - 1))] * (i - 1)
+    mu = ShiftedPoint(tuple(Q(v, den) for v in a))
     step = mu.denominator * p
     pairs = mu.pairing_numerators()
     pos_of = root_position(n)
@@ -198,7 +204,7 @@ def construct_mu(pt: ShiftedPoint, good: Iterable[RootA], p: int) -> ShiftedPoin
             )
     if not mu.is_regular_dominant():
         raise InvariantViolationError(f"constructed point {mu.coords} left the chamber")
-    if not weak_leq(alcove_of(mu, p), lam_alcove):
+    if not weak_leq(alcove_of(mu, p), alcove_of(pt, p)):
         raise InvariantViolationError("constructed point's alcove is not weakly below")
     return mu
 
@@ -227,7 +233,8 @@ def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
     basis' system (so its stabilizer system contains that system) and
     that its alcove is weakly below; here its facette must contain an
     integral point whose d-partition dominates the basis partition, and
-    the supremum of basis partitions must reproduce the s-partition.
+    the supremum of basis partitions must equal the all-bases oracle's s,
+    which checks at this point that good bases suffice.
     """
     check_p(p)
     _require_integral_dominant(pt, regular=True)
@@ -266,7 +273,7 @@ def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
             )
         )
     s = sup(pis)
-    if s != s_partition(pt, p):
+    if s != s_partition_oracle(pt, p):
         raise InvariantViolationError("certificate supremum disagrees with s")
     return UpperBoundCertificate(
         point=pt, p=p, s=s, orbit=orbit_label(transpose(s)), legs=tuple(legs)

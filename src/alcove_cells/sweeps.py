@@ -23,6 +23,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .alcove import (
+    DEFAULT_BFS_BOUND,
     Alcove,
     Between,
     Facette,
@@ -56,6 +57,7 @@ from .rootsys import RootA, ShiftedPoint, positive_roots, shifted_point
 from .support import construct_mu, facette_lattice_point
 
 MAX_RECORDED_FAILURES = 20
+MONOTONICITY_PROBES = 200  # comparable pairs the good-sup sweep examines
 
 
 @dataclass
@@ -203,7 +205,7 @@ def weak_order_sweep(
     n: int,
     p: int,
     index_bound: int = 3,
-    bfs_bound: Optional[int] = None,
+    bfs_bound: int = DEFAULT_BFS_BOUND,
 ) -> SweepResult:
     """Weak order: index criterion against BFS, and raising consistency."""
     res = SweepResult(f"weak-order n={n} p={p} index_bound={index_bound}")
@@ -232,7 +234,6 @@ def good_sup_sweep(
     box: Optional[int] = None,
     sample: Optional[int] = None,
     seed: int = 0,
-    monotonicity_probe: int = 200,
 ) -> SweepResult:
     """s-partition against the brute-force oracle over a dominant box.
 
@@ -240,8 +241,8 @@ def good_sup_sweep(
     a system inside gamma, and that points sharing a facette share gamma.
     The oracle and the gamma check run once per distinct gamma; the
     comparisons and failures stay per point.
-    The weak-order monotonicity of s is probed on sampled pairs and
-    surfaced as reports only, never failures.
+    The weak-order monotonicity of s is probed on MONOTONICITY_PROBES
+    sampled comparable pairs and surfaced as reports only, never failures.
     """
     hi = 2 * p if box is None else box
     res = SweepResult(f"good-sup n={n} p={p} box={hi}")
@@ -276,8 +277,8 @@ def good_sup_sweep(
     rng = random.Random(seed)
     pool = list(s_by_point)
     probes = 0
-    for _ in range(monotonicity_probe * 5):
-        if probes >= monotonicity_probe or len(pool) < 2:
+    for _ in range(MONOTONICITY_PROBES * 5):
+        if probes >= MONOTONICITY_PROBES or len(pool) < 2:
             break
         a, b = rng.sample(pool, 2)
         ca, cb = alcove_of(a, p), alcove_of(b, p)

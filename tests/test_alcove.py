@@ -56,6 +56,12 @@ def test_alcove_rejects_empty_region():
         Alcove(2, 5, (1, 3, 1))
 
 
+def test_alcove_rejects_non_integer_indices():
+    # 1.9 used to be truncated to the realizable family (1, 2, 1)
+    with pytest.raises(PreconditionError, match="integers"):
+        Alcove(2, 5, (1.9, 2, 1))
+
+
 def test_facette_of_known_values():
     f = facette_of(shifted_point([Q(9, 2), Q(1, 2)]), 5)
     assert f.data == (Between(1), Wall(1), Between(1))

@@ -186,10 +186,11 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_verify_resource_limit_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv("ALCOVE_CELLS_BFS_BOUND", "1")
-    code, _, err = run(capsys, ["verify", "weak-order", "--n", "2", "--p", "3"])
-    assert code == 1 and err != ""
+def test_verify_resource_limit_exits_one(capsys):
+    code, _, err = run(
+        capsys, ["verify", "weak-order", "--n", "2", "--p", "3", "--bfs-bound", "1"]
+    )
+    assert code == 1 and err == "alcove-cells: failure: weak-order BFS exceeded bound 1\n"
 
 
 @pytest.mark.parametrize("bound", ["0", "-5"])

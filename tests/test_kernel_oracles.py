@@ -23,6 +23,8 @@ lattice points: the split-rule generator behind facettes_meeting_box, its
 box test on the gcd grid, the midpoint interior_point and the first-family
 facette_lattice_point against the Floyd-Warshall box search, the solver's
 feasibility and witness, and the coordinate-by-coordinate lattice search.
+The mu construction: the one integer loop of construct_mu against the
+Fraction recursion over pt's alcove that it replaced.
 """
 
 from collections import deque
@@ -83,7 +85,7 @@ from alcove_cells.rootsys import (
     root_position,
     shifted_point,
 )
-from alcove_cells.support import facette_lattice_point
+from alcove_cells.support import construct_mu, facette_lattice_point
 from alcove_cells.sweeps import (
     _meets_box,
     dominant_alcoves,
@@ -897,3 +899,72 @@ def test_gamma_check_runs_for_every_distinct_gamma(monkeypatch):
     r = good_sup_sweep(n, p, box=hi)
     assert r.failed == expected
     assert all("escapes gamma" in f for f in r.failures[:-1])
+
+
+# -- the integer mu loop against the Fraction recursion ----------------------
+
+
+def _mu_by_fraction_recursion(pt, basis, p):
+    """construct_mu's coordinates as the Fraction recursion computed them.
+
+    Peels the root with the smallest left end, solves the rest, then fixes
+    the peeled coordinate so the peeled root's pairing is exactly p and
+    sets the flat prefix to half its largest feasible bound; the windows
+    are read from pt's alcove.
+    """
+    n = pt.rank
+    lam = alcove_of(pt, p)
+    pos = root_position(n)
+
+    def rec(roots):
+        if not roots:
+            return [Q(1, n)] * n
+        i1, j1 = roots[0]
+        a = rec(roots[1:])
+        a[i1 - 1] = p - sum(a[k - 1] for k in range(i1 + 1, j1))
+        if i1 == 1:
+            return a
+        partial = sum(a[k - 1] for k in range(i1, j1 - 1))
+        bounds = [Q(p - partial, i1 - 1)]
+        for j in range(j1, n + 2):
+            window = 1 if j == j1 else lam.indices[pos[RootA(j1, j)]]
+            tail = sum(a[k - 1] for k in range(j1, j))
+            bounds.append(Q(window * p - tail, i1 - 1))
+        flat = min(bounds) / 2
+        for k in range(i1 - 1):
+            a[k] = flat
+        return a
+
+    return tuple(rec(sorted(basis)))
+
+
+def _assert_mu_matches_the_recursion(pt, p, bases):
+    for basis in bases:
+        want = _mu_by_fraction_recursion(pt, basis, p)
+        assert construct_mu(pt, basis, p).coords == want, (pt.coords, sorted(basis))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_integer_mu_matches_the_fraction_recursion_on_integral_windows(n, p):
+    for pt in integral_points(n, 1, 2 * p):
+        _assert_mu_matches_the_recursion(pt, p, enumerate_good_bases(gamma(pt, p)))
+
+
+@st.composite
+def points_and_bases(draw):
+    """(pt, p, bases): up to six coordinates k/d in (0, 2p] with mixed d up
+    to 12, and up to eight of pt's good bases (at rank six a point can have
+    hundreds, too many to check them all on every example)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    coord = st.integers(1, 12).flatmap(lambda d: st.integers(1, 2 * p * d).map(lambda k: Q(k, d)))
+    pt = ShiftedPoint(tuple(draw(st.lists(coord, min_size=1, max_size=6))))
+    bases = enumerate_good_bases(gamma(pt, p))
+    picks = draw(st.lists(st.integers(0, len(bases) - 1), min_size=1, max_size=8))
+    return pt, p, [bases[k] for k in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=points_and_bases())
+def test_integer_mu_matches_the_fraction_recursion_on_rational_points(case):
+    _assert_mu_matches_the_recursion(*case)

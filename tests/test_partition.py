@@ -31,6 +31,12 @@ def test_partition_validation():
         partition([])
 
 
+def test_partition_rejects_non_integer_parts():
+    # 3.9 + 1.5 used to be truncated to 3 + 1
+    with pytest.raises(PreconditionError, match="integers"):
+        partition([3.9, 1.5])
+
+
 def test_str_renders_plus_separated():
     assert str(partition([4, 2])) == "4+2"
     assert str(partition([1, 1, 1])) == "1+1+1"

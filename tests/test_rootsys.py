@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from alcove_cells.errors import PreconditionError
 from alcove_cells.rootsys import (
     RootA,
+    ShiftedPoint,
     chain_components,
     inverse_cartan_numerators,
     point_from_e,
@@ -165,3 +166,25 @@ def test_chain_components_iff_pairwise_brackets(data):
 def test_inverse_cartan_numerators():
     assert inverse_cartan_numerators(2) == ((2, 1), (1, 2))
     assert inverse_cartan_numerators(3) == ((3, 2, 1), (2, 4, 2), (1, 2, 3))
+
+
+def test_shifted_point_rejects_a_float_coordinate():
+    with pytest.raises(PreconditionError, match="float"):
+        ShiftedPoint((Q(1, 2), 0.5))
+
+
+def test_shifted_point_helper_rejects_a_float_coordinate():
+    # 0.1 would otherwise become the binary fraction over 2**55
+    with pytest.raises(PreconditionError, match="float"):
+        shifted_point([0.1, 2])
+
+
+def test_point_from_e_rejects_a_float_coordinate():
+    with pytest.raises(PreconditionError, match="float"):
+        point_from_e([Q(3, 2), 0.5, 0])
+
+
+def test_point_from_weight_rejects_a_non_integer_weight():
+    for weight in ([1.5, 2], [Q(3, 2), 2], [Q(2), 2]):
+        with pytest.raises(PreconditionError, match="not integral"):
+            point_from_weight(weight)

@@ -5,7 +5,8 @@ import pytest
 
 from alcove_cells.alcove import alcove_of, bottom_alcove, facette_of, weak_leq
 from alcove_cells.cells import enumerate_good_bases, gamma, positive_roots_of
-from alcove_cells.errors import PreconditionError
+from alcove_cells import cells, support
+from alcove_cells.errors import InvariantViolationError, PreconditionError
 from alcove_cells.partition import dominance_leq, partition
 from alcove_cells.rootsys import RootA, point_from_weight, shifted_point
 from alcove_cells.support import (
@@ -133,6 +134,23 @@ def test_certificate_steinberg_adjacent():
         assert dominance_leq(leg.pi, leg.d_mu_prime)
         assert facette_of(leg.mu_prime, 5) == facette_of(leg.mu, 5)
         assert weak_leq(leg.mu_alcove, leg.lambda_alcove)
+
+
+def test_certificate_supremum_is_checked_against_the_all_bases_oracle(monkeypatch):
+    """At weight 5,5 and p = 5 only the basis (1,2),(2,3) attains s = 3.
+
+    With it dropped from the good-basis enumeration, the legs' supremum and
+    s_partition both fall to 2+1; only an independent route sees the gap.
+    """
+    missing = frozenset({RootA(1, 2), RootA(2, 3)})
+
+    def without_it(scope):
+        return tuple(b for b in enumerate_good_bases(scope) if b != missing)
+
+    monkeypatch.setattr(cells, "enumerate_good_bases", without_it)
+    monkeypatch.setattr(support, "enumerate_good_bases", without_it)
+    with pytest.raises(InvariantViolationError, match="disagrees with s"):
+        upper_bound_certificate(point_from_weight((5, 5)), 5)
 
 
 def test_certificate_bottom_weight():
