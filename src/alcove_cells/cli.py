@@ -5,6 +5,12 @@ Subcommands: `cell` (weight-cell report for one weight), `alcove`
 or sampled consistency sweeps), `atlas` (cell decomposition of a box of
 weights), `certificate` (the upper-bound construction, leg by leg).
 
+One parser, built on the first `main` call and kept for the process,
+dispatches: each subcommand sets `run` to its `cmd_*`, which reads the
+parsed namespace itself.  The option defaults live in the parser, and an
+absent `--box` stays None down to `sweeps.window_bound` (2p), so the CLI
+restates neither.
+
 Output is byte-deterministic for a fixed invocation and seed.  Exit
 codes: 0 success, 1 verification or internal-check failure, 2 usage or
 domain error.
@@ -14,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import product
 from typing import Optional, Sequence
@@ -58,62 +64,33 @@ ATLAS_POINT_CAP = 1_000_000
 SUITES = ("lclosure", "weak-order", "good-sup", "reduction", "mu", "lattice", "all")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    n: int
-    p: int
-    weight: Optional[tuple[int, ...]]
-    shifted: Optional[tuple[Q, ...]]
-    box: Optional[int]
-    index_bound: int
-    bfs_bound: int
-    fmt: str
-    seed: int
-
-
-def _parse_weight(text: str, n: int) -> tuple[int, ...]:
+def _entries(text: str, n: int, option: str, parse, kind: str) -> tuple:
     parts = text.split(",")
     if len(parts) != n:
-        raise PreconditionError(f"--weight needs {n} entries, got {len(parts)}")
+        raise PreconditionError(f"{option} needs {n} entries, got {len(parts)}")
     out = []
     for pos, tok in enumerate(parts, start=1):
         try:
-            out.append(int(tok.strip()))
-        except ValueError:
-            raise PreconditionError(
-                f"--weight entry {pos} is not an integer: {tok!r}"
-            ) from None
-    return tuple(out)
-
-
-def _parse_shifted(text: str, n: int) -> tuple[Q, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise PreconditionError(f"--shifted needs {n} entries, got {len(parts)}")
-    out = []
-    for pos, tok in enumerate(parts, start=1):
-        try:
-            out.append(Q(tok.strip()))
+            out.append(parse(tok.strip()))
         except (ValueError, ZeroDivisionError):
             raise PreconditionError(
-                f"--shifted entry {pos} is not a rational: {tok!r}"
+                f"{option} entry {pos} is not {kind}: {tok!r}"
             ) from None
     return tuple(out)
 
 
-def _point_of(config: RunConfig) -> ShiftedPoint:
-    if config.weight is not None:
-        return point_from_weight(config.weight)
-    if config.shifted is not None:
-        return shifted_point(config.shifted)
+def _point_of(args: argparse.Namespace) -> ShiftedPoint:
+    if args.weight is not None:
+        return point_from_weight(_entries(args.weight, args.n, "--weight", int, "an integer"))
+    if args.shifted is not None:
+        return shifted_point(_entries(args.shifted, args.n, "--shifted", Q, "a rational"))
     raise PreconditionError("this command needs --weight or --shifted")
 
 
-def _input_doc(config: RunConfig) -> dict:
-    if config.weight is not None:
-        return {"weight": list(config.weight)}
-    assert config.shifted is not None
-    return {"shifted": [str(c) for c in config.shifted]}
+def _input_doc(args: argparse.Namespace, pt: ShiftedPoint) -> dict:
+    if args.weight is not None:
+        return {"weight": list(pt.weight())}
+    return {"shifted": [str(c) for c in pt.coords]}
 
 
 def _root_pair(r: RootA) -> list[int]:
@@ -140,19 +117,19 @@ def _root_header(n: int) -> str:
     return " ".join(_fmt_root(r) for r in positive_roots(n))
 
 
-def cmd_cell(config: RunConfig) -> int:
-    pt = _point_of(config)
+def cmd_cell(args: argparse.Namespace) -> int:
+    pt = _point_of(args)
     if not pt.is_regular_dominant():
         raise PreconditionError(
             "cell reports need a dominant weight (shifted point strictly dominant)"
         )
-    n = config.n
+    n = args.n
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pred = tilting_support(pt, config.p)
+        pred = tilting_support(pt, args.p)
     for w in caught:
         print(f"alcove-cells: note: {w.message}", file=sys.stderr)
-    g = gamma(pt, config.p)
+    g = gamma(pt, args.p)
     s = pred.partition
     cell = transpose(s)
     attaining = [
@@ -162,8 +139,8 @@ def cmd_cell(config: RunConfig) -> int:
     ]
     doc = {
         "n": n,
-        "p": config.p,
-        "input": _input_doc(config),
+        "p": args.p,
+        "input": _input_doc(args, pt),
         "gamma": [_root_pair(r) for r in sorted(g)],
         "good_bases": [
             [_root_pair(r) for r in sorted(b)] for b in attaining
@@ -173,9 +150,9 @@ def cmd_cell(config: RunConfig) -> int:
         "orbit_dim": pred.orbit.dim,
         "backing": pred.backing,
     }
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit_json(doc)
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         w = _csv_writer()
         w.writerow(["field", "value"])
         for key in ("n", "p"):
@@ -188,7 +165,7 @@ def cmd_cell(config: RunConfig) -> int:
         w.writerow(["orbit_dim", pred.orbit.dim])
         w.writerow(["backing", pred.backing])
     else:
-        print(f"cell report  n={n}  p={config.p}")
+        print(f"cell report  n={n}  p={args.p}")
         print(f"shifted point: {','.join(str(c) for c in pt.coords)}")
         print(f"gamma: {_fmt_roots(g)}")
         if attaining:
@@ -207,32 +184,32 @@ def cmd_cell(config: RunConfig) -> int:
     return 0
 
 
-def cmd_alcove(config: RunConfig) -> int:
-    pt = _point_of(config)
-    n = config.n
-    a = alcove_of(pt, config.p)
-    f = facette_of(pt, config.p)
+def cmd_alcove(args: argparse.Namespace) -> int:
+    pt = _point_of(args)
+    n = args.n
+    a = alcove_of(pt, args.p)
+    f = facette_of(pt, args.p)
     walls = f.wall_roots()
     ups = sorted(upper_walls(a))
-    stab = stabilizer_subroot_system(pt, config.p)
-    d = d_partition(pt, config.p)
+    stab = stabilizer_subroot_system(pt, args.p)
+    d = d_partition(pt, args.p)
     doc = {
         "n": n,
-        "p": config.p,
-        "input": _input_doc(config),
+        "p": args.p,
+        "input": _input_doc(args, pt),
         "alcove": list(a.indices),
         "walls": [[r.i, r.j, m] for r, m in walls],
         "upper_walls": [[r.i, r.j, m] for r, m in ups],
         "stabilizer_system": [_root_pair(r) for r in sorted(stab)],
         "d": list(d.parts),
     }
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit_json(doc)
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         w = _csv_writer()
         w.writerow(["field", "value"])
         w.writerow(["n", n])
-        w.writerow(["p", config.p])
+        w.writerow(["p", args.p])
         w.writerow(["roots", _root_header(n)])
         w.writerow(["alcove", " ".join(str(i) for i in a.indices)])
         w.writerow(["walls", " ".join(f"{_fmt_root(r)}={m}" for r, m in walls) or "-"])
@@ -240,7 +217,7 @@ def cmd_alcove(config: RunConfig) -> int:
         w.writerow(["stabilizer_system", _fmt_roots(stab)])
         w.writerow(["d", str(d)])
     else:
-        print(f"alcove report  n={n}  p={config.p}")
+        print(f"alcove report  n={n}  p={args.p}")
         print(f"shifted point: {','.join(str(c) for c in pt.coords)}")
         print(f"roots:  {_root_header(n)}")
         print(f"alcove: {' '.join(f'{i:>5d}' for i in a.indices)}")
@@ -260,33 +237,26 @@ def cmd_alcove(config: RunConfig) -> int:
     return 0
 
 
-def _sample_for(count: int) -> Optional[int]:
-    return None if count <= SAMPLE_CAP else SAMPLE_CAP
-
-
-def _run_suite(name: str, config: RunConfig) -> list[sweeps.SweepResult]:
-    n, p = config.n, config.p
-    box = config.box if config.box is not None else 2 * p
-    point_count = box**n
-    sample = _sample_for(point_count)
+def _run_suite(name: str, args: argparse.Namespace) -> list[sweeps.SweepResult]:
+    n, p, box = args.n, args.p, args.box
     if name == "lclosure":
         return [sweeps.lclosure_sweep(n, p, box)]
     if name == "weak-order":
-        return [sweeps.weak_order_sweep(n, p, config.index_bound, config.bfs_bound)]
+        return [sweeps.weak_order_sweep(n, p, args.index_bound, args.bfs_bound)]
     if name == "good-sup":
-        return [sweeps.good_sup_sweep(n, p, box, sample, config.seed)]
+        return [sweeps.good_sup_sweep(n, p, box, SAMPLE_CAP, args.seed)]
     if name == "reduction":
-        return [sweeps.reduction_sweep(n, p, box, sample, config.seed)]
+        return [sweeps.reduction_sweep(n, p, box, SAMPLE_CAP, args.seed)]
     if name == "mu":
-        return [sweeps.mu_sweep(n, p, box, sample, config.seed)]
+        return [sweeps.mu_sweep(n, p, box, SAMPLE_CAP, args.seed)]
     if name == "lattice":
         return [sweeps.lattice_sweep(n, p, box)]
     assert name == "all"
     out = []
     for sub in ("lclosure", "weak-order", "good-sup", "reduction", "mu"):
-        out.extend(_run_suite(sub, config))
+        out.extend(_run_suite(sub, args))
     if p >= n + 1:
-        out.extend(_run_suite("lattice", config))
+        out.extend(_run_suite("lattice", args))
     else:
         skipped = sweeps.SweepResult(f"lattice n={n} p={p}")
         skipped.reports.append("skipped: the lattice-point guarantee needs p >= n+1")
@@ -294,10 +264,12 @@ def _run_suite(name: str, config: RunConfig) -> list[sweeps.SweepResult]:
     return out
 
 
-def cmd_verify(config: RunConfig, suite: str) -> int:
-    results = _run_suite(suite, config)
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.bfs_bound < 1:
+        raise PreconditionError(f"--bfs-bound must be positive, got {args.bfs_bound}")
+    results = _run_suite(args.suite, args)
     ok = all(r.ok for r in results)
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit_json(
             {
                 "suites": [
@@ -314,7 +286,7 @@ def cmd_verify(config: RunConfig, suite: str) -> int:
                 "ok": ok,
             }
         )
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         w = _csv_writer()
         w.writerow(["name", "cases", "failures", "ok"])
         for r in results:
@@ -330,9 +302,9 @@ def cmd_verify(config: RunConfig, suite: str) -> int:
     return 0 if ok else 1
 
 
-def cmd_atlas(config: RunConfig) -> int:
-    n, p = config.n, config.p
-    box = config.box if config.box is not None else 2 * p
+def cmd_atlas(args: argparse.Namespace) -> int:
+    n, p = args.n, args.p
+    box = sweeps.window_bound(p, args.box)
     if box < 1:
         raise PreconditionError(f"--box must be at least 1, got {box}")
     # past rank 64 any box > 1 is over the cap, so the exponent stays small
@@ -365,9 +337,9 @@ def cmd_atlas(config: RunConfig) -> int:
             for c, weights in buckets.items()
         },
     }
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit_json(doc)
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         w = _csv_writer()
         w.writerow(["cell", "orbit_dim", "weight"])
         for c, weights in buckets.items():
@@ -383,13 +355,13 @@ def cmd_atlas(config: RunConfig) -> int:
     return 0
 
 
-def cmd_certificate(config: RunConfig) -> int:
-    pt = _point_of(config)
-    cert = upper_bound_certificate(pt, config.p)
+def cmd_certificate(args: argparse.Namespace) -> int:
+    pt = _point_of(args)
+    cert = upper_bound_certificate(pt, args.p)
     doc = {
-        "n": config.n,
-        "p": config.p,
-        "input": _input_doc(config),
+        "n": args.n,
+        "p": args.p,
+        "input": _input_doc(args, pt),
         "s": list(cert.s.parts),
         "cell": list(transpose(cert.s).parts),
         "orbit_dim": cert.orbit.dim,
@@ -406,9 +378,9 @@ def cmd_certificate(config: RunConfig) -> int:
             for leg in cert.legs
         ],
     }
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit_json(doc)
-    elif config.fmt == "csv":
+    elif args.fmt == "csv":
         w = _csv_writer()
         w.writerow(
             ["basis", "pi", "mu", "mu_prime", "d_mu_prime", "mu_alcove", "lambda_alcove"]
@@ -426,7 +398,7 @@ def cmd_certificate(config: RunConfig) -> int:
                 ]
             )
     else:
-        print(f"upper-bound certificate  n={config.n}  p={config.p}")
+        print(f"upper-bound certificate  n={args.n}  p={args.p}")
         print(f"shifted point: {','.join(str(c) for c in pt.coords)}")
         print(f"legs: {len(cert.legs)}")
         for leg in cert.legs:
@@ -449,14 +421,18 @@ def cmd_certificate(config: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser: built on the first call, then shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="alcove-cells",
         description="Exact alcove, weak-order, and weight-cell computations for type A.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, needs_point: bool, box: bool = False) -> None:
+    def command(name: str, run, summary: str, needs_point: bool = False, box: bool = False):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(run=run)
         sp.add_argument("--n", type=int, required=True, help="rank (n >= 1)")
         sp.add_argument("--p", type=int, required=True, help="integer parameter (p >= 1)")
         if needs_point:
@@ -476,12 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
             default="human",
             dest="fmt",
         )
+        return sp
 
-    common(sub.add_parser("cell", help="weight-cell report for one weight"), True)
-    common(sub.add_parser("alcove", help="alcove and facette report for one point"), True)
-    verify = sub.add_parser("verify", help="run a consistency sweep")
+    command("cell", cmd_cell, "weight-cell report for one weight", needs_point=True)
+    command("alcove", cmd_alcove, "alcove and facette report for one point", needs_point=True)
+    verify = command("verify", cmd_verify, "run a consistency sweep", box=True)
     verify.add_argument("suite", choices=SUITES)
-    common(verify, False, box=True)
     verify.add_argument(
         "--index-bound", type=int, default=3, help="alcove index cap for sweeps"
     )
@@ -492,33 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"frontier cap for reachability searches (default {DEFAULT_BFS_BOUND})",
     )
     verify.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
-    common(sub.add_parser("atlas", help="cell decomposition of a box of weights"), False, box=True)
-    common(
-        sub.add_parser("certificate", help="upper-bound certificate for one weight"),
-        True,
-    )
+    command("atlas", cmd_atlas, "cell decomposition of a box of weights", box=True)
+    command("certificate", cmd_certificate, "upper-bound certificate for one weight", needs_point=True)
     return parser
-
-
-def _config_of(args: argparse.Namespace) -> RunConfig:
-    if args.n < 1 or args.p < 1:
-        raise PreconditionError("need n >= 1 and p >= 1")
-    bfs_bound = getattr(args, "bfs_bound", DEFAULT_BFS_BOUND)
-    if bfs_bound < 1:
-        raise PreconditionError(f"--bfs-bound must be positive, got {bfs_bound}")
-    weight = getattr(args, "weight", None)
-    shifted = getattr(args, "shifted", None)
-    return RunConfig(
-        n=args.n,
-        p=args.p,
-        weight=_parse_weight(weight, args.n) if weight is not None else None,
-        shifted=_parse_shifted(shifted, args.n) if shifted is not None else None,
-        box=getattr(args, "box", None),
-        index_bound=getattr(args, "index_bound", 3),
-        bfs_bound=bfs_bound,
-        fmt=args.fmt,
-        seed=getattr(args, "seed", 0),
-    )
 
 
 POINT_OPTIONS = ("--weight", "--shifted")
@@ -540,20 +492,11 @@ def _join_point_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_point_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_join_point_values(sys.argv[1:] if argv is None else argv))
     try:
-        config = _config_of(args)
-        if args.command == "cell":
-            return cmd_cell(config)
-        if args.command == "alcove":
-            return cmd_alcove(config)
-        if args.command == "verify":
-            return cmd_verify(config, args.suite)
-        if args.command == "atlas":
-            return cmd_atlas(config)
-        assert args.command == "certificate"
-        return cmd_certificate(config)
+        if args.n < 1 or args.p < 1:
+            raise PreconditionError("need n >= 1 and p >= 1")
+        return args.run(args)
     except PreconditionError as exc:
         print(f"alcove-cells: error: {exc}", file=sys.stderr)
         return 2

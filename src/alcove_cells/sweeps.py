@@ -96,6 +96,11 @@ def integral_points(n: int, lo: int, hi: int) -> list[ShiftedPoint]:
     ]
 
 
+def window_bound(p: int, box: Optional[int]) -> int:
+    """The box bound of a sweep or atlas window: `box`, or 2p when it is None."""
+    return 2 * p if box is None else box
+
+
 def _sampled_points(
     n: int, lo: int, hi: int, sample: Optional[int], seed: int
 ) -> list[ShiftedPoint]:
@@ -119,6 +124,22 @@ def _sampled_points(
             coords.append(lo + digit)
         out.append(shifted_point(coords[::-1]))
     return out
+
+
+def _window_points(
+    res: SweepResult, n: int, hi: int, sample: Optional[int], seed: int
+) -> list[ShiftedPoint]:
+    """The sweep's points of [1, hi]^n, a seeded sample of them when `sample` is given.
+
+    An empty window fails the sweep.  A sample that drops points says so in
+    a report, counted against the true window size max(hi, 0)^n, so a
+    negative hi is an empty window and not a sample.
+    """
+    pts = _sampled_points(n, 1, hi, sample, seed)
+    res.require_window(len(pts), "points")
+    if len(pts) < max(hi, 0) ** n:
+        res.reports.append(f"sampled {len(pts)} points (seed={seed})")
+    return pts
 
 
 def _meets_box(rank: int, p: int, hi: int, codes: Sequence[int]) -> bool:
@@ -172,7 +193,7 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
     points outside a facette's topological closure the stabilizer route
     is undefined, so the direct route is required to answer false.
     """
-    hi = 2 * p if box is None else box
+    hi = window_bound(p, box)
     res = SweepResult(f"lclosure n={n} p={p} box={hi}")
     pts = integral_points(n, 0, hi)
     facettes = facettes_meeting_box(n, p, hi)
@@ -204,7 +225,7 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
 def weak_order_sweep(
     n: int,
     p: int,
-    index_bound: int = 3,
+    index_bound: int,
     bfs_bound: int = DEFAULT_BFS_BOUND,
 ) -> SweepResult:
     """Weak order: index criterion against BFS, and raising consistency."""
@@ -244,12 +265,9 @@ def good_sup_sweep(
     The weak-order monotonicity of s is probed on MONOTONICITY_PROBES
     sampled comparable pairs and surfaced as reports only, never failures.
     """
-    hi = 2 * p if box is None else box
+    hi = window_bound(p, box)
     res = SweepResult(f"good-sup n={n} p={p} box={hi}")
-    pts = _sampled_points(n, 1, hi, sample, seed)
-    res.require_window(len(pts), "points")
-    if sample is not None and len(pts) < (hi) ** n:
-        res.reports.append(f"sampled {len(pts)} of {hi ** n} points (seed={seed})")
+    pts = _window_points(res, n, hi, sample, seed)
     gamma_by_facette: dict = {}
     s_by_point: dict = {}
     by_gamma: dict = {}  # gamma -> (oracle s, chain bases whose system escapes gamma)
@@ -309,12 +327,9 @@ def reduction_sweep(
     the input partition at the supremum.  At n <= 2 every chain basis is
     good, so the sweep has no case and says so in a report.
     """
-    hi = 2 * p if box is None else box
+    hi = window_bound(p, box)
     res = SweepResult(f"reduction n={n} p={p} box={hi}")
-    pts = _sampled_points(n, 1, hi, sample, seed)
-    res.require_window(len(pts), "points")
-    if sample is not None and len(pts) < hi**n:
-        res.reports.append(f"sampled {len(pts)} points (seed={seed})")
+    pts = _window_points(res, n, hi, sample, seed)
     if n <= 2:
         res.reports.append("not applicable: A_1 and A_2 have no non-good chain basis")
     seen_gammas: set[frozenset[RootA]] = set()
@@ -365,12 +380,9 @@ def mu_sweep(
     seed: int = 0,
 ) -> SweepResult:
     """construct_mu postconditions on every (point, good basis) pair."""
-    hi = 2 * p if box is None else box
+    hi = window_bound(p, box)
     res = SweepResult(f"mu n={n} p={p} box={hi}")
-    pts = _sampled_points(n, 1, hi, sample, seed)
-    res.require_window(len(pts), "points")
-    if sample is not None and len(pts) < hi**n:
-        res.reports.append(f"sampled {len(pts)} points (seed={seed})")
+    pts = _window_points(res, n, hi, sample, seed)
     for pt in pts:
         for basis in enumerate_good_bases(gamma(pt, p)):
             res.cases += 1
@@ -387,7 +399,7 @@ def lattice_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
         raise PreconditionError(
             f"the lattice-point guarantee needs p >= n+1 = {n + 1}, got p={p}"
         )
-    hi = 2 * p if box is None else box
+    hi = window_bound(p, box)
     res = SweepResult(f"lattice n={n} p={p} box={hi}")
     facettes = facettes_meeting_box(n, p, hi)
     res.require_window(len(facettes), "facettes")

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from alcove_cells import sweeps
-from alcove_cells.cli import main
+from alcove_cells.cli import build_parser, main
+
+GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, argv):
@@ -133,6 +139,9 @@ def test_verify_json(capsys):
         ["good-sup", "--n", "2", "--p", "3", "--box", "0"],
         ["mu", "--n", "2", "--p", "3", "--box", "0"],
         ["weak-order", "--n", "2", "--p", "3", "--index-bound", "0"],
+        ["good-sup", "--n", "4", "--p", "3", "--box", "-10"],
+        ["reduction", "--n", "4", "--p", "3", "--box", "-10"],
+        ["mu", "--n", "4", "--p", "3", "--box", "-10"],
     ],
 )
 def test_verify_empty_window_fails(capsys, argv):
@@ -140,6 +149,7 @@ def test_verify_empty_window_fails(capsys, argv):
     assert code == 1
     assert "cases=0 failures=1 FAIL" in out
     assert "first failure: empty window" in out
+    assert "sampled" not in out  # a negative box is an empty window, not a sample
     assert out.endswith("verify: FAIL\n")
 
 
@@ -280,8 +290,7 @@ def test_cell_conjecture_caveat_is_a_structured_note(capsys):
     assert err == (
         "alcove-cells: note: p=5 is at most n+1=5: the prediction is conjecture-backed\n"
     )
-    golden = Path(__file__).parent / "golden" / "cell_n4_p5_weight_6_2_9_3.human"
-    assert out == golden.read_text(encoding="utf-8")
+    assert out == (GOLDEN / "cell_n4_p5_weight_6_2_9_3.human").read_text(encoding="utf-8")
 
 
 def test_theorem_backed_cell_prints_no_note(capsys):
@@ -300,3 +309,35 @@ def test_negative_weight_value_reaches_the_domain_check(capsys):
     code, out, err = run(capsys, ["cell", "--n", "2", "--p", "5", "--weight", "-1,2"])
     assert code == 2 and out == ""
     assert err == "alcove-cells: error: weight (-1, 2) is not dominant\n"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["cell", "--n", "2", "--p", "5", "--weight", "5,5"], "cell_n2_p5_weight_5_5"),
+        (
+            ["alcove", "--n", "2", "--p", "4", "--shifted", "-7/2,9/4"],
+            "alcove_n2_p4_shifted_nondominant",
+        ),
+    ],
+)
+def test_module_entry_point_matches_golden(argv, golden):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "alcove_cells.cli", *argv],
+        capture_output=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == (GOLDEN / f"{golden}.human").read_bytes()
+
+
+def test_runs_share_no_state_through_the_cached_parser(capsys):
+    argv = ["verify", "good-sup", "--n", "2", "--p", "3"]
+    assert run(capsys, [*argv, "--box", "4", "--seed", "3"])[0] == 0
+    after = run(capsys, argv)
+    assert after[0] == 0 and after[1].startswith("good-sup n=2 p=3 box=6: ")
+    build_parser.cache_clear()
+    assert run(capsys, argv) == after

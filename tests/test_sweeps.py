@@ -44,7 +44,7 @@ def test_sweep_result_counts_every_failure():
     assert r.summary() == "demo: cases=0 failures=50 FAIL"
 
 
-@pytest.mark.parametrize("sweep", [reduction_sweep, mu_sweep])
+@pytest.mark.parametrize("sweep", [good_sup_sweep, reduction_sweep, mu_sweep])
 def test_sampled_report_only_when_points_are_dropped(sweep):
     whole = sweep(3, 3, box=4, sample=10**6)
     assert not any(line.startswith("sampled") for line in whole.reports)
