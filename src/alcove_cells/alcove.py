@@ -161,11 +161,16 @@ def _code_families(rank: int, allowed: Sequence[range]) -> Iterator[tuple[int, .
 
 @dataclass(frozen=True)
 class Alcove:
-    """An open alcove, recorded by its index family in canonical root order."""
+    """An open alcove, recorded by its index family in canonical root order.
+
+    _codes holds its windows on the doubled scale of _realizable, as
+    Facette._codes does, so closures read either without conversion.
+    """
 
     rank: int
     p: int
     indices: tuple[int, ...]
+    _codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_p(self.p)
@@ -178,8 +183,10 @@ class Alcove:
             raise PreconditionError(
                 f"expected {count} indices for rank {self.rank}, got {len(idx)}"
             )
-        if not _realizable(self.rank, tuple(2 * v - 1 for v in idx)):
+        codes = tuple(2 * v - 1 for v in idx)
+        if not _realizable(self.rank, codes):
             raise PreconditionError(f"index family {idx} cuts out an empty region")
+        object.__setattr__(self, "_codes", codes)
 
     def is_dominant(self) -> bool:
         return all(v >= 1 for v in self.indices)
@@ -257,7 +264,7 @@ def facette_of(pt: ShiftedPoint, p: int) -> Facette:
     return Facette(pt.rank, p, tuple(data))
 
 
-def _match_point(f: Facette, pt: ShiftedPoint) -> None:
+def _match_point(f: Union[Facette, Alcove], pt: ShiftedPoint) -> None:
     if pt.rank != f.rank:
         raise PreconditionError(f"rank mismatch: point {pt.rank}, facette {f.rank}")
 
@@ -270,7 +277,6 @@ def lower_closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
     adjoined and the upper one is not.  On the doubled scale a datum with
     code c is the point or open window centred on c * p / 2.
     """
-    f = _as_facette(f)
     _match_point(f, pt)
     step = pt.denominator * f.p
     for v, c in zip(pt.pairing_numerators(), f._codes):
@@ -285,7 +291,6 @@ def lower_closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
 
 def closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
     """Membership of pt in the topological closure of f."""
-    f = _as_facette(f)
     _match_point(f, pt)
     step = pt.denominator * f.p
     for v, c in zip(pt.pairing_numerators(), f._codes):

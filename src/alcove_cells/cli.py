@@ -21,11 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import sys
 import warnings
 from fractions import Fraction as Q
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .alcove import (
@@ -105,8 +105,41 @@ def _fmt_roots(roots) -> str:
     return " ".join(_fmt_root(r) for r in sorted(roots)) or "-"
 
 
+def _json_text(v, pad: str = "\n") -> str:
+    """v exactly as json.dumps(v, indent=2) writes it, nested at the indent pad.
+
+    json.dumps falls back to its pure-Python encoder whenever it indents;
+    this writer keeps only the cases a document of the CLI holds: dicts
+    with str keys, lists, str (through the encoder's ASCII escaper), int,
+    True, False and None.
+    """
+    kind = type(v)
+    if kind is str:
+        return encode_basestring_ascii(v)
+    if kind is int:
+        return str(v)
+    if kind is list:
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in v]) + pad + "]"
+    if kind is dict:
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json_text(x, inner) for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    raise TypeError(f"no JSON form for {kind.__name__} {v!r}")
+
+
 def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2))
+    print(_json_text(doc))
 
 
 def _csv_writer():

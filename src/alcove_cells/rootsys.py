@@ -132,7 +132,9 @@ class ShiftedPoint:
         return self._pairs
 
     def is_regular_dominant(self) -> bool:
-        return all(c > 0 for c in self.coords)
+        """Every coordinate positive: the prefix numerators strictly increase."""
+        num = self._num
+        return all(a < b for a, b in zip(num, num[1:]))
 
     def is_integral(self) -> bool:
         return self._den == 1

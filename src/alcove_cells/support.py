@@ -27,6 +27,7 @@ from .alcove import (
     _code_families,
     alcove_of,
     facette_of,
+    lower_closure_contains,
     weak_leq,
 )
 from .cells import (
@@ -145,13 +146,20 @@ def weight_cell_of(pt: ShiftedPoint, p: int) -> Partition:
     return transpose(s_partition(pt, p))
 
 
-def construct_mu(pt: ShiftedPoint, good: Iterable[RootA], p: int) -> ShiftedPoint:
-    """An exact rational point whose walls carry a good basis' system.
+def construct_mu(
+    pt: ShiftedPoint, lam: Alcove, good: Iterable[RootA]
+) -> tuple[ShiftedPoint, Alcove]:
+    """An exact rational point whose walls carry a good basis' system, with its alcove.
 
-    Given a good basis inside gamma(pt, p), produces mu with pairing
-    divisible by p on every root of the generated system, with mu's
-    alcove weakly below pt's, and mu regular dominant.  All three
-    properties are machine-checked on every call.
+    Takes pt with its alcove lam at the level p = lam.p, as the caller
+    located it once for every basis, and a good basis inside gamma(pt, p).
+    Produces mu with pairing divisible by p on every root of the generated
+    system, with mu's alcove weakly below lam, and mu regular dominant, and
+    returns mu with that alcove, so the caller need not locate mu again.
+    The inputs and all three properties are machine-checked on every call:
+    lam must hold pt in its lower closure, i.e. be pt's alcove (an integer
+    loop), and the basis must lie inside gamma, read off lam's indices, since
+    alpha is in gamma iff its index floor(<pt, alpha> / p) + 1 is at least 2.
 
     Starting from the coordinates 1/n, the roots (i, j) are taken in
     decreasing left end (a good basis has distinct left ends, and its right
@@ -172,13 +180,17 @@ def construct_mu(pt: ShiftedPoint, good: Iterable[RootA], p: int) -> ShiftedPoin
     numerator // 2(i - 1), is exact and a multiple of M / 2(i - 1), the M
     of the next root.  No Fraction is built before mu's coordinates a / D.
     """
-    check_p(p)
+    if not lower_closure_contains(lam, pt):
+        raise PreconditionError(f"alcove {lam.indices} is not the alcove of {pt.coords}")
     basis = frozenset(good)
     if not is_good_basis(basis):
         raise PreconditionError(f"{sorted(basis)} is not a good basis")
-    if not basis <= gamma(pt, p):
+    if not pt.is_regular_dominant():
+        raise PreconditionError(f"construct_mu needs a regular dominant point, got {pt.coords}")
+    p, n = lam.p, pt.rank
+    pos_of = root_position(n)
+    if any(r not in pos_of or lam.indices[pos_of[r]] < 2 for r in basis):
         raise PreconditionError(f"{sorted(basis)} does not lie inside gamma")
-    n = pt.rank
     roots = sorted(basis, reverse=True)
     den = n
     for i, _ in roots:
@@ -196,7 +208,6 @@ def construct_mu(pt: ShiftedPoint, good: Iterable[RootA], p: int) -> ShiftedPoin
     mu = ShiftedPoint(tuple(Q(v, den) for v in a))
     step = mu.denominator * p
     pairs = mu.pairing_numerators()
-    pos_of = root_position(n)
     for beta in positive_roots_of(basis):
         if pairs[pos_of[beta]] % step:
             raise InvariantViolationError(
@@ -204,9 +215,10 @@ def construct_mu(pt: ShiftedPoint, good: Iterable[RootA], p: int) -> ShiftedPoin
             )
     if not mu.is_regular_dominant():
         raise InvariantViolationError(f"constructed point {mu.coords} left the chamber")
-    if not weak_leq(alcove_of(mu, p), alcove_of(pt, p)):
+    mu_alcove = alcove_of(mu, p)
+    if not weak_leq(mu_alcove, lam):
         raise InvariantViolationError("constructed point's alcove is not weakly below")
-    return mu
+    return mu, mu_alcove
 
 
 def facette_lattice_point(f: Facette) -> Optional[ShiftedPoint]:
@@ -228,13 +240,16 @@ def facette_lattice_point(f: Facette) -> Optional[ShiftedPoint]:
 def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
     """The per-good-basis certificate chain for the tilting upper bound.
 
-    Requires p >= n+1.  Every leg is machine-checked: construct_mu checks
-    that p divides the constructed point's pairing on every root of the
-    basis' system (so its stabilizer system contains that system) and
-    that its alcove is weakly below; here its facette must contain an
-    integral point whose d-partition dominates the basis partition, and
-    the supremum of basis partitions must equal the all-bases oracle's s,
-    which checks at this point that good bases suffice.
+    Requires p >= n+1.  gamma is computed once, for the basis enumeration,
+    pt's alcove once, for every leg, and each leg keeps the alcove
+    construct_mu located for its mu.  Every leg is machine-checked: construct_mu checks that the
+    basis is good and inside gamma, that p divides the constructed point's
+    pairing on every root of the basis' system (so its stabilizer system
+    contains that system), that mu is regular dominant and that its alcove
+    is weakly below; here its facette must contain an integral point whose
+    d-partition dominates the basis partition, and the supremum of basis
+    partitions must equal the all-bases oracle's s, which checks at this
+    point that good bases suffice.
     """
     check_p(p)
     _require_integral_dominant(pt, regular=True)
@@ -247,7 +262,7 @@ def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
     legs = []
     pis = []
     for basis in enumerate_good_bases(gamma(pt, p)):
-        mu = construct_mu(pt, basis, p)
+        mu, mu_alcove = construct_mu(pt, lam_alcove, basis)
         f = facette_of(mu, p)
         mu_prime = facette_lattice_point(f)
         if mu_prime is None:
@@ -268,7 +283,7 @@ def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
                 mu=mu,
                 mu_prime=mu_prime,
                 d_mu_prime=d_mu,
-                mu_alcove=alcove_of(mu, p),
+                mu_alcove=mu_alcove,
                 lambda_alcove=lam_alcove,
             )
         )

@@ -384,10 +384,11 @@ def mu_sweep(
     res = SweepResult(f"mu n={n} p={p} box={hi}")
     pts = _window_points(res, n, hi, sample, seed)
     for pt in pts:
+        lam = alcove_of(pt, p)
         for basis in enumerate_good_bases(gamma(pt, p)):
             res.cases += 1
             try:
-                construct_mu(pt, basis, p)
+                construct_mu(pt, lam, basis)
             except (PreconditionError, InvariantViolationError) as exc:
                 res.fail(f"mu failed at {pt.coords} basis {sorted(basis)}: {exc}")
     return res

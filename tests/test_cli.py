@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alcove_cells import sweeps
-from alcove_cells.cli import build_parser, main
+from alcove_cells.cli import _json_text, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -341,3 +343,38 @@ def test_runs_share_no_state_through_the_cached_parser(capsys):
     assert after[0] == 0 and after[1].startswith("good-sup n=2 p=3 box=6: ")
     build_parser.cache_clear()
     assert run(capsys, argv) == after
+
+
+# -- the JSON writer against json.dumps(indent=2) ----------------------------
+
+TRICKY = ['"', "\\", "\x00", "\x1f", "\x7f", "\n\t", "\u00e9", "\u2028", "\U0001f600", "a\"b\\c"]
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.text()
+    | st.sampled_from(TRICKY)
+)
+json_keys = st.text() | st.sampled_from(TRICKY)
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_keys, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=json_docs)
+@example(doc={})
+@example(doc=[])
+@example(doc={"a": [], "b": {}, "c": [[], {}], "d": [True, False, None, -1, 10**30]})
+@example(doc={"\U0001f600\"\\\x01": ["\u00e9\U0001f600", "\x1f"]})
+def test_json_writer_matches_json_dumps_byte_for_byte(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_refuses_values_no_cli_document_holds():
+    for value in (1.5, (1, 2), {1: "a"}):
+        with pytest.raises(TypeError):
+            _json_text(value)

@@ -32,7 +32,7 @@ from fractions import Fraction as Q
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alcove_cells.alcove import (
@@ -238,15 +238,23 @@ def test_closures_match_fraction_formulas(data, p):
     f = facette_of(ShiftedPoint(tuple(near)), p)
     assert closure_contains(f, pt) == _in_closure_by_fractions(f.data, pt, p, lower=False)
     assert lower_closure_contains(f, pt) == _in_closure_by_fractions(f.data, pt, p, lower=True)
+    a = alcove_of(ShiftedPoint(tuple(near)), p)
+    windows = tuple(Between(v) for v in a.indices)
+    assert closure_contains(a, pt) == _in_closure_by_fractions(windows, pt, p, lower=False)
+    assert lower_closure_contains(a, pt) == _in_closure_by_fractions(windows, pt, p, lower=True)
 
 
 @given(pt=points)
+@example(pt=ShiftedPoint((Q(1, 2), Q(2, 3), Q(5, 12))))
+@example(pt=ShiftedPoint((Q(1, 3), Q(0), Q(7, 4))))
+@example(pt=ShiftedPoint((Q(5, 6), Q(-1, 4), Q(2))))
 def test_pairings_keep_their_fraction_values(pt):
     prefix = [sum(pt.coords[:k], Q(0)) for k in range(pt.rank + 1)]
     for r in positive_roots(pt.rank):
         assert pt.pairing(r) == prefix[r.j - 1] - prefix[r.i - 1]
     assert pt.e_coords() == tuple(prefix[-1] - v for v in prefix)
     assert pt.is_integral() == all(c.denominator == 1 for c in pt.coords)
+    assert pt.is_regular_dominant() == all(c > 0 for c in pt.coords)
 
 
 # -- stabilizers: class permutations against the Fraction closure ---------
@@ -941,7 +949,8 @@ def _mu_by_fraction_recursion(pt, basis, p):
 def _assert_mu_matches_the_recursion(pt, p, bases):
     for basis in bases:
         want = _mu_by_fraction_recursion(pt, basis, p)
-        assert construct_mu(pt, basis, p).coords == want, (pt.coords, sorted(basis))
+        mu, _ = construct_mu(pt, alcove_of(pt, p), basis)
+        assert mu.coords == want, (pt.coords, sorted(basis))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

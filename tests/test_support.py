@@ -22,28 +22,34 @@ from alcove_cells.support import (
 )
 
 
+def _mu(pt, basis, p):
+    mu, mu_alcove = construct_mu(pt, alcove_of(pt, p), basis)
+    assert mu_alcove == alcove_of(mu, p)
+    return mu
+
+
 def test_construct_mu_single_long_root():
-    mu = construct_mu(shifted_point([6, 6]), {RootA(1, 3)}, 5)
+    mu = _mu(shifted_point([6, 6]), {RootA(1, 3)}, 5)
     assert mu.coords == (Q(9, 2), Q(1, 2))
     assert alcove_of(mu, 5).indices == (1, 2, 1)
     assert weak_leq(alcove_of(mu, 5), alcove_of(shifted_point([6, 6]), 5))
 
 
 def test_construct_mu_empty_basis():
-    mu = construct_mu(shifted_point([6, 6]), frozenset(), 5)
+    mu = _mu(shifted_point([6, 6]), frozenset(), 5)
     assert mu.coords == (Q(1, 2), Q(1, 2))
     assert alcove_of(mu, 5) == bottom_alcove(2, 5)
 
 
 def test_construct_mu_two_simple_roots():
     pt = shifted_point([6, 6])
-    mu = construct_mu(pt, {RootA(1, 2), RootA(2, 3)}, 5)
+    mu = _mu(pt, {RootA(1, 2), RootA(2, 3)}, 5)
     assert mu.coords == (Q(5), Q(5))
     assert mu.pairing(RootA(1, 3)) == 10
 
 
 def test_construct_mu_single_simple_root():
-    mu = construct_mu(shifted_point([6, 6]), {RootA(1, 2)}, 5)
+    mu = _mu(shifted_point([6, 6]), {RootA(1, 2)}, 5)
     assert mu.coords == (Q(5), Q(1, 2))
 
 
@@ -51,7 +57,7 @@ def test_construct_mu_walls_divisible_and_dominant():
     pt = shifted_point([8, 3, 6])
     p = 5
     for basis in enumerate_good_bases(gamma(pt, p)):
-        mu = construct_mu(pt, basis, p)
+        mu = _mu(pt, basis, p)
         assert mu.is_regular_dominant()
         for r in positive_roots_of(basis):
             assert mu.pairing(r) % p == 0
@@ -60,12 +66,47 @@ def test_construct_mu_walls_divisible_and_dominant():
 
 def test_construct_mu_requires_membership():
     with pytest.raises(PreconditionError):
-        construct_mu(shifted_point([2, 2]), {RootA(1, 2)}, 5)
+        _mu(shifted_point([2, 2]), {RootA(1, 2)}, 5)
 
 
 def test_construct_mu_requires_good_basis():
     with pytest.raises(PreconditionError):
-        construct_mu(shifted_point([20, 2, 2, 2, 2]), {RootA(1, 4), RootA(2, 3)}, 3)
+        _mu(shifted_point([20, 2, 2, 2, 2]), {RootA(1, 4), RootA(2, 3)}, 3)
+
+
+def test_construct_mu_rejects_the_alcove_of_another_point():
+    # (1,3) lies in gamma of (6,6) but not of (2,2) at p = 5, and the empty
+    # basis passes every later check: only the alcove check can refuse them
+    pt, other = shifted_point([2, 2]), shifted_point([6, 6])
+    for basis in ({RootA(1, 3)}, frozenset()):
+        with pytest.raises(PreconditionError, match="is not the alcove of"):
+            construct_mu(pt, alcove_of(other, 5), basis)
+    with pytest.raises(PreconditionError, match="rank mismatch"):
+        construct_mu(pt, alcove_of(shifted_point([2, 2, 2]), 5), frozenset())
+
+
+def test_certificate_locates_lambda_once_and_each_mu_once(monkeypatch):
+    calls = {"gamma": 0, "alcove_of": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for mod in (cells, support):
+        for name in calls:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    cert = upper_bound_certificate(point_from_weight((9, 9, 9, 9)), 5)
+    assert len(cert.legs) == 42
+    # one gamma for the legs and one inside s_partition_oracle; one alcove
+    # for lambda and one per mu
+    assert calls["gamma"] <= 2
+    assert calls["alcove_of"] == len(cert.legs) + 1
+    for leg in cert.legs:
+        assert leg.mu_alcove == alcove_of(leg.mu, 5)
 
 
 def test_facette_lattice_point_known():
@@ -203,4 +244,4 @@ def test_randomized_mu_postconditions_rank4():
     for _ in range(40):
         pt = shifted_point([rng.randint(1, 2 * p) for _ in range(4)])
         for basis in enumerate_good_bases(gamma(pt, p)):
-            construct_mu(pt, basis, p)
+            _mu(pt, basis, p)
