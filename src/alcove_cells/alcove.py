@@ -234,10 +234,6 @@ def facette_from_alcove(a: Alcove) -> Facette:
     return Facette(a.rank, a.p, tuple(Between(v) for v in a.indices))
 
 
-def _as_facette(f: Union[Facette, Alcove]) -> Facette:
-    return facette_from_alcove(f) if isinstance(f, Alcove) else f
-
-
 def bottom_alcove(rank: int, p: int) -> Alcove:
     return Alcove(rank, p, (1,) * (rank * (rank + 1) // 2))
 
@@ -300,7 +296,7 @@ def closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
 
 
 @lru_cache(maxsize=None)
-def interior_point(f: Facette) -> ShiftedPoint:
+def interior_point(f: Union[Facette, Alcove]) -> ShiftedPoint:
     """A deterministic exact rational point inside f.
 
     With e_1 = 0, each later eps coordinate e_k is the midpoint of the
@@ -491,7 +487,6 @@ def lower_closure_contains_via_stabilizer(
     the prefix sums over nodes i < k, for k = 1..n, and the cone test asks
     each to be nonnegative.
     """
-    f = _as_facette(f)
     _match_point(f, pt)
     if not closure_contains(f, pt):
         raise PreconditionError("point lies outside the closure of the facette")

@@ -14,7 +14,6 @@ lowering the eventual supremum, mirroring how the two routes agree.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .alcove import _node_classes
@@ -172,14 +171,6 @@ def s_partition_oracle(pt: ShiftedPoint, p: int) -> Partition:
     )
 
 
-def comparable_pairs(basis: Iterable[RootA]) -> int:
-    """Number of unordered comparable pairs; zero exactly for good bases."""
-    rs = tuple(basis)
-    return sum(
-        1 for a, b in combinations(rs, 2) if root_leq(a, b) or root_leq(b, a)
-    )
-
-
 def comparable_pairs_of(basis: Iterable[RootA]) -> list[tuple[RootA, RootA]]:
     """Comparable pairs (containing root, contained root), in canonical order."""
     rs = sorted(basis)
@@ -226,12 +217,12 @@ def reduce_step(
     deleted = frozenset(
         r for r in b0 if not (r.i in dropped_nodes and r.j in dropped_nodes)
     )
-    before = comparable_pairs(b0)
+    before = len(comparable_pairs_of(b0))
     closure_bound = upward_closure(positive_roots_of(b0), n)
     for out in (swapped, deleted):
         if chain_components(tuple(out)) is None:
             raise InvariantViolationError(f"reduction produced a non-basis {sorted(out)}")
-        if comparable_pairs(out) >= before:
+        if len(comparable_pairs_of(out)) >= before:
             raise InvariantViolationError("reduction did not lower the bad-pair count")
         if not positive_roots_of(out) <= closure_bound:
             raise InvariantViolationError("reduction escaped the upward closure")

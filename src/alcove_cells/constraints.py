@@ -1,12 +1,17 @@
 """Exact feasibility for systems of weak and strict difference constraints.
 
 Constraints have the form x_i - x_j <= c or x_i - x_j < c with rational
-(usually integer) bounds.  Bounds are tightened to their path closure by
-Floyd-Warshall over pairs (value, strict) ordered lexicographically, with
-strictness accumulating along paths.  The system is infeasible exactly when
-some diagonal entry closes below (0, weak).  After closure, assigning the
-variables one by one to the midpoint of their remaining interval always
-succeeds, which yields an exact rational witness.
+(usually integer) bounds.  With D the common denominator of the bounds
+and K = size + 1, a bound is one integer: K*D*c when weak, K*D*c - 1 when
+strict.  Floyd-Warshall with + and min closes them to the global shortest
+paths (Dechter, Meiri and Pearl, "Temporal constraint networks", 1991), so
+a closed entry is K*D*v - s for a path of value v with s strict steps.  A
+simple path or cycle has at most size steps, so s < K: integer order is
+the order of (value, strictness), a closed bound B has the value
+ceil(B / K) / D and is strict iff K does not divide B, and the system is
+infeasible exactly when some diagonal entry closes below 0.  After
+closure, assigning the variables one by one to the midpoint of their
+remaining interval always succeeds, which yields an exact rational witness.
 
 Every constraint functional in this package is a difference of eps
 coordinates, so each region cut out by facette data, optionally
@@ -20,53 +25,48 @@ them with this solver as their oracle.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .alcove import Datum, Wall
 from .rootsys import positive_roots
 
 Rational = Union[int, Q]
-# A bound is (value, strict): x_i - x_j < value when strict, <= value when not.
-Bound = tuple[Rational, bool]
-
-
-def _tighter(a: Optional[Bound], b: Optional[Bound]) -> Optional[Bound]:
-    """The stronger of two upper bounds; None means unbounded."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a[0] != b[0]:
-        return a if a[0] < b[0] else b
-    return a if a[1] else b
-
-
-def _add(a: Optional[Bound], b: Optional[Bound]) -> Optional[Bound]:
-    if a is None or b is None:
-        return None
-    return (a[0] + b[0], a[1] or b[1])
 
 
 class DifferenceSystem:
-    """A mutable system of difference constraints over `size` variables."""
+    """A mutable system of difference constraints over `size` variables.
+
+    _bound[i][j] codes the bound on x_i - x_j with D = _den (None: unbounded).
+    """
 
     def __init__(self, size: int):
         if size < 1:
             raise ValueError("need at least one variable")
         self.size = size
-        self._bound: list[list[Optional[Bound]]] = [
-            [None] * size for _ in range(size)
-        ]
+        self._den = 1
+        self._bound: list[list[Optional[int]]] = [[None] * size for _ in range(size)]
         for k in range(size):
-            self._bound[k][k] = (0, False)
+            self._bound[k][k] = 0
         self._closed = False
 
     def add_upper(self, i: int, j: int, value: Rational, strict: bool) -> None:
         """Impose x_i - x_j <= value (or < value when strict)."""
+        num, den = value.as_integer_ratio()
+        unit = self.size + 1
+        if self._den % den:
+            # A new denominator: re-code every bound as (value, strict) on it.
+            grow = den // gcd(self._den, den)
+            self._den *= grow
+            self._bound = [
+                [None if b is None else -(-b // unit) * grow * unit - (b % unit != 0) for b in row]
+                for row in self._bound
+            ]
+            self._closed = False
+        code = unit * num * (self._den // den) - strict
         cur = self._bound[i][j]
-        new = _tighter(cur, (value, strict))
-        if new != cur:
-            self._bound[i][j] = new
+        if cur is None or code < cur:
+            self._bound[i][j] = code
             self._closed = False
 
     def add_window(
@@ -85,66 +85,65 @@ class DifferenceSystem:
         if self._closed:
             return
         w = self._bound
-        m = self.size
-        for k in range(m):
-            row_k = w[k]
-            for a in range(m):
-                w_ak = w[a][k]
+        for k, row_k in enumerate(w):
+            reach = [(b, c) for b, c in enumerate(row_k) if c is not None]
+            for row_a in w:
+                w_ak = row_a[k]
                 if w_ak is None:
                     continue
-                row_a = w[a]
-                for b in range(m):
-                    via = _add(w_ak, row_k[b])
-                    if via is not None:
-                        row_a[b] = _tighter(row_a[b], via)
+                for b, c in reach:
+                    via = w_ak + c
+                    cur = row_a[b]
+                    if cur is None or via < cur:
+                        row_a[b] = via
         self._closed = True
 
     def feasible(self) -> bool:
         self._close()
-        for k in range(self.size):
-            v, strict = self._bound[k][k]  # never None
-            if v < 0 or (v == 0 and strict):
-                return False
-        return True
+        return all(self._bound[k][k] >= 0 for k in range(self.size))
 
     def witness(self) -> Optional[list[Q]]:
         """An exact rational solution, or None when infeasible.
 
         Deterministic: variables are fixed in index order, each to the
         midpoint of the interval allowed by the already fixed ones (the
-        path closure guarantees that interval is nonempty).
+        path closure guarantees that interval is nonempty).  x_k is an
+        integer over one = D * 2^(size - 1); the interval's ends are coded
+        K * x + strict (lower) and K * x - strict (upper), so lo <= hi.
         """
         if not self.feasible():
             return None
-        vals: list[Q] = []
+        unit = self.size + 1
+        scale = 1 << (self.size - 1)
+        one = self._den * scale
+        vals: list[int] = []
         for k in range(self.size):
-            lo: Optional[Bound] = None  # lower bound as (value, strict)
-            hi: Optional[Bound] = None
+            lo: Optional[int] = None
+            hi: Optional[int] = None
             for m, xm in enumerate(vals):
-                b_mk = self._bound[m][k]
-                if b_mk is not None:  # x_m - x_k <= c  =>  x_k >= x_m - c
-                    cand = (xm - b_mk[0], b_mk[1])
-                    if lo is None or cand[0] > lo[0] or (cand[0] == lo[0] and cand[1]):
+                b = self._bound[m][k]
+                if b is not None:  # x_m - x_k <= c  =>  x_k >= x_m - c
+                    c = -(-b // unit)
+                    cand = unit * (xm - c * scale) + (b != c * unit)
+                    if lo is None or cand > lo:
                         lo = cand
-                b_km = self._bound[k][m]
-                if b_km is not None:  # x_k <= x_m + c
-                    cand = (xm + b_km[0], b_km[1])
-                    if hi is None or cand[0] < hi[0] or (cand[0] == hi[0] and cand[1]):
+                b = self._bound[k][m]
+                if b is not None:  # x_k <= x_m + c
+                    c = -(-b // unit)
+                    cand = unit * (xm + c * scale) - (b != c * unit)
+                    if hi is None or cand < hi:
                         hi = cand
             if lo is None and hi is None:
-                x = Q(0)
+                x = 0
             elif lo is None:
-                x = Q(hi[0]) - 1
+                x = -(-hi // unit) - one
             elif hi is None:
-                x = Q(lo[0]) + 1
-            elif lo[0] == hi[0]:
-                assert not (lo[1] or hi[1]), "closure left an empty interval"
-                x = Q(lo[0])
+                x = lo // unit + one
             else:
-                assert lo[0] < hi[0], "closure left an empty interval"
-                x = (Q(lo[0]) + Q(hi[0])) / 2
+                assert lo <= hi, "closure left an empty interval"
+                x = (lo // unit - (-hi // unit)) // 2
             vals.append(x)
-        return vals
+        return [Q(x, one) for x in vals]
 
 
 def _base_system(rank: int, p: int, data: Sequence[Datum]) -> DifferenceSystem:

@@ -272,6 +272,7 @@ def test_raise_step_matches_geometric_reflection():
             except PreconditionError:
                 continue
             pt = interior_point(facette_from_alcove(a))
+            assert interior_point(a) == pt
             for pos, beta in enumerate(roots):
                 refl = AffineMap.reflection(n, beta, Q(a.indices[pos] * p))
                 image = alcove_of(refl.apply(pt), p)
