@@ -14,12 +14,14 @@ that touch one root, it decides the walls; run root by root, it enumerates
 the families within given code ranges; and as it leaves the difference
 bounds closed, an interior point is a midpoint of a facette's own bounds.
 Point location, closures and stabilizer root systems compare the point's
-integer pairing numerators with multiples of p.  The stabilizer route to
-lower closures runs on ints too: around a point, its stabilizer permutes
-the eps coordinates within the classes of equal prefix numerators mod p,
-so the group is enumerated as a product of symmetric groups instead of
-being closed under composition.  AffineMap, the Fraction closure of
-stabilizer_group and the solver of the constraints module are oracles.
+integer pairing numerators with multiples of p; a located family is
+realizable by construction, so alcove_of and facette_of skip the check.
+The stabilizer route to lower closures runs on ints too: around a point,
+its stabilizer permutes the eps coordinates within the classes of equal
+prefix numerators mod p, so the group is enumerated as a product of
+symmetric groups instead of being closed under composition.  AffineMap,
+the Fraction closure of stabilizer_group and the solver of the
+constraints module are oracles.
 
 Points are always carried rho-shifted, so the affine Weyl group action
 implemented by AffineMap is the dot action written plainly.
@@ -196,13 +198,16 @@ class Alcove:
 class Facette:
     """A facette: per root either a wall equality or an open window.
 
-    _codes holds the data on the doubled scale of _realizable.
+    _codes holds the data on the doubled scale of _realizable.  Equality and
+    hash read (rank, p, _codes): codes and data are in bijection (2m is
+    Wall(m), 2m - 1 is Between(m)), so this is equality of data, decided on
+    ints, and a wall never equals the window of the same index.
     """
 
     rank: int
     p: int
-    data: tuple[Datum, ...]
-    _codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    data: tuple[Datum, ...] = field(compare=False)
+    _codes: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_p(self.p)
@@ -238,6 +243,19 @@ def bottom_alcove(rank: int, p: int) -> Alcove:
     return Alcove(rank, p, (1,) * (rank * (rank + 1) // 2))
 
 
+def _located(cls, rank: int, p: int, family: tuple, codes: tuple):
+    """The Alcove or Facette of a point, built without the public checks.
+
+    alcove_of and facette_of read family and codes off the point's pairing
+    numerators, one int datum per root, and the family of a point is
+    realizable, so the checks of __post_init__ could not fail.  Both classes
+    declare their fields as (rank, p, family, _codes).
+    """
+    obj = object.__new__(cls)
+    vars(obj).update(zip(cls.__dataclass_fields__, (rank, p, family, codes)))
+    return obj
+
+
 def alcove_of(pt: ShiftedPoint, p: int) -> Alcove:
     """The unique alcove whose lower closure contains pt.
 
@@ -246,7 +264,8 @@ def alcove_of(pt: ShiftedPoint, p: int) -> Alcove:
     """
     check_p(p)
     step = pt.denominator * p
-    return Alcove(pt.rank, p, tuple(v // step + 1 for v in pt.pairing_numerators()))
+    indices = tuple(v // step + 1 for v in pt.pairing_numerators())
+    return _located(Alcove, pt.rank, p, indices, tuple(2 * v - 1 for v in indices))
 
 
 def facette_of(pt: ShiftedPoint, p: int) -> Facette:
@@ -254,10 +273,16 @@ def facette_of(pt: ShiftedPoint, p: int) -> Facette:
     check_p(p)
     step = pt.denominator * p
     data: list[Datum] = []
+    codes: list[int] = []
     for v in pt.pairing_numerators():
         q, rest = divmod(v, step)
-        data.append(Between(q + 1) if rest else Wall(q))
-    return Facette(pt.rank, p, tuple(data))
+        if rest:
+            data.append(Between(q + 1))
+            codes.append(2 * q + 1)
+        else:
+            data.append(Wall(q))
+            codes.append(2 * q)
+    return _located(Facette, pt.rank, p, tuple(data), tuple(codes))
 
 
 def _match_point(f: Union[Facette, Alcove], pt: ShiftedPoint) -> None:

@@ -122,7 +122,8 @@ def _json_text(v, pad: str = "\n") -> str:
         if not v:
             return "[]"
         inner = pad + "  "
-        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in v]) + pad + "]"
+        items = [str(x) if type(x) is int else _json_text(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is dict:
         if not v:
             return "{}"

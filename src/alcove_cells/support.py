@@ -35,7 +35,6 @@ from .cells import (
     enumerate_good_bases,
     gamma,
     is_good_basis,
-    positive_roots_of,
     s_partition,
     s_partition_oracle,
 )
@@ -179,6 +178,13 @@ def construct_mu(
     w_k p D minus a sum of numerators.  Hence the flat value, the least
     numerator // 2(i - 1), is exact and a multiple of M / 2(i - 1), the M
     of the next root.  No Fraction is built before mu's coordinates a / D.
+
+    Divisibility is checked on the basis roots alone, which is the same as
+    checking it on every root of their system: a good basis is a union of
+    chains (v_1, v_2), ..., (v_{m-1}, v_m), the system roots are the
+    (v_a, v_b) with a < b, each is the sum of the chain roots
+    (v_a, v_{a+1}), ..., (v_{b-1}, v_b), and the pairing is additive, so p
+    divides it when p divides each summand; the basis is part of the system.
     """
     if not lower_closure_contains(lam, pt):
         raise PreconditionError(f"alcove {lam.indices} is not the alcove of {pt.coords}")
@@ -208,7 +214,7 @@ def construct_mu(
     mu = ShiftedPoint(tuple(Q(v, den) for v in a))
     step = mu.denominator * p
     pairs = mu.pairing_numerators()
-    for beta in positive_roots_of(basis):
+    for beta in basis:
         if pairs[pos_of[beta]] % step:
             raise InvariantViolationError(
                 f"pairing at {tuple(beta)} is {mu.pairing(beta)}, not divisible by {p}"

@@ -11,6 +11,7 @@ from alcove_cells.alcove import (
     AffineMap,
     Alcove,
     Between,
+    Facette,
     Wall,
     _raise_step,
     alcove_of,
@@ -32,7 +33,7 @@ from alcove_cells.alcove import (
 )
 from alcove_cells.errors import PreconditionError, ResourceLimitError
 from alcove_cells.rootsys import RootA, positive_roots, shifted_point
-from alcove_cells.sweeps import dominant_alcoves
+from alcove_cells.sweeps import dominant_alcoves, facettes_meeting_box
 
 
 def _points(n, lo, hi):
@@ -76,9 +77,46 @@ def test_facette_rejects_empty_region():
         # (1,2) pinned to 0 while (1,3) demands pairing > 5 with (2,3) < 5
         Alcove(2, 5, (0, 2, 1))
     with pytest.raises(PreconditionError):
-        from alcove_cells.alcove import Facette
-
         Facette(2, 5, (Wall(0), Wall(2), Between(1)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Alcove(2, 5, (1, Q(2), 1)),  # a non-int index
+        lambda: Alcove(2, 5, (1, 2)),  # one index short
+        lambda: Facette(2, 5, (Between(1), Wall(Q(1)), Between(1))),  # a non-int index
+        lambda: Facette(2, 5, (Between(1), 1, Between(1))),  # not a datum
+        lambda: Facette(2, 5, (Between(1), Between(1))),  # one datum short
+    ],
+)
+def test_public_constructors_keep_their_checks(build):
+    # alcove_of and facette_of skip these checks, and the realizability one
+    # of the two tests above; the constructors must not
+    with pytest.raises(PreconditionError):
+        build()
+
+
+def test_facettes_are_equal_exactly_when_their_data_are():
+    fs = facettes_meeting_box(3, 3, 6)
+    assert len(fs) == 293
+    for f in fs:
+        for g in fs:
+            assert (f == g) == (f.data == g.data)
+            if f == g:
+                assert hash(f) == hash(g)
+    assert len(set(fs)) == len(fs)
+
+
+# all Wall(1) is empty beyond rank 1: (1,3) would pair to 2p, not p
+@pytest.mark.parametrize("rank, m", [(1, 0), (1, 1), (3, 0)])
+def test_a_wall_facette_differs_from_the_window_of_the_same_index(rank, m):
+    # codes compare 2m with 2m - 1: the facettes must not merge in a set
+    count = rank * (rank + 1) // 2
+    walls = Facette(rank, 5, (Wall(m),) * count)
+    windows = Facette(rank, 5, (Between(m),) * count)
+    assert walls != windows
+    assert len({walls, windows}) == 2
 
 
 def test_lower_closure_examples():
@@ -115,8 +153,6 @@ def test_stabilizer_route_requires_closure_membership():
 
 
 def test_interior_point_round_trip():
-    from alcove_cells.sweeps import facettes_meeting_box
-
     for f in facettes_meeting_box(2, 3, 6):
         pt = interior_point(f)
         assert facette_of(pt, f.p) == f

@@ -193,6 +193,15 @@ points = st.lists(rationals, min_size=1, max_size=4).map(lambda cs: ShiftedPoint
 levels = st.integers(min_value=1, max_value=7)
 
 
+@st.composite
+def points_on_walls(draw):
+    """(pt, p) with coordinates in (p/3)Z, so pt sits on many hyperplanes."""
+    p = draw(st.integers(min_value=1, max_value=4))
+    parts = st.tuples(st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3]))
+    coords = draw(st.lists(parts, min_size=1, max_size=4))
+    return ShiftedPoint(tuple(Q(k * p, d) for k, d in coords)), p
+
+
 def _facette_by_fractions(pt, p):
     data = []
     for r in positive_roots(pt.rank):
@@ -257,6 +266,39 @@ def test_pairings_keep_their_fraction_values(pt):
     assert pt.is_regular_dominant() == all(c > 0 for c in pt.coords)
 
 
+# -- located alcoves and facettes against the checked constructors ---------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_located_families_match_the_checked_constructors_on_integral_windows(n, p):
+    # the test below feeds the checked constructors the Fraction formulas on
+    # random points; here they take the located family itself
+    for pt in integral_points(n, 0, 2 * p):
+        a, f = alcove_of(pt, p), facette_of(pt, p)
+        for located, checked in ((a, Alcove(n, p, a.indices)), (f, Facette(n, p, f.data))):
+            assert located == checked and hash(located) == hash(checked)
+            assert vars(located) == vars(checked), (pt.coords, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(st.tuples(points, levels), points_on_walls()))
+@example(case=(ShiftedPoint((Q(5, 2), Q(5, 3), Q(5, 6), Q(-5, 1))), 5))
+def test_located_families_match_the_checked_constructors(case):
+    """alcove_of and facette_of, built without the public checks, against
+    the public constructors fed the Fraction formulas: equal, equally hashed,
+    and with the same fields (indices or data, and _codes)."""
+    pt, p = case
+    indices = tuple(int(pt.pairing(r) // p) + 1 for r in positive_roots(pt.rank))
+    pairs = [
+        (alcove_of(pt, p), Alcove(pt.rank, p, indices)),
+        (facette_of(pt, p), Facette(pt.rank, p, _facette_by_fractions(pt, p))),
+    ]
+    for located, checked in pairs:
+        assert located == checked and hash(located) == hash(checked)
+        assert vars(located) == vars(checked), (pt.coords, p)
+
+
 # -- stabilizers: class permutations against the Fraction closure ---------
 
 
@@ -284,15 +326,6 @@ def test_class_permutations_match_the_stabilizer_closure_on_a_box(rank):
         orders.add(len(group))
     # four prefix numerators among three residues mod 3 always share one
     assert orders == ({1, 2, 6} if rank == 2 else {2, 4, 6, 24})
-
-
-@st.composite
-def points_on_walls(draw):
-    """(pt, p) with coordinates in (p/3)Z, so pt sits on many hyperplanes."""
-    p = draw(st.integers(min_value=1, max_value=4))
-    parts = st.tuples(st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3]))
-    coords = draw(st.lists(parts, min_size=1, max_size=4))
-    return ShiftedPoint(tuple(Q(k * p, d) for k, d in coords)), p
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -8,7 +9,7 @@ from alcove_cells.cells import enumerate_good_bases, gamma, positive_roots_of
 from alcove_cells import cells, support
 from alcove_cells.errors import InvariantViolationError, PreconditionError
 from alcove_cells.partition import dominance_leq, partition
-from alcove_cells.rootsys import RootA, point_from_weight, shifted_point
+from alcove_cells.rootsys import RootA, ShiftedPoint, point_from_weight, shifted_point
 from alcove_cells.support import (
     CONJECTURE,
     THEOREM,
@@ -83,6 +84,27 @@ def test_construct_mu_rejects_the_alcove_of_another_point():
             construct_mu(pt, alcove_of(other, 5), basis)
     with pytest.raises(PreconditionError, match="rank mismatch"):
         construct_mu(pt, alcove_of(shifted_point([2, 2, 2]), 5), frozenset())
+
+
+def test_construct_mu_refuses_a_point_off_the_basis_walls(monkeypatch):
+    # mu's construction, nudged by 1/D at the left end of one basis root,
+    # leaves that root's pairing at kp + 1/D: the divisibility check must fire
+    pt, p = point_from_weight((9, 9, 9, 9)), 5
+    lam = alcove_of(pt, p)
+    bases = [b for b in enumerate_good_bases(gamma(pt, p)) if b]
+    assert len(bases) == 41
+    for basis in bases:
+        left = min(basis).i - 1
+
+        def nudged(coords, left=left):
+            den = math.lcm(*(c.denominator for c in coords))
+            moved = list(coords)
+            moved[left] += Q(1, den)
+            return ShiftedPoint(tuple(moved))
+
+        monkeypatch.setattr(support, "ShiftedPoint", nudged)
+        with pytest.raises(InvariantViolationError, match="not divisible"):
+            construct_mu(pt, lam, basis)
 
 
 def test_certificate_locates_lambda_once_and_each_mu_once(monkeypatch):
