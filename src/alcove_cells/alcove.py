@@ -14,8 +14,10 @@ that touch one root, it decides the walls; run root by root, it enumerates
 the families within given code ranges; and as it leaves the difference
 bounds closed, an interior point is a midpoint of a facette's own bounds.
 Point location, closures and stabilizer root systems compare the point's
-integer pairing numerators with multiples of p; a located family is
-realizable by construction, so alcove_of and facette_of skip the check.
+integer pairing numerators with multiples of p.  A facette stores only its
+codes and decodes its Wall/Between data on read; the families the library
+makes itself (a point's, a walked one, an alcove's) are located, skipping
+the checks they pass by construction.
 The stabilizer route to lower closures runs on ints too: around a point,
 its stabilizer permutes the eps coordinates within the classes of equal
 prefix numerators mod p, so the group is enumerated as a product of
@@ -194,65 +196,67 @@ class Alcove:
         return all(v >= 1 for v in self.indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Facette:
     """A facette: per root either a wall equality or an open window.
 
-    _codes holds the data on the doubled scale of _realizable.  Equality and
-    hash read (rank, p, _codes): codes and data are in bijection (2m is
-    Wall(m), 2m - 1 is Between(m)), so this is equality of data, decided on
-    ints, and a wall never equals the window of the same index.
+    Stored as _codes alone, on the doubled scale of _realizable (2m is
+    Wall(m), 2m - 1 is Between(m)); data decodes them on read.  Equality and
+    hash read (rank, p, _codes), equality of data decided on ints, so a wall
+    never equals the window of the same index.
     """
 
     rank: int
     p: int
-    data: tuple[Datum, ...] = field(compare=False)
-    _codes: tuple[int, ...] = field(init=False, repr=False)
+    _codes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        check_p(self.p)
-        count = len(positive_roots(self.rank))
-        if len(self.data) != count:
+    def __init__(self, rank: int, p: int, data: Sequence[Datum]) -> None:
+        check_p(p)
+        count = len(positive_roots(rank))
+        if len(data) != count:
             raise PreconditionError(
-                f"expected {count} per-root data for rank {self.rank}, got {len(self.data)}"
+                f"expected {count} per-root data for rank {rank}, got {len(data)}"
             )
-        for d in self.data:
+        for d in data:
             if not isinstance(d, (Wall, Between)) or not isinstance(d.index, int):
                 raise PreconditionError(f"bad facette datum {d!r}")
-        codes = tuple(2 * d.index - isinstance(d, Between) for d in self.data)
-        if not _realizable(self.rank, codes):
-            raise PreconditionError(f"facette data {self.data} cut out an empty region")
-        object.__setattr__(self, "_codes", codes)
+        codes = tuple(2 * d.index - isinstance(d, Between) for d in data)
+        if not _realizable(rank, codes):
+            raise PreconditionError(f"facette data {data} cut out an empty region")
+        vars(self).update(rank=rank, p=p, _codes=codes)
+
+    @property
+    def data(self) -> tuple[Datum, ...]:
+        return tuple(Between((c + 1) // 2) if c & 1 else Wall(c // 2) for c in self._codes)
+
+    def __repr__(self) -> str:
+        return f"Facette(rank={self.rank!r}, p={self.p!r}, data={self.data!r})"
 
     def wall_roots(self) -> tuple[tuple[RootA, int], ...]:
         return tuple(
-            (r, d.index)
-            for r, d in zip(positive_roots(self.rank), self.data)
-            if isinstance(d, Wall)
+            (r, c // 2) for r, c in zip(positive_roots(self.rank), self._codes) if not c & 1
         )
 
     def is_alcove(self) -> bool:
-        return not any(isinstance(d, Wall) for d in self.data)
+        return all(c & 1 for c in self._codes)
 
 
 def facette_from_alcove(a: Alcove) -> Facette:
-    return Facette(a.rank, a.p, tuple(Between(v) for v in a.indices))
+    return _located(Facette, rank=a.rank, p=a.p, _codes=a._codes)
 
 
 def bottom_alcove(rank: int, p: int) -> Alcove:
     return Alcove(rank, p, (1,) * (rank * (rank + 1) // 2))
 
 
-def _located(cls, rank: int, p: int, family: tuple, codes: tuple):
-    """The Alcove or Facette of a point, built without the public checks.
+def _located(cls, **fields):
+    """An Alcove or Facette with its fields set by name, skipping the checks.
 
-    alcove_of and facette_of read family and codes off the point's pairing
-    numerators, one int datum per root, and the family of a point is
-    realizable, so the checks of __post_init__ could not fail.  Both classes
-    declare their fields as (rank, p, family, _codes).
+    Only for the families the library makes, realizable by construction: a
+    point's, one walked by _code_families, and an alcove's own codes.
     """
     obj = object.__new__(cls)
-    vars(obj).update(zip(cls.__dataclass_fields__, (rank, p, family, codes)))
+    vars(obj).update(fields)
     return obj
 
 
@@ -265,24 +269,16 @@ def alcove_of(pt: ShiftedPoint, p: int) -> Alcove:
     check_p(p)
     step = pt.denominator * p
     indices = tuple(v // step + 1 for v in pt.pairing_numerators())
-    return _located(Alcove, pt.rank, p, indices, tuple(2 * v - 1 for v in indices))
+    codes = tuple(2 * v - 1 for v in indices)
+    return _located(Alcove, rank=pt.rank, p=p, indices=indices, _codes=codes)
 
 
 def facette_of(pt: ShiftedPoint, p: int) -> Facette:
-    """The unique facette containing pt."""
+    """The unique facette containing pt: code 2q on a wall, 2q + 1 strictly above it."""
     check_p(p)
     step = pt.denominator * p
-    data: list[Datum] = []
-    codes: list[int] = []
-    for v in pt.pairing_numerators():
-        q, rest = divmod(v, step)
-        if rest:
-            data.append(Between(q + 1))
-            codes.append(2 * q + 1)
-        else:
-            data.append(Wall(q))
-            codes.append(2 * q)
-    return _located(Facette, pt.rank, p, tuple(data), tuple(codes))
+    codes = tuple(2 * (v // step) + (v % step > 0) for v in pt.pairing_numerators())
+    return _located(Facette, rank=pt.rank, p=p, _codes=codes)
 
 
 def _match_point(f: Union[Facette, Alcove], pt: ShiftedPoint) -> None:

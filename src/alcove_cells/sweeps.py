@@ -11,7 +11,7 @@ them) once per distinct gamma, not once per point.  Results carry case
 counts, failure counts with the first descriptions, and non-failing
 observational reports.
 The dominant alcoves, the facettes meeting a box and the box test are calls
-of one integer generator, alcove._code_families.
+of one integer generator, alcove._code_families, and its families are located.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from typing import Optional, Sequence
 from .alcove import (
     DEFAULT_BFS_BOUND,
     Alcove,
-    Between,
     Facette,
-    Wall,
     _code_families,
+    _located,
     alcove_of,
     closure_contains,
     facette_of,
@@ -167,22 +166,24 @@ def facettes_meeting_box(n: int, p: int, hi: int) -> list[Facette]:
 
     On the box a root of span s pairs into [0, s hi], met by the cells of the
     codes 0 .. floor(s hi / p) + ceil(s hi / p); _meets_box keeps the families
-    that meet the box.  Sorted root by root: walls before windows, by index.
+    that meet the box, and locates them.  Sorted root by root: walls (even
+    codes) before windows, by index.
     """
     windows = [range(t // p - (-t // p) + 1) for t in (hi * (j - i) for i, j in positive_roots(n))]
-    found = [
-        Facette(n, p, tuple(Between((c + 1) // 2) if c & 1 else Wall(c // 2) for c in codes))
-        for codes in _code_families(n, windows)
-        if _meets_box(n, p, hi, codes)
-    ]
-    return sorted(found, key=lambda f: tuple((isinstance(d, Between), d.index) for d in f.data))
+    found = sorted(
+        (codes for codes in _code_families(n, windows) if _meets_box(n, p, hi, codes)),
+        key=lambda codes: [(c & 1, c) for c in codes],
+    )
+    return [_located(Facette, rank=n, p=p, _codes=codes) for codes in found]
 
 
 def dominant_alcoves(n: int, p: int, index_bound: int) -> list[Alcove]:
     """All dominant alcoves with indices in [1, index_bound] (odd codes), lexicographic."""
     windows = [range(1, 2 * index_bound, 2)] * len(positive_roots(n))
-    families = sorted(_code_families(n, windows))
-    return [Alcove(n, p, tuple((c + 1) // 2 for c in codes)) for codes in families]
+    return [
+        _located(Alcove, rank=n, p=p, indices=tuple((c + 1) // 2 for c in codes), _codes=codes)
+        for codes in sorted(_code_families(n, windows))
+    ]
 
 
 def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:

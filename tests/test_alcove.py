@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as Q
 from itertools import product
 from math import factorial
@@ -117,6 +118,43 @@ def test_a_wall_facette_differs_from_the_window_of_the_same_index(rank, m):
     windows = Facette(rank, 5, (Between(m),) * count)
     assert walls != windows
     assert len({walls, windows}) == 2
+
+
+def test_a_facette_keeps_no_reference_to_its_callers_list():
+    # a facette that read the caller's list after construction would change
+    # its data, wall_roots and is_alcove under a mutation of that list, while
+    # its equality and hash, which read the codes, stayed put
+    family = (Between(1), Between(1), Between(1))
+    lst = list(family)
+    f = Facette(2, 3, lst)
+    lst[0] = Wall(0)
+    assert f.data == family == Facette(2, 3, family).data
+    assert f.wall_roots() == () and f.is_alcove()
+    assert f == Facette(2, 3, family) and f != Facette(2, 3, lst)
+
+
+def test_facette_repr_prints_its_data():
+    f = Facette(2, 3, (Between(1), Wall(1), Between(1)))
+    assert repr(f) == (
+        "Facette(rank=2, p=3, data=(Between(index=1), Wall(index=1), Between(index=1)))"
+    )
+
+
+@pytest.mark.parametrize("name, value", [("rank", 3), ("_codes", (1, 3, 1))])
+def test_facette_fields_are_frozen(name, value):
+    f = Facette(2, 3, (Between(1), Wall(1), Between(1)))
+    with pytest.raises(FrozenInstanceError):
+        setattr(f, name, value)
+
+
+def test_wall_roots_and_is_alcove_read_the_data():
+    fs = facettes_meeting_box(3, 3, 6)
+    assert len(fs) == 293
+    roots = positive_roots(3)
+    for f in fs:
+        walls = tuple((r, d.index) for r, d in zip(roots, f.data) if isinstance(d, Wall))
+        assert f.wall_roots() == walls
+        assert f.is_alcove() == all(isinstance(d, Between) for d in f.data)
 
 
 def test_lower_closure_examples():

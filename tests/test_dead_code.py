@@ -1,4 +1,5 @@
-"""No dead leftovers in the package: unused imports, unreferenced private helpers.
+"""No dead leftovers in the package: unused imports, unreferenced private helpers,
+and no module but the kernel and its oracle naming the facette datum format.
 
 Read with the standard library's ast only.  An import counts as used when
 its bound name occurs as a name anywhere in the module.  A module-level
@@ -72,3 +73,16 @@ def test_every_private_helper_is_referenced():
                 if total[name] == _names(node)[name]:
                     orphans.append(f"{module}: {name}")
     assert not orphans
+
+
+def test_only_the_kernel_and_its_oracle_name_the_datum_format():
+    # a facette stores codes; Wall / Between data are decoded at the public
+    # boundary of alcove.py and read by the difference-system oracle alone
+    datum = {"Wall", "Between", "Datum"}
+    leaks = [
+        f"{module}: {name}"
+        for module, tree in _modules()
+        if module not in ("alcove.py", "constraints.py")
+        for name in sorted(datum & set(_names(tree)))
+    ]
+    assert not leaks

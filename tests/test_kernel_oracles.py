@@ -24,7 +24,9 @@ box test on the gcd grid, the midpoint interior_point and the first-family
 facette_lattice_point against the Floyd-Warshall box search, the solver's
 feasibility and witness, and the coordinate-by-coordinate lattice search.
 The mu construction: the one integer loop of construct_mu against the
-Fraction recursion over pt's alcove that it replaced.
+Fraction recursion over pt's alcove that it replaced.  Located families:
+the alcoves and facettes of points and the walked families of
+facettes_meeting_box and dominant_alcoves against the public constructors.
 """
 
 from collections import deque
@@ -276,9 +278,11 @@ def test_located_families_match_the_checked_constructors_on_integral_windows(n, 
     # random points; here they take the located family itself
     for pt in integral_points(n, 0, 2 * p):
         a, f = alcove_of(pt, p), facette_of(pt, p)
-        for located, checked in ((a, Alcove(n, p, a.indices)), (f, Facette(n, p, f.data))):
+        checked_f = Facette(n, p, f.data)
+        for located, checked in ((a, Alcove(n, p, a.indices)), (f, checked_f)):
             assert located == checked and hash(located) == hash(checked)
             assert vars(located) == vars(checked), (pt.coords, p)
+        assert f.data == checked_f.data, (pt.coords, p)
 
 
 @settings(max_examples=300, deadline=None)
@@ -287,16 +291,32 @@ def test_located_families_match_the_checked_constructors_on_integral_windows(n, 
 def test_located_families_match_the_checked_constructors(case):
     """alcove_of and facette_of, built without the public checks, against
     the public constructors fed the Fraction formulas: equal, equally hashed,
-    and with the same fields (indices or data, and _codes)."""
+    with the same fields (indices and _codes, or _codes), and facettes with
+    the same decoded data."""
     pt, p = case
     indices = tuple(int(pt.pairing(r) // p) + 1 for r in positive_roots(pt.rank))
-    pairs = [
-        (alcove_of(pt, p), Alcove(pt.rank, p, indices)),
-        (facette_of(pt, p), Facette(pt.rank, p, _facette_by_fractions(pt, p))),
-    ]
-    for located, checked in pairs:
+    f, checked_f = facette_of(pt, p), Facette(pt.rank, p, _facette_by_fractions(pt, p))
+    for located, checked in ((alcove_of(pt, p), Alcove(pt.rank, p, indices)), (f, checked_f)):
         assert located == checked and hash(located) == hash(checked)
         assert vars(located) == vars(checked), (pt.coords, p)
+    assert f.data == checked_f.data, (pt.coords, p)
+
+
+def test_walked_families_match_the_checked_constructors():
+    """facettes_meeting_box and dominant_alcoves locate the families that
+    _code_families walks; the public constructors accept each one and build
+    an equal, equally hashed object with the same fields and data.  The
+    boxes include one coprime to p, (3, 3, 4)."""
+    for n, p, hi in [(2, 3, 6), (3, 3, 4), (3, 5, 10), (4, 3, 6)]:
+        for f in facettes_meeting_box(n, p, hi):
+            checked = Facette(n, p, f.data)
+            assert f == checked and hash(f) == hash(checked)
+            assert vars(f) == vars(checked) and f.data == checked.data, (n, p, hi)
+    for n, p, index_bound in [(2, 5, 3), (3, 3, 2), (3, 5, 4)]:
+        for a in dominant_alcoves(n, p, index_bound):
+            checked = Alcove(n, p, a.indices)
+            assert a == checked and hash(a) == hash(checked)
+            assert vars(a) == vars(checked), (n, p, index_bound)
 
 
 # -- stabilizers: class permutations against the Fraction closure ---------
