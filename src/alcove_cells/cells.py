@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .alcove import _node_classes
 from .errors import InvariantViolationError, PreconditionError
-from .partition import Partition, partition_of_basis, sup
+from .partition import Partition, _partition_of_components, partition_of_basis, sup
 from .rootsys import (
     RootA,
     ShiftedPoint,
@@ -67,14 +67,17 @@ def positive_roots_of(basis: Iterable[RootA]) -> frozenset[RootA]:
     comps = chain_components(tuple(basis))
     if comps is None:
         raise PreconditionError(f"{sorted(tuple(basis))} is not a chain basis")
-    out = set()
-    for nodes in comps:
-        out.update(
-            RootA(nodes[a], nodes[b])
-            for a in range(len(nodes))
-            for b in range(a + 1, len(nodes))
-        )
-    return frozenset(out)
+    return frozenset(_system_of(comps))
+
+
+def _system_of(comps: Sequence[tuple[int, ...]]) -> Iterable[RootA]:
+    """The roots (v_a, v_b), a < b, of each component v_1 < ... < v_m."""
+    return (
+        RootA(nodes[a], nodes[b])
+        for nodes in comps
+        for a in range(len(nodes))
+        for b in range(a + 1, len(nodes))
+    )
 
 
 def upward_closure(roots: Iterable[RootA], n: int) -> frozenset[RootA]:
@@ -162,13 +165,18 @@ def s_partition_oracle(pt: ShiftedPoint, p: int) -> Partition:
     Walks all chain bases made of roots of gamma (not only antichains,
     at most Bell(n+1) of them, see chain_bases_in), keeps those whose
     generated system lies inside gamma, and takes the supremum of their
-    partitions.  Independent route from s_partition.
+    partitions.  Each basis' chain components are computed once, for both
+    the containment test and the partition.  Independent route from
+    s_partition.
     """
     g = gamma(pt, p)
     n = pt.rank
-    return sup(
-        [partition_of_basis(b, n) for b in chain_bases_in(g) if positive_roots_of(b) <= g]
-    )
+    parts = []
+    for b in chain_bases_in(g):
+        comps = chain_components(tuple(b))
+        if all(r in g for r in _system_of(comps)):
+            parts.append(_partition_of_components(comps, n))
+    return sup(parts)
 
 
 def comparable_pairs_of(basis: Iterable[RootA]) -> list[tuple[RootA, RootA]]:

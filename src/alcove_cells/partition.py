@@ -138,11 +138,17 @@ def partition_of_basis(basis: Iterable[RootA], n: int) -> Partition:
     for c in comps:
         if c[-1] > n + 1 or c[0] < 1:
             raise PreconditionError(f"node {c} outside A_{n}")
-    parts = sorted((len(c) for c in comps), reverse=True)
-    pad = (n + 1) - sum(parts)
-    if pad < 0:
-        raise PreconditionError(f"basis has more than n+1 = {n + 1} nodes")
-    return Partition(tuple(parts) + (1,) * pad)
+    return _partition_of_components(comps, n)
+
+
+def _partition_of_components(comps: Sequence[tuple[int, ...]], n: int) -> Partition:
+    """The node counts of chain_components' output, padded with 1s to n+1.
+
+    Its components are disjoint and come by weakly decreasing node count,
+    so on nodes 1..n+1 the counts are already the leading parts.
+    """
+    parts = tuple(len(c) for c in comps)
+    return Partition(parts + (1,) * (n + 1 - sum(parts)))
 
 
 @lru_cache(maxsize=None)

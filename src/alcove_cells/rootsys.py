@@ -6,9 +6,10 @@ in fundamental-weight coordinates and are always rho-shifted: the k-th
 coordinate of a ShiftedPoint is <pt, alpha_k^v> for the k-th simple root,
 already including the +1 shift.  The system is simply laced, so roots and
 coroots are identified throughout and every pairing below is exact.  A
-point keeps its pairings as integer numerators over one common
-denominator, so point location against the hyperplanes at multiples of p
-runs on ints alone.
+point is stored as the integer prefix numerators of its coordinates over
+their least common denominator, with its pairings as numerators over the
+same denominator, so point location against the hyperplanes at multiples
+of p runs on ints alone; its Fraction coordinates are decoded on read.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence, Union
 
 from .errors import PreconditionError
@@ -81,41 +83,46 @@ def root_leq(a: RootA, b: RootA) -> bool:
     return b.i <= a.i and a.j <= b.j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ShiftedPoint:
     """A rho-shifted point of the weight space, in exact coordinates.
 
     coords[k-1] is the pairing with the k-th simple coroot; the point is
     dominant and regular exactly when every coordinate is positive.  The
-    prefix sums coords[0] + ... + coords[k-1] are stored as the integer
-    numerators _num[k] over the least common denominator _den, and the
-    pairing numerators of every positive root as _pairs.
+    point is stored as its prefix sums coords[0] + ... + coords[k-1], the
+    integer numerators _num[k] over the least common denominator _den
+    (_num[0] == 0), so equality and hash read that canonical pair; coords
+    is decoded from it on read.  The pairing numerators of every positive
+    root are kept as _pairs.  The constructor checks its coordinates and
+    builds no Fraction from plain ints; the points the library makes from
+    integers are located (see _located_point).
     """
 
-    coords: tuple[Q, ...]
-    _num: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
-    _pairs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _num: tuple[int, ...]
+    _den: int
+    _pairs: tuple[int, ...] = field(compare=False)
+    rank: int = field(compare=False)
 
-    def __post_init__(self) -> None:
-        if len(self.coords) < 1:
+    def __init__(self, coords: Sequence[Rational]) -> None:
+        if len(coords) < 1:
             raise PreconditionError("a point needs at least one coordinate")
-        vals = tuple(c if isinstance(c, Q) else _rational(c) for c in self.coords)
-        object.__setattr__(self, "coords", vals)
-        den = math.lcm(*(c.denominator for c in vals))
-        acc = [0]
-        for c in vals:
-            acc.append(acc[-1] + c.numerator * (den // c.denominator))
-        m = len(acc)
-        object.__setattr__(self, "_num", tuple(acc))
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(
-            self, "_pairs", tuple(acc[j] - acc[i] for i in range(m) for j in range(i + 1, m))
-        )
+        # plain ints (every point the atlas and the sweeps build from input)
+        # skip the general path's tuple, lcm and per-coordinate reads
+        if all(type(c) is int for c in coords):
+            den, nums = 1, coords
+        else:
+            vals = tuple(c if isinstance(c, Q) else _rational(c) for c in coords)
+            den = math.lcm(*(c.denominator for c in vals))
+            nums = (c.numerator * (den // c.denominator) for c in vals)
+        _store(self, tuple(accumulate(nums, initial=0)), den)
 
     @property
-    def rank(self) -> int:
-        return len(self.coords)
+    def coords(self) -> tuple[Q, ...]:
+        num, den = self._num, self._den
+        return tuple(Q(b - a, den) for a, b in zip(num, num[1:]))
+
+    def __repr__(self) -> str:
+        return f"ShiftedPoint(coords={self.coords!r})"
 
     @property
     def denominator(self) -> int:
@@ -143,7 +150,8 @@ class ShiftedPoint:
         """Unshifted weight coordinates; requires an integral dominant point."""
         if not self.is_integral():
             raise PreconditionError(f"{self} is not integral")
-        return tuple(int(c) - 1 for c in self.coords)
+        num = self._num
+        return tuple(b - a - 1 for a, b in zip(num, num[1:]))
 
     def e_coords(self) -> tuple[Q, ...]:
         """Coordinates in the eps basis, normalized so the last entry is 0.
@@ -152,6 +160,30 @@ class ShiftedPoint:
         """
         total = self._num[-1]
         return tuple(Q(total - v, self._den) for v in self._num)
+
+
+def _store(pt: ShiftedPoint, num: tuple[int, ...], den: int) -> None:
+    """Set a point's fields from its prefix numerators over their least denominator."""
+    pairs = tuple([b - a for a, b in combinations(num, 2)])
+    vars(pt).update(_num=num, _den=den, _pairs=pairs, rank=len(num) - 1)
+
+
+def _located_point(num: tuple[int, ...], den: int) -> ShiftedPoint:
+    """The point with prefix numerators num over den, built without a Fraction.
+
+    Only for the points the library makes from integers (mu and the facette
+    lattice point of the support module), which pass the constructor's
+    checks by construction: num[0] == 0, at least one coordinate, den > 0.
+    Dividing by g = gcd(den, *num) leaves den the least common denominator
+    (the gcd of the prefix sums is that of the coordinates), so the point
+    equals, and hashes like, ShiftedPoint(pt.coords).
+    """
+    g = math.gcd(den, *num)
+    if g > 1:
+        num, den = tuple(v // g for v in num), den // g
+    pt = object.__new__(ShiftedPoint)
+    _store(pt, num, den)
+    return pt
 
 
 def _rational(c: Rational) -> Q:
@@ -171,7 +203,7 @@ def point_from_weight(weight: Sequence[int]) -> ShiftedPoint:
         raise PreconditionError(f"weight {tuple(weight)} is not integral")
     if any(w < 0 for w in weight):
         raise PreconditionError(f"weight {tuple(weight)} is not dominant")
-    return ShiftedPoint(tuple(Q(w + 1) for w in weight))
+    return ShiftedPoint(tuple(w + 1 for w in weight))
 
 
 def point_from_e(e: Sequence[Rational]) -> ShiftedPoint:

@@ -9,15 +9,15 @@ exact rational point mu whose stabilizer system contains the basis'
 system while its alcove stays weakly below, locates an integral point in
 mu's facette, and compares partitions; the supremum over the legs is
 checked against the all-bases oracle.  mu is computed in one loop on
-integer numerators over a denominator fixed up front, so the module does
-no Fraction arithmetic: Fractions appear only as point coordinates.
+integer numerators over a denominator fixed up front and the lattice
+point is read off its facette's even codes, and both are located from
+their prefix numerators, so the module builds no Fraction at all.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from itertools import accumulate, product
 from typing import Iterable, Optional
 
@@ -48,7 +48,7 @@ from .partition import (
     sup,
     transpose,
 )
-from .rootsys import RootA, ShiftedPoint, check_p, root_position
+from .rootsys import RootA, ShiftedPoint, _located_point, check_p, root_position
 
 THEOREM = "theorem"
 CONJECTURE = "conjecture"
@@ -87,12 +87,11 @@ class UpperBoundCertificate:
 
 
 def _require_integral_dominant(pt: ShiftedPoint, regular: bool) -> None:
+    """An integral point is dominant (coordinates at least 1) iff it is regular dominant."""
     if not pt.is_integral():
         raise PreconditionError(f"{pt.coords} is not integral")
-    if regular and not pt.is_regular_dominant():
-        raise PreconditionError(f"{pt.coords} is not regular dominant")
-    if not regular and any(c < 1 for c in pt.coords):
-        raise PreconditionError(f"{pt.coords} is not dominant")
+    if not pt.is_regular_dominant():
+        raise PreconditionError(f"{pt.coords} is not {'regular ' if regular else ''}dominant")
 
 
 def _backing(rank: int, p: int) -> str:
@@ -177,7 +176,8 @@ def construct_mu(
     is a multiple of M, and so is each bound's numerator: a_{j-1}, or
     w_k p D minus a sum of numerators.  Hence the flat value, the least
     numerator // 2(i - 1), is exact and a multiple of M / 2(i - 1), the M
-    of the next root.  No Fraction is built before mu's coordinates a / D.
+    of the next root.  mu is located from the prefix sums of a over D, so
+    no Fraction is built at all.
 
     Divisibility is checked on the basis roots alone, which is the same as
     checking it on every root of their system: a good basis is a union of
@@ -211,7 +211,7 @@ def construct_mu(
             tails = accumulate(a[j - 1 :], initial=0)
             low = min(a[j - 2], *(w * p * den - t for w, t in zip(windows, tails)))
             a[: i - 1] = [low // (2 * (i - 1))] * (i - 1)
-    mu = ShiftedPoint(tuple(Q(v, den) for v in a))
+    mu = _located_point(tuple(accumulate(a, initial=0)), den)
     step = mu.denominator * p
     pairs = mu.pairing_numerators()
     for beta in basis:
@@ -234,12 +234,13 @@ def facette_lattice_point(f: Facette) -> Optional[ShiftedPoint]:
     (c + 1) p - 2 in a window of code c, p c on a wall.  _code_families fixes
     the simple roots in coordinate order, ascending, and with even codes each
     other root has the one candidate a + b: the first family is the answer.
+    Its codes at the roots (1, j) are twice the prefix sums of the
+    coordinates, so the point is located from their halves over 1.
     """
     p = f.p
     evens = [range(p * c - (c & 1) * (p - 2), p * c + (c & 1) * (p - 2) + 1, 2) for c in f._codes]
     for codes in _code_families(f.rank, evens):
-        sums = (0, *codes[: f.rank])  # the roots (1, j): prefix sums of the coordinates
-        return ShiftedPoint(tuple(Q((b - a) // 2) for a, b in zip(sums, sums[1:])))
+        return _located_point((0, *(c // 2 for c in codes[: f.rank])), 1)
     return None
 
 
@@ -317,7 +318,7 @@ def enumerate_cell(
         raise PreconditionError("target must be a partition of n+1 with n >= 1")
     out = []
     for coords in product(range(1, box + 1), repeat=n):
-        pt = ShiftedPoint(tuple(Q(c) for c in coords))
+        pt = ShiftedPoint(coords)
         if weight_cell_of(pt, p) == target:
             out.append(pt)
     return tuple(out)

@@ -1,5 +1,6 @@
 """No dead leftovers in the package: unused imports, unreferenced private helpers,
-and no module but the kernel and its oracle naming the facette datum format.
+no module but the kernel and its oracle naming the facette datum format, and
+no module importing fractions but the points, the oracles and the CLI parser.
 
 Read with the standard library's ast only.  An import counts as used when
 its bound name occurs as a name anywhere in the module.  A module-level
@@ -86,3 +87,19 @@ def test_only_the_kernel_and_its_oracle_name_the_datum_format():
         for name in sorted(datum & set(_names(tree)))
     ]
     assert not leaks
+
+
+def test_only_points_oracles_and_the_parser_import_fractions():
+    # points decode Fraction coordinates on read (rootsys), the AffineMap
+    # oracle and interior_point build them (alcove), the difference-system
+    # oracle solves over them (constraints) and --shifted parses them (cli);
+    # every other module runs on integer numerators
+    allowed = {"rootsys.py", "alcove.py", "constraints.py", "cli.py"}
+    importers = {
+        module
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+    }
+    assert importers - allowed == set()

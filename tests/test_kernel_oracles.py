@@ -27,8 +27,11 @@ The mu construction: the one integer loop of construct_mu against the
 Fraction recursion over pt's alcove that it replaced.  Located families:
 the alcoves and facettes of points and the walked families of
 facettes_meeting_box and dominant_alcoves against the public constructors.
+The family walk: _code_families against a brute-force filter of every
+code tuple by _realizable.
 """
 
+import random
 from collections import deque
 from fractions import Fraction as Q
 from itertools import combinations, product
@@ -44,8 +47,11 @@ from alcove_cells.alcove import (
     Facette,
     Wall,
     _class_permutations,
+    _closing_order,
+    _code_families,
     _node_classes,
     _raise_step,
+    _realizable,
     _splits,
     alcove_of,
     closure_contains,
@@ -1030,3 +1036,56 @@ def points_and_bases(draw):
 @given(case=points_and_bases())
 def test_integer_mu_matches_the_fraction_recursion_on_rational_points(case):
     _assert_mu_matches_the_recursion(*case)
+
+
+# -- the family walk against a brute-force filter -----------------------------
+
+
+def _families_by_brute_force(rank, allowed):
+    """Every code tuple of the allowed ranges that passes _realizable, in the
+    order _code_families walks them: lexicographic over the closing order."""
+    order = [pos for pos, _ in _closing_order(rank)]
+    return sorted(
+        (codes for codes in product(*allowed) if _realizable(rank, codes)),
+        key=lambda codes: [codes[pos] for pos in order],
+    )
+
+
+def test_code_families_match_brute_force_on_random_ranges():
+    """Ranges of step 1 and single-parity ranges of step 2, empty ones too.
+    The pinned rank-2 window keeps the alcove with indices (1, 2, 1), whose
+    simple root (2, 3) has code start(1, 3) - a - 1 = 1, the lowest code the
+    later root (1, 3) of its node can still meet."""
+    pinned = (2, [range(1, 2), range(3, 4), range(1, 2)])
+    assert list(_code_families(*pinned)) == [(1, 3, 1)]
+    rng = random.Random(14)
+    found = 0
+    for _ in range(400):
+        rank = rng.choice((1, 2, 3))
+        step, parity = rng.choice((1, 2)), rng.randrange(2)
+        allowed = []
+        for _ in range(rank * (rank + 1) // 2):
+            lo = rng.randrange(-3, 8)
+            lo += (parity - lo) % step
+            allowed.append(range(lo, lo + step * rng.randrange(5 - rank // 3), step))
+        families = list(_code_families(rank, allowed))
+        assert families == _families_by_brute_force(rank, allowed), allowed
+        found += len(families)
+    assert found > 100
+
+
+@pytest.mark.parametrize("rank, p, hi", [(2, 5, 7), (2, 3, 4), (3, 3, 4)])
+def test_code_families_match_brute_force_on_coprime_box_windows(rank, p, hi, monkeypatch):
+    """Every range list facettes_meeting_box walks: its coarse windows and the
+    step-1 refinements of _meets_box, with gcd(p, hi) = 1."""
+    seen = []
+
+    def recording(r, allowed):
+        seen.append((r, list(allowed)))
+        return _code_families(r, allowed)
+
+    monkeypatch.setattr(sweeps, "_code_families", recording)
+    facettes_meeting_box(rank, p, hi)
+    assert len(seen) > 20
+    for r, allowed in seen:
+        assert list(_code_families(r, allowed)) == _families_by_brute_force(r, allowed), allowed

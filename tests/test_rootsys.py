@@ -1,13 +1,18 @@
+import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as Q
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alcove_cells import rootsys
 from alcove_cells.errors import PreconditionError
 from alcove_cells.rootsys import (
     RootA,
     ShiftedPoint,
+    _located_point,
     chain_components,
     inverse_cartan_numerators,
     point_from_e,
@@ -188,3 +193,89 @@ def test_point_from_weight_rejects_a_non_integer_weight():
     for weight in ([1.5, 2], [Q(3, 2), 2], [Q(2), 2]):
         with pytest.raises(PreconditionError, match="not integral"):
             point_from_weight(weight)
+
+
+# -- the stored form: prefix numerators over the least common denominator ----
+
+
+@st.composite
+def mixed_coords(draw):
+    """One to six coordinates k/d with their own denominators d up to 12."""
+    coord = st.integers(1, 12).flatmap(lambda d: st.integers(-30, 30).map(lambda k: Q(k, d)))
+    return tuple(draw(st.lists(coord, min_size=1, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coords=mixed_coords())
+def test_every_construction_path_stores_one_form(coords):
+    pt = ShiftedPoint(coords)
+    n, den = len(coords), math.lcm(*(c.denominator for c in coords))
+    num = tuple(accumulate((c * den for c in coords), initial=0))
+    others = [
+        ShiftedPoint(tuple(str(c) for c in coords)),
+        shifted_point(list(coords)),
+        _located_point(tuple(int(v) for v in num), den),
+        _located_point(tuple(6 * int(v) for v in num), 6 * den),
+    ]
+    if den == 1:
+        others.append(ShiftedPoint(tuple(int(c) for c in coords)))
+    for other in others:
+        assert other == pt and hash(other) == hash(pt)
+        assert (other._num, other._den, other.rank) == (num, den, n)
+        assert other.coords == coords
+    assert pt.denominator == den
+    for r in positive_roots(n):
+        assert pt.pairing(r) == sum(coords[r.i - 1 : r.j - 1])
+    assert pt.pairing_numerators() == tuple(
+        den * sum(coords[r.i - 1 : r.j - 1]) for r in positive_roots(n)
+    )
+    assert pt.e_coords() == tuple(sum(coords[k:], Q(0)) for k in range(n + 1))
+    assert pt.is_regular_dominant() == all(c > 0 for c in coords)
+    assert pt.is_integral() == (den == 1)
+    if den == 1:
+        assert pt.weight() == tuple(int(c) - 1 for c in coords)
+
+
+def test_a_located_point_is_reduced_to_the_least_denominator():
+    pt = _located_point((0, 2, 4), 4)
+    assert pt == ShiftedPoint((Q(1, 2), Q(1, 2)))
+    assert hash(pt) == hash(ShiftedPoint((Q(1, 2), Q(1, 2))))
+    assert (pt._num, pt._den, pt.rank) == ((0, 1, 2), 2, 2)
+
+
+def test_repr_prints_the_fraction_coordinates():
+    pt = ShiftedPoint((Q(9, 2), 1, "-1/3"))
+    assert repr(pt) == (
+        "ShiftedPoint(coords=(Fraction(9, 2), Fraction(1, 1), Fraction(-1, 3)))"
+    )
+    assert repr(_located_point((0, 2), 1)) == "ShiftedPoint(coords=(Fraction(2, 1),))"
+
+
+def test_a_point_is_frozen():
+    pt = ShiftedPoint((1, 2))
+    for name, value in (("_num", (0, 5, 7)), ("_den", 3), ("rank", 3), ("coords", (Q(1),))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(pt, name, value)
+    assert pt == ShiftedPoint((1, 2)) and pt.rank == 2
+
+
+def test_a_point_of_ints_builds_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(rootsys, "Q", refuse)
+    pt = ShiftedPoint((3, 1, 4))
+    assert (pt._num, pt._den, pt.rank) == ((0, 3, 4, 8), 1, 3)
+    assert pt.pairing_numerators() == (3, 4, 8, 1, 5, 4)
+    assert pt.weight() == (2, 0, 3) and pt.is_regular_dominant()
+    assert point_from_weight((2, 0, 3))._num == pt._num
+
+
+def test_the_constructor_keeps_its_checks():
+    with pytest.raises(PreconditionError, match="at least one coordinate"):
+        ShiftedPoint(())
+    for coords in ((2, 0.5), (0.5,), (Q(1, 2), 2, 1.0)):
+        with pytest.raises(PreconditionError, match="is a float"):
+            ShiftedPoint(coords)
+    with pytest.raises(ValueError):
+        ShiftedPoint(("1/x",))

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction as Q
 
@@ -6,7 +5,7 @@ import pytest
 
 from alcove_cells.alcove import alcove_of, bottom_alcove, facette_of, weak_leq
 from alcove_cells.cells import enumerate_good_bases, gamma, positive_roots_of
-from alcove_cells import cells, support
+from alcove_cells import cells, rootsys, support
 from alcove_cells.errors import InvariantViolationError, PreconditionError
 from alcove_cells.partition import dominance_leq, partition
 from alcove_cells.rootsys import RootA, ShiftedPoint, point_from_weight, shifted_point
@@ -96,15 +95,31 @@ def test_construct_mu_refuses_a_point_off_the_basis_walls(monkeypatch):
     for basis in bases:
         left = min(basis).i - 1
 
-        def nudged(coords, left=left):
-            den = math.lcm(*(c.denominator for c in coords))
-            moved = list(coords)
-            moved[left] += Q(1, den)
-            return ShiftedPoint(tuple(moved))
+        def nudged(num, den, left=left):
+            # one more unit on coordinate `left` raises every later prefix numerator
+            moved = num[: left + 1] + tuple(v + 1 for v in num[left + 1 :])
+            return rootsys._located_point(moved, den)
 
-        monkeypatch.setattr(support, "ShiftedPoint", nudged)
+        monkeypatch.setattr(support, "_located_point", nudged)
         with pytest.raises(InvariantViolationError, match="not divisible"):
             construct_mu(pt, lam, basis)
+
+
+def test_located_mu_and_lattice_points_equal_their_public_construction():
+    # mu is located over the unreduced D and mu' from even codes over 1; both
+    # must be the points the checked constructor makes from their coordinates
+    cert = upper_bound_certificate(point_from_weight((9, 9, 9, 9)), 5)
+    assert len(cert.legs) == 42
+    for leg in cert.legs:
+        for located in (leg.mu, leg.mu_prime):
+            public = ShiftedPoint(located.coords)
+            assert located == public and hash(located) == hash(public)
+            assert (located._num, located._den, located.rank) == (
+                public._num,
+                public._den,
+                public.rank,
+            )
+        assert leg.mu_prime.is_integral()
 
 
 def test_certificate_locates_lambda_once_and_each_mu_once(monkeypatch):
