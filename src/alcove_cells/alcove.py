@@ -45,6 +45,7 @@ from .rootsys import (
     Rational,
     RootA,
     ShiftedPoint,
+    _located,
     check_p,
     inverse_cartan_numerators,
     point_from_e,
@@ -247,17 +248,6 @@ def facette_from_alcove(a: Alcove) -> Facette:
 
 def bottom_alcove(rank: int, p: int) -> Alcove:
     return Alcove(rank, p, (1,) * (rank * (rank + 1) // 2))
-
-
-def _located(cls, **fields):
-    """An Alcove or Facette with its fields set by name, skipping the checks.
-
-    Only for the families the library makes, realizable by construction: a
-    point's, one walked by _code_families, and an alcove's own codes.
-    """
-    obj = object.__new__(cls)
-    vars(obj).update(fields)
-    return obj
 
 
 def alcove_of(pt: ShiftedPoint, p: int) -> Alcove:

@@ -22,6 +22,7 @@ from .partition import Partition, _partition_of_components, partition_of_basis, 
 from .rootsys import (
     RootA,
     ShiftedPoint,
+    _located,
     chain_components,
     check_p,
     positive_roots,
@@ -93,26 +94,28 @@ def enumerate_good_bases(scope: Iterable[RootA]) -> tuple[frozenset[RootA], ...]
 
     A good basis, sorted by left end, has strictly increasing left and
     right ends (see is_good_basis), so it is an increasing chain of roots.
-    Backtracks over the scope in canonical root order; a root extends a
-    partial basis exactly when both of its ends exceed those of the last
-    chosen root, which then exceed those of every chosen root.  Includes
-    the empty basis.
+    Walks the scope level by level in canonical root order; a root extends a
+    basis of one level exactly when it comes after the basis' last root and
+    both of its ends exceed that root's, which then exceed those of every
+    chosen root.  Each basis is its predecessor plus one later root, so a
+    level built in order from a lexicographic level is lexicographic too.
+    Includes the empty basis.
     """
     pool = sorted(set(scope))
+    # (basis, pool index after its last root, that root's ends)
+    level = [((), 0, 0, 0)]
     found: list[tuple[RootA, ...]] = []
-
-    def extend(start: int, chosen: list[RootA], last_i: int, last_j: int) -> None:
-        found.append(tuple(chosen))
-        for k in range(start, len(pool)):
-            r = pool[k]
-            if r.i > last_i and r.j > last_j:
-                chosen.append(r)
-                extend(k + 1, chosen, r.i, r.j)
-                chosen.pop()
-
-    extend(0, [], 0, 0)
-    found.sort(key=lambda b: (len(b), b))
-    return tuple(frozenset(b) for b in found)
+    while level:
+        found += [b for b, _, _, _ in level]
+        level = [
+            (b + (r,), k, r.i, r.j)
+            for b, start, last_i, last_j in level
+            for k, r in enumerate(pool[start:], start + 1)
+            if r.i > last_i and r.j > last_j
+        ]
+    # tuple() of a list, not of a generator: growing a tuple by resizing
+    # leaves each freed result in CPython's tuple free list, pass after pass
+    return tuple([frozenset(b) for b in found])
 
 
 def s_partition(pt: ShiftedPoint, p: int) -> Partition:
@@ -132,31 +135,30 @@ def chain_bases_in(scope: Iterable[RootA]) -> tuple[frozenset[RootA], ...]:
     """All chain bases made of roots of scope, smallest first, then lexicographic.
 
     A root set is a chain basis exactly when no left end and no right end
-    repeats (see chain_components).  Backtracks over the scope in
-    canonical root order; a root extends a partial basis exactly when its
-    left end is no chosen root's left end and its right end no chosen
-    root's right end.  Every node of the walk is a basis, so it has no dead
-    branch and takes at most |scope| steps per basis.  A chain basis of A_n is a set partition of the
-    nodes 1..n+1, one block per chain, with roots joining consecutive
+    repeats (see chain_components).  Walks the scope level by level in
+    canonical root order, as enumerate_good_bases does; a root extends a
+    basis exactly when it comes after the basis' last root, its left end is
+    no chosen root's left end and its right end no chosen root's right end.
+    Every extension is a basis, so the walk has no dead branch and takes at
+    most |scope| steps per basis.  A chain basis of A_n is a set partition
+    of the nodes 1..n+1, one block per chain, with roots joining consecutive
     nodes of a block, so there are at most Bell(n+1) of them: 52 at n = 4,
     877 at n = 6.  Includes the empty basis.  Independent of
     enumerate_good_bases, whose output it contains.
     """
     pool = sorted(set(scope))
+    # (basis, pool index after its last root, bit masks of the used ends)
+    level = [((), 0, 0, 0)]
     found: list[tuple[RootA, ...]] = []
-
-    def extend(start: int, chosen: list[RootA], lefts: int, rights: int) -> None:
-        found.append(tuple(chosen))
-        for k in range(start, len(pool)):
-            r = pool[k]
-            if not (lefts >> r.i & 1 or rights >> r.j & 1):
-                chosen.append(r)
-                extend(k + 1, chosen, lefts | 1 << r.i, rights | 1 << r.j)
-                chosen.pop()
-
-    extend(0, [], 0, 0)
-    found.sort(key=lambda b: (len(b), b))
-    return tuple(frozenset(b) for b in found)
+    while level:
+        found += [b for b, _, _, _ in level]
+        level = [
+            (b + (r,), k, lefts | 1 << r.i, rights | 1 << r.j)
+            for b, start, lefts, rights in level
+            for k, r in enumerate(pool[start:], start + 1)
+            if not (lefts >> r.i & 1 or rights >> r.j & 1)
+        ]
+    return tuple([frozenset(b) for b in found])
 
 
 def s_partition_oracle(pt: ShiftedPoint, p: int) -> Partition:
@@ -277,4 +279,4 @@ def d_partition(pt: ShiftedPoint, p: int) -> Partition:
     """
     check_p(p)
     sizes = Counter(_node_classes(pt, p)).values()
-    return Partition(tuple(sorted(sizes, reverse=True)))
+    return _located(Partition, parts=tuple(sorted(sizes, reverse=True)))

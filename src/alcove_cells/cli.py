@@ -90,7 +90,7 @@ def _point_of(args: argparse.Namespace) -> ShiftedPoint:
 def _input_doc(args: argparse.Namespace, pt: ShiftedPoint) -> dict:
     if args.weight is not None:
         return {"weight": list(pt.weight())}
-    return {"shifted": [str(c) for c in pt.coords]}
+    return {"shifted": list(pt.coord_strings())}
 
 
 def _root_pair(r: RootA) -> list[int]:
@@ -200,7 +200,7 @@ def cmd_cell(args: argparse.Namespace) -> int:
         w.writerow(["backing", pred.backing])
     else:
         print(f"cell report  n={n}  p={args.p}")
-        print(f"shifted point: {','.join(str(c) for c in pt.coords)}")
+        print(f"shifted point: {','.join(pt.coord_strings())}")
         print(f"gamma: {_fmt_roots(g)}")
         if attaining:
             for b in attaining:
@@ -252,7 +252,7 @@ def cmd_alcove(args: argparse.Namespace) -> int:
         w.writerow(["d", str(d)])
     else:
         print(f"alcove report  n={n}  p={args.p}")
-        print(f"shifted point: {','.join(str(c) for c in pt.coords)}")
+        print(f"shifted point: {','.join(pt.coord_strings())}")
         print(f"roots:  {_root_header(n)}")
         print(f"alcove: {' '.join(f'{i:>5d}' for i in a.indices)}")
         if walls:
@@ -403,8 +403,8 @@ def cmd_certificate(args: argparse.Namespace) -> int:
             {
                 "basis": [_root_pair(r) for r in sorted(leg.basis)],
                 "pi": list(leg.pi.parts),
-                "mu": [str(c) for c in leg.mu.coords],
-                "mu_prime": [int(c) for c in leg.mu_prime.coords],
+                "mu": list(leg.mu.coord_strings()),
+                "mu_prime": [int(c) for c in leg.mu_prime.coord_strings()],
                 "d_mu_prime": list(leg.d_mu_prime.parts),
                 "mu_alcove": list(leg.mu_alcove.indices),
                 "lambda_alcove": list(leg.lambda_alcove.indices),
@@ -424,8 +424,8 @@ def cmd_certificate(args: argparse.Namespace) -> int:
                 [
                     _fmt_roots(leg.basis),
                     str(leg.pi),
-                    ",".join(str(c) for c in leg.mu.coords),
-                    ",".join(str(int(c)) for c in leg.mu_prime.coords),
+                    ",".join(leg.mu.coord_strings()),
+                    ",".join(leg.mu_prime.coord_strings()),
                     str(leg.d_mu_prime),
                     " ".join(str(i) for i in leg.mu_alcove.indices),
                     " ".join(str(i) for i in leg.lambda_alcove.indices),
@@ -433,16 +433,13 @@ def cmd_certificate(args: argparse.Namespace) -> int:
             )
     else:
         print(f"upper-bound certificate  n={args.n}  p={args.p}")
-        print(f"shifted point: {','.join(str(c) for c in pt.coords)}")
+        print(f"shifted point: {','.join(pt.coord_strings())}")
         print(f"legs: {len(cert.legs)}")
         for leg in cert.legs:
             print(f"  basis {_fmt_roots(leg.basis)}")
             print(f"    pi: {leg.pi}")
-            print(f"    mu: {','.join(str(c) for c in leg.mu.coords)}")
-            print(
-                "    mu_prime: "
-                + ",".join(str(int(c)) for c in leg.mu_prime.coords)
-            )
+            print(f"    mu: {','.join(leg.mu.coord_strings())}")
+            print(f"    mu_prime: {','.join(leg.mu_prime.coord_strings())}")
             print(f"    d(mu_prime): {leg.d_mu_prime}")
             print(f"    mu alcove:     {' '.join(str(i) for i in leg.mu_alcove.indices)}")
             print(

@@ -2,19 +2,24 @@
 
 Partitions here always carry their full weight: parts are positive and
 weakly decreasing, trailing 1s included, so a partition of m has parts
-summing to exactly m.  The dominance order compares prefix sums; it is a
-lattice, and `sup` returns the exact join.  Nilpotent orbit labels pair a
-partition with the dimension of the orbit it names.
+summing to exactly m.  The dominance order compares prefix sums, read
+from itertools.accumulate and padded with the total past the last part; it
+is a lattice, and `sup` returns the exact join.  Nilpotent orbit labels pair
+a partition with the dimension of the orbit it names.  Partition(...),
+partition() and parse_partition check their input; the partitions derived
+here and in cells (conjugates, joins, component counts, class sizes) are
+partitions by construction and are located, skipping the checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, zip_longest
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .rootsys import RootA, chain_components
+from .rootsys import RootA, _located, chain_components
 
 
 @dataclass(frozen=True, order=True)
@@ -37,14 +42,6 @@ class Partition:
     def total(self) -> int:
         return sum(self.parts)
 
-    def prefix_sums(self, length: int) -> tuple[int, ...]:
-        """First `length` partial sums, zero-padding parts as needed."""
-        acc, out = 0, []
-        for k in range(length):
-            acc += self.parts[k] if k < len(self.parts) else 0
-            out.append(acc)
-        return tuple(out)
-
     def __str__(self) -> str:
         return "+".join(str(x) for x in self.parts)
 
@@ -55,17 +52,19 @@ def partition(parts: Iterable[int]) -> Partition:
 
 def dominance_leq(a: Partition, b: Partition) -> bool:
     """a <= b in dominance order: every prefix sum of a is at most b's."""
-    if a.total != b.total:
+    total = a.total
+    if total != b.total:
         raise PreconditionError(
-            f"dominance compares partitions of equal weight, got {a.total} != {b.total}"
+            f"dominance compares partitions of equal weight, got {total} != {b.total}"
         )
-    m = max(len(a.parts), len(b.parts))
-    return all(x <= y for x, y in zip(a.prefix_sums(m), b.prefix_sums(m)))
+    sums = zip_longest(accumulate(a.parts), accumulate(b.parts), fillvalue=total)
+    return all(x <= y for x, y in sums)
 
 
 def transpose(a: Partition) -> Partition:
     """Conjugate partition: column lengths of the Young diagram."""
-    return Partition(tuple(sum(1 for x in a.parts if x > k) for k in range(a.parts[0])))
+    parts = tuple(sum(1 for x in a.parts if x > k) for k in range(a.parts[0]))
+    return _located(Partition, parts=parts)
 
 
 def _from_prefix_sums(sums: Sequence[int]) -> Partition | None:
@@ -76,15 +75,21 @@ def _from_prefix_sums(sums: Sequence[int]) -> Partition | None:
         return None
     if any(x < 0 for x in parts):
         return None
-    return Partition(tuple(parts))
+    return _located(Partition, parts=tuple(parts))
+
+
+def _prefix_columns(ps: Sequence[Partition], total: int) -> Iterable[tuple[int, ...]]:
+    """The k-th prefix sums of every partition in ps, for k up to the longest.
+
+    The iterators are unpacked from a list, not a generator, for the reason
+    given at the end of cells.enumerate_good_bases.
+    """
+    return zip_longest(*[accumulate(q.parts) for q in ps], fillvalue=total)
 
 
 def _meet(ps: Sequence[Partition]) -> Partition:
     """Dominance meet: pointwise minimum of prefix sums, always a partition."""
-    m = max(len(q.parts) for q in ps)
-    tables = [q.prefix_sums(m) for q in ps]
-    mins = tuple(min(t[k] for t in tables) for k in range(m))
-    out = _from_prefix_sums(mins)
+    out = _from_prefix_sums([min(c) for c in _prefix_columns(ps, ps[0].total)])
     assert out is not None, "prefix-sum minima always form a partition"
     return out
 
@@ -103,10 +108,7 @@ def sup(ps: Sequence[Partition]) -> Partition:
     totals = {q.total for q in ps}
     if len(totals) != 1:
         raise PreconditionError(f"sup needs equal weights, got {sorted(totals)}")
-    m = max(len(q.parts) for q in ps)
-    tables = [q.prefix_sums(m) for q in ps]
-    maxima = tuple(max(t[k] for t in tables) for k in range(m))
-    direct = _from_prefix_sums(maxima)
+    direct = _from_prefix_sums([max(c) for c in _prefix_columns(ps, totals.pop())])
     if direct is not None:
         return direct
     return transpose(_meet([transpose(q) for q in ps]))
@@ -148,7 +150,7 @@ def _partition_of_components(comps: Sequence[tuple[int, ...]], n: int) -> Partit
     so on nodes 1..n+1 the counts are already the leading parts.
     """
     parts = tuple(len(c) for c in comps)
-    return Partition(parts + (1,) * (n + 1 - sum(parts)))
+    return _located(Partition, parts=parts + (1,) * (n + 1 - sum(parts)))
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +167,7 @@ def partitions_of(total: int) -> tuple[Partition, ...]:
             for tail in rec(rest - first, first):
                 yield (first,) + tail
 
-    return tuple(Partition(p) for p in rec(total, total))
+    return tuple(_located(Partition, parts=p) for p in rec(total, total))
 
 
 def parse_partition(text: str) -> Partition:

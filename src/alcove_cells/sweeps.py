@@ -27,7 +27,6 @@ from .alcove import (
     Alcove,
     Facette,
     _code_families,
-    _located,
     alcove_of,
     closure_contains,
     facette_of,
@@ -52,7 +51,7 @@ from .cells import (
 )
 from .errors import InvariantViolationError, PreconditionError
 from .partition import dominance_leq, partition_of_basis, sup
-from .rootsys import RootA, ShiftedPoint, positive_roots, shifted_point
+from .rootsys import RootA, ShiftedPoint, _located, positive_roots, shifted_point
 from .support import construct_mu, facette_lattice_point
 
 MAX_RECORDED_FAILURES = 20

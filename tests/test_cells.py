@@ -1,3 +1,4 @@
+import gc
 from itertools import product
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcove_cells.cells import (
+    chain_bases_in,
     comparable_pairs_of,
     d_partition,
     enumerate_good_bases,
@@ -191,3 +193,19 @@ def test_good_basis_systems_stay_inside_gamma(data):
     g = gamma(pt, p)
     for basis in enumerate_good_bases(g):
         assert positive_roots_of(basis) <= g
+
+
+@pytest.mark.parametrize("walk", [enumerate_good_bases, chain_bases_in])
+def test_a_basis_walk_leaves_no_reference_cycle(walk):
+    # the walks keep no self-referencing closure, so a call frees its frames,
+    # lists and tuples by reference counting alone
+    roots = positive_roots(4)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(walk(roots)) > 1
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

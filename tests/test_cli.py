@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -378,3 +379,23 @@ def test_json_writer_refuses_values_no_cli_document_holds():
     for value in (1.5, (1, 2), {1: "a"}):
         with pytest.raises(TypeError):
             _json_text(value)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_a_certificate_run_builds_no_fraction(capsys, monkeypatch, fmt):
+    # mu and mu' are printed from their prefix numerators, and every leg runs
+    # on integers, so an integral weight builds no Fraction from input to output
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    argv = ["certificate", "--n", "4", "--p", "5", "--weight", "9,9,9,9", "--format", fmt]
+    assert main(argv) == 0
+    assert "mu" in capsys.readouterr().out
+    assert built == []
+    Fraction(1, 2)
+    assert len(built) == 1

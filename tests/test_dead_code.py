@@ -1,6 +1,7 @@
 """No dead leftovers in the package: unused imports, unreferenced private helpers,
-no module but the kernel and its oracle naming the facette datum format, and
-no module importing fractions but the points, the oracles and the CLI parser.
+no module but the kernel and its oracle naming the facette datum format, no
+module importing fractions but the points, the oracles and the CLI parser, and
+no checked Partition(...) call but the two public constructors from input.
 
 Read with the standard library's ast only.  An import counts as used when
 its bound name occurs as a name anywhere in the module.  A module-level
@@ -103,3 +104,18 @@ def test_only_points_oracles_and_the_parser_import_fractions():
         or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
     }
     assert importers - allowed == set()
+
+
+def test_only_the_public_constructors_call_the_checked_partition():
+    # Partition(...) checks its parts; partition() and parse_partition build
+    # partitions from outside input, and every partition the package derives
+    # (conjugates, joins, component counts, class sizes) is located
+    callers = [
+        f"{module}: {getattr(top, 'name', '<module>')}"
+        for module, tree in _modules()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "Partition" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert sorted(callers) == ["partition.py: parse_partition", "partition.py: partition"]

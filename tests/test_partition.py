@@ -1,10 +1,16 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alcove_cells.cells import chain_bases_in, d_partition
 from alcove_cells.errors import PreconditionError
 from alcove_cells.partition import (
     Partition,
+    _meet,
+    _partition_of_components,
     dominance_leq,
     orbit_label,
     parse_partition,
@@ -14,7 +20,7 @@ from alcove_cells.partition import (
     sup,
     transpose,
 )
-from alcove_cells.rootsys import RootA
+from alcove_cells.rootsys import RootA, _located, chain_components, positive_roots, shifted_point
 
 
 def _pairs(total):
@@ -152,3 +158,48 @@ def test_partitions_of_counts():
     for total in range(1, 9):
         for a in partitions_of(total):
             assert a.total == total
+
+
+# -- located partitions: the derived ones skip the checks they pass ----------
+
+
+def _checked(q):
+    """q rebuilt through the checked constructor, which raises unless q is a partition."""
+    assert type(q.parts) is tuple
+    return Partition(tuple(q.parts))
+
+
+def test_a_located_partition_is_a_checked_one():
+    for total in range(1, 9):
+        checked = [Partition(q.parts) for q in partitions_of(total)]
+        located = [_located(Partition, parts=q.parts) for q in checked]
+        for a, b in zip(located, checked):
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        for (a, b), (c, d) in product(zip(located, checked), repeat=2):
+            assert (a < c) == (b < d) == (a < d) == (b < c)
+        assert partitions_of(total) == tuple(checked)
+
+
+def test_every_derived_partition_passes_the_checks():
+    rng = random.Random(15)
+    for total in range(1, 9):
+        family = partitions_of(total)
+        for q in family:
+            assert transpose(q) == _checked(transpose(q))
+        for _ in range(60):
+            ps = rng.sample(family, rng.randint(1, min(4, len(family))))
+            join, meet = sup(ps), _meet(ps)
+            assert join == _checked(join) and meet == _checked(meet)
+            below = [c for c in family if all(dominance_leq(c, q) for q in ps)]
+            assert all(dominance_leq(c, meet) for c in below) and meet in below
+
+
+def test_component_and_class_partitions_pass_the_checks():
+    for n in range(1, 6):
+        for b in chain_bases_in(positive_roots(n)):
+            q = _partition_of_components(chain_components(tuple(b)), n)
+            assert q == _checked(q) and q.total == n + 1
+    for p in (2, 3, 5):
+        for coords in product(range(-2, 7), repeat=3):
+            d = d_partition(shifted_point(coords), p)
+            assert d == _checked(d) and d.total == 4

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as Q
 from itertools import accumulate
@@ -279,3 +280,20 @@ def test_the_constructor_keeps_its_checks():
             ShiftedPoint(coords)
     with pytest.raises(ValueError):
         ShiftedPoint(("1/x",))
+
+
+def test_coord_strings_print_what_str_of_a_fraction_prints():
+    rng = random.Random(15)
+    points = [ShiftedPoint((0, -3, Q(-7, 2), Q(4, 2))), _located_point((0, 6, 6, 2), 4)]
+    for _ in range(400):
+        den = rng.choice((1, 2, 3, 4, 6, 12, 35))
+        coords = [Q(rng.randint(-40, 40), rng.choice((1, den))) for _ in range(rng.randint(1, 6))]
+        points.append(ShiftedPoint(coords))
+    integral = 0
+    for pt in points:
+        assert list(pt.coord_strings()) == [str(c) for c in pt.coords]
+        if pt.is_integral():
+            integral += 1
+            assert [int(c) for c in pt.coord_strings()] == [int(c) for c in pt.coords]
+    assert integral > 20
+    assert ShiftedPoint((0, -3, Q(-7, 2), Q(4, 2))).coord_strings() == ("0", "-3", "-7/2", "2")
