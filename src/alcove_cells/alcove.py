@@ -14,10 +14,12 @@ that touch one root, it decides the walls; run root by root, it enumerates
 the families within given code ranges; and as it leaves the difference
 bounds closed, an interior point is a midpoint of a facette's own bounds.
 Point location, closures and stabilizer root systems compare the point's
-integer pairing numerators with multiples of p.  A facette stores only its
-codes and decodes its Wall/Between data on read; the families the library
-makes itself (a point's, a walked one, an alcove's) are located, skipping
-the checks they pass by construction.
+integer pairing numerators with multiples of p; the closure predicates read
+them, the denominator and the facette's codes straight from the stored
+fields.  A facette stores only its codes and decodes its Wall/Between
+data on read; the families the library makes itself (a point's, a walked
+one, an alcove's) are located, skipping the checks they pass by
+construction.
 The stabilizer route to lower closures runs on ints too: around a point,
 its stabilizer permutes the eps coordinates within the classes of equal
 prefix numerators mod p, so the group is enumerated as a product of
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import permutations, product
-from operator import lt
+from operator import le, lt, mul
 from typing import Iterator, Sequence, Union
 
 from .errors import InvariantViolationError, PreconditionError, ResourceLimitError
@@ -194,7 +196,7 @@ class Alcove:
         object.__setattr__(self, "_codes", codes)
 
     def is_dominant(self) -> bool:
-        return all(v >= 1 for v in self.indices)
+        return min(self.indices) >= 1
 
 
 @dataclass(frozen=True, init=False)
@@ -271,11 +273,6 @@ def facette_of(pt: ShiftedPoint, p: int) -> Facette:
     return _located(Facette, rank=pt.rank, p=p, _codes=codes)
 
 
-def _match_point(f: Union[Facette, Alcove], pt: ShiftedPoint) -> None:
-    if pt.rank != f.rank:
-        raise PreconditionError(f"rank mismatch: point {pt.rank}, facette {f.rank}")
-
-
 def lower_closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
     """Membership of pt in the lower closure of f.
 
@@ -284,9 +281,10 @@ def lower_closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
     adjoined and the upper one is not.  On the doubled scale a datum with
     code c is the point or open window centred on c * p / 2.
     """
-    _match_point(f, pt)
-    step = pt.denominator * f.p
-    for v, c in zip(pt.pairing_numerators(), f._codes):
+    if pt.rank != f.rank:
+        raise PreconditionError(f"rank mismatch: point {pt.rank}, facette {f.rank}")
+    step = pt._den * f.p
+    for v, c in zip(pt._pairs, f._codes):
         gap = 2 * v - c * step
         if c & 1:
             if not -step <= gap < step:
@@ -298,9 +296,10 @@ def lower_closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
 
 def closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
     """Membership of pt in the topological closure of f."""
-    _match_point(f, pt)
-    step = pt.denominator * f.p
-    for v, c in zip(pt.pairing_numerators(), f._codes):
+    if pt.rank != f.rank:
+        raise PreconditionError(f"rank mismatch: point {pt.rank}, facette {f.rank}")
+    step = pt._den * f.p
+    for v, c in zip(pt._pairs, f._codes):
         if abs(2 * v - c * step) > (c & 1) * step:
             return False
     return True
@@ -450,7 +449,7 @@ def _node_classes(pt: ShiftedPoint, p: int) -> tuple[int, ...]:
     Nodes i < j share a class iff <pt, eps_{i+1} - eps_{j+1}> is a
     multiple of p, i.e. iff their prefix numerators agree mod den * p.
     """
-    step = pt.denominator * p
+    step = pt._den * p
     labels: dict[int, int] = {}
     return tuple(labels.setdefault(v % step, len(labels)) for v in pt._num)
 
@@ -498,11 +497,10 @@ def lower_closure_contains_via_stabilizer(
     the prefix sums over nodes i < k, for k = 1..n, and the cone test asks
     each to be nonnegative.
     """
-    _match_point(f, pt)
     if not closure_contains(f, pt):
         raise PreconditionError("point lies outside the closure of the facette")
     lam = interior_point(f)
-    u = [a * pt.denominator - b * lam.denominator for a, b in zip(lam._num, pt._num)]
+    u = [a * pt._den - b * lam._den for a, b in zip(lam._num, pt._num)]
     last = len(u) - 1
     for sigma in _class_permutations(_node_classes(pt, f.p)):
         total = 0
@@ -568,7 +566,7 @@ def weak_leq(a: Alcove, b: Alcove) -> bool:
         raise PreconditionError("weak_leq compares alcoves of equal rank and p")
     if not (a.is_dominant() and b.is_dominant()):
         raise PreconditionError("weak_leq is defined on dominant alcoves only")
-    return all(x <= y for x, y in zip(a.indices, b.indices))
+    return all(map(le, a.indices, b.indices))
 
 
 def weak_leq_oracle(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
@@ -645,13 +643,17 @@ def _raise_tables(rank: int) -> tuple[tuple[tuple[int, int, bool], ...], ...]:
     return tuple(tables)
 
 
+@lru_cache(maxsize=None)
+def _simple_positions(rank: int) -> tuple[int, ...]:
+    """Root positions of the simple roots (k, k+1), k = 1..n."""
+    pos_of = root_position(rank)
+    return tuple(pos_of[RootA(k, k + 1)] for k in range(1, rank + 1))
+
+
 def _ceilings(rank: int, idx: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse-Cartan-weighted combinations of the simple-root indices."""
-    pos_of = root_position(rank)
-    simple = [idx[pos_of[RootA(k, k + 1)]] for k in range(1, rank + 1)]
-    return tuple(
-        sum(c * v for c, v in zip(row, simple)) for row in inverse_cartan_numerators(rank)
-    )
+    simple = [idx[k] for k in _simple_positions(rank)]
+    return tuple(sum(map(mul, row, simple)) for row in inverse_cartan_numerators(rank))
 
 
 @lru_cache(maxsize=None)

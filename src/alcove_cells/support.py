@@ -9,9 +9,10 @@ exact rational point mu whose stabilizer system contains the basis'
 system while its alcove stays weakly below, locates an integral point in
 mu's facette, and compares partitions; the supremum over the legs is
 checked against the all-bases oracle.  mu is computed in one loop on
-integer numerators over a denominator fixed up front and the lattice
-point is read off its facette's even codes, and both are located from
-their prefix numerators, so the module builds no Fraction at all.
+integer numerators over a denominator fixed up front, the lattice point
+is the least integer solution of its facette's difference bounds on the
+prefix sums, found by longest paths, and both are located from their
+prefix numerators, so the module builds no Fraction at all.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Iterable, Optional
 from .alcove import (
     Alcove,
     Facette,
-    _code_families,
     alcove_of,
     facette_of,
     lower_closure_contains,
@@ -48,7 +48,14 @@ from .partition import (
     sup,
     transpose,
 )
-from .rootsys import RootA, ShiftedPoint, _located_point, check_p, root_position
+from .rootsys import (
+    RootA,
+    ShiftedPoint,
+    _located_point,
+    check_p,
+    positive_roots,
+    root_position,
+)
 
 THEOREM = "theorem"
 CONJECTURE = "conjecture"
@@ -230,17 +237,48 @@ def construct_mu(
 def facette_lattice_point(f: Facette) -> Optional[ShiftedPoint]:
     """The coordinate-lexicographically smallest integral point of f, if any.
 
-    Integral pairings v are the even codes 2v at step 1: (c - 1) p + 2 up to
-    (c + 1) p - 2 in a window of code c, p c on a wall.  _code_families fixes
-    the simple roots in coordinate order, ascending, and with even codes each
-    other root has the one candidate a + b: the first family is the answer.
-    Its codes at the roots (1, j) are twice the prefix sums of the
-    coordinates, so the point is located from their halves over 1.
+    An integral point is its prefix sums X_0 = 0, X_1, ..., X_n, and its
+    pairing at the root (i, j) is X_{j-1} - X_{i-1}.  A wall of code c fixes
+    that difference at c p / 2; a window of code c bounds it to
+    [(c - 1) p / 2 + 1, (c + 1) p / 2 - 1], which holds no integer when p = 1.
+    So the integral points of f are the integer solutions of difference
+    bounds lo <= X_b - X_a <= hi, with a = i - 1 < b = j - 1.
+
+    Integer solutions of such bounds are closed under componentwise min: if
+    X_a <= Y_a then min(X_b, Y_b) <= X_b <= X_a + hi, and if X_b <= Y_b then
+    X_b >= X_a + lo >= min(X_a, Y_a) + lo.  The roots (1, j) bound every X_v
+    below, so when f has an integral point it has a least one, below every
+    other in each X_v: their lexicographic minimum in X, and so in the
+    coordinates X_k - X_{k-1}, which first differ where the prefix sums do.
+    It is the longest-path weights from node 0, with an edge a -> b of weight
+    lo and an edge b -> a of weight -hi per root: every solution has X_v at
+    least the weight of every path from 0 to v, and those weights solve the
+    bounds when no cycle is positive.  They start at the bounds of the roots
+    (1, j), and Bellman-Ford relaxes all edges in rounds; a simple path has
+    at most n edges, so without a positive cycle a round within n + 1
+    changes nothing, and with one every round moves a weight.  A positive
+    cycle, which integer bounds can hold while the rational region is
+    non-empty, leaves no integral point, and so does an empty window.
     """
-    p = f.p
-    evens = [range(p * c - (c & 1) * (p - 2), p * c + (c & 1) * (p - 2) + 1, 2) for c in f._codes]
-    for codes in _code_families(f.rank, evens):
-        return _located_point((0, *(c // 2 for c in codes[: f.rank])), 1)
+    p, n = f.p, f.rank
+    ups, downs = [], []
+    for (i, j), c in zip(positive_roots(n), f._codes):
+        w = c & 1
+        lo, hi = (c - w) * p // 2 + w, (c + w) * p // 2 - w
+        if lo > hi:
+            return None
+        ups.append((i - 1, j - 1, lo))
+        downs.append((j - 1, i - 1, -hi))
+    x = [0, *(lo for _, _, lo in ups[:n])]
+    edges = ups + downs
+    for _ in range(n + 1):
+        moved = False
+        for a, b, w in edges:
+            if x[a] + w > x[b]:
+                x[b] = x[a] + w
+                moved = True
+        if not moved:
+            return _located_point(tuple(x), 1)
     return None
 
 

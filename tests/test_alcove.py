@@ -183,6 +183,20 @@ def test_stabilizer_route_examples():
     assert lower_closure_contains_via_stabilizer(c0, shifted_point([2, 2]))
 
 
+@pytest.mark.parametrize(
+    "contains", [closure_contains, lower_closure_contains, lower_closure_contains_via_stabilizer]
+)
+def test_closure_predicates_refuse_a_point_of_another_rank(contains):
+    # zip would pair a rank-3 point's first pairings with a rank-2 facette's
+    # codes; the origin would pass both closures of the bottom alcove
+    c0 = bottom_alcove(2, 5)
+    for f in (c0, facette_from_alcove(c0), facette_of(shifted_point([5, 0]), 5)):
+        for coords, rank in (([0, 0, 0], 3), ([0], 1)):
+            with pytest.raises(PreconditionError) as caught:
+                contains(f, shifted_point(coords))
+            assert str(caught.value) == f"rank mismatch: point {rank}, facette 2"
+
+
 def test_stabilizer_route_requires_closure_membership():
     with pytest.raises(PreconditionError):
         lower_closure_contains_via_stabilizer(

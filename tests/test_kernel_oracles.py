@@ -20,9 +20,11 @@ stabilizer-system routes they replaced; the set-partition walk of
 chain_bases_in behind s_partition_oracle and the sweeps against the subset
 routes it replaced.  Box facettes, interior points and
 lattice points: the split-rule generator behind facettes_meeting_box, its
-box test on the gcd grid, the midpoint interior_point and the first-family
+box test on the gcd grid, the midpoint interior_point and the least-solution
 facette_lattice_point against the Floyd-Warshall box search, the solver's
-feasibility and witness, and the coordinate-by-coordinate lattice search.
+feasibility and witness, and the coordinate-by-coordinate lattice search
+(on window families, on every certificate leg's facette, and on a facette
+whose integer bounds hold a positive cycle).
 The mu construction: the one integer loop of construct_mu against the
 Fraction recursion over pt's alcove that it replaced.  Located families:
 the alcoves and facettes of points and the walked families of
@@ -87,13 +89,14 @@ from alcove_cells.rootsys import (
     chain_components,
     inverse_cartan_numerators,
     point_from_e,
+    point_from_weight,
     positive_roots,
     root_leq,
     root_pairing,
     root_position,
     shifted_point,
 )
-from alcove_cells.support import construct_mu, facette_lattice_point
+from alcove_cells.support import construct_mu, facette_lattice_point, upper_bound_certificate
 from alcove_cells.sweeps import (
     _meets_box,
     dominant_alcoves,
@@ -836,17 +839,57 @@ def _facette_lattice_point_by_search(f):
     return None if coords is None else ShiftedPoint(tuple(Q(c) for c in coords))
 
 
+def _lattice_points_against_the_search(facettes):
+    """(found, missing): facettes with and without a lattice point, after
+    checking facette_lattice_point against the search on each."""
+    found = missing = 0
+    for f in facettes:
+        fast = facette_lattice_point(f)
+        assert fast == _facette_lattice_point_by_search(f), f
+        found += fast is not None
+        missing += fast is None
+    return found, missing
+
+
 @pytest.mark.parametrize("rank, lo, hi", [(2, -2, 3), (3, -1, 2), (4, 0, 1)])
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_lattice_points_match_the_coordinate_search(rank, lo, hi, p):
-    found = missing = 0
-    for data in _families(rank, lo, hi, prune=True):
-        f = Facette(rank, p, data)
-        fast = facette_lattice_point(f)
-        assert fast == _facette_lattice_point_by_search(f), data
-        found += fast is not None
-        missing += fast is None
+    """Every realizable family of the window; at p = 1 no window holds an
+    integer, and at p = 2 each holds one."""
+    families = (Facette(rank, p, data) for data in _families(rank, lo, hi, prune=True))
+    found, missing = _lattice_points_against_the_search(families)
     assert found > 0 and (missing > 0) == (p < rank + 1)
+
+
+def _certificate_inputs():
+    for n, p in ((2, 5), (3, 4), (3, 5)):
+        for pt in integral_points(n, 1, p + 1):
+            yield pt, p
+    rng = random.Random(16)
+    for _ in range(50):
+        yield point_from_weight(tuple(rng.randint(0, 14) for _ in range(4))), 5
+
+
+def test_lattice_points_match_the_coordinate_search_on_certificate_legs():
+    """The facette of every leg's mu, as upper_bound_certificate locates it
+    before it takes the lattice point mu' there."""
+    facettes = [
+        facette_of(leg.mu, p)
+        for pt, p in _certificate_inputs()
+        for leg in upper_bound_certificate(pt, p).legs
+    ]
+    assert len(facettes) == 3784
+    assert _lattice_points_against_the_search(facettes) == (3784, 0)
+
+
+def test_lattice_point_misses_a_facette_whose_integer_bounds_hold_a_positive_cycle():
+    """Rank 3, p = 3, every pairing in the window (-3, 0).  Each window holds
+    the integers -2 and -1, and the point with coordinates -3/4 lies in the
+    facette, but integers fail: x_1 + x_2 >= -2 and x_2 + x_3 >= -2 force
+    every x_k = -1, and then x_1 + x_2 + x_3 = -3."""
+    f = Facette(3, 3, [Between(0)] * 6)
+    assert facette_of(shifted_point([Q(-3, 4)] * 3), 3) == f
+    assert _lattice_points_against_the_search([f]) == (0, 1)
 
 
 # -- all chain bases: the set-partition walk against the subset routes ----
