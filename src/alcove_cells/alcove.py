@@ -259,17 +259,17 @@ def alcove_of(pt: ShiftedPoint, p: int) -> Alcove:
     exactly on a hyperplane is assigned the alcove directly above it.
     """
     check_p(p)
-    step = pt.denominator * p
-    indices = tuple(v // step + 1 for v in pt.pairing_numerators())
-    codes = tuple(2 * v - 1 for v in indices)
+    step = pt._den * p
+    indices = tuple([v // step + 1 for v in pt._pairs])
+    codes = tuple([2 * v - 1 for v in indices])
     return _located(Alcove, rank=pt.rank, p=p, indices=indices, _codes=codes)
 
 
 def facette_of(pt: ShiftedPoint, p: int) -> Facette:
     """The unique facette containing pt: code 2q on a wall, 2q + 1 strictly above it."""
     check_p(p)
-    step = pt.denominator * p
-    codes = tuple(2 * (v // step) + (v % step > 0) for v in pt.pairing_numerators())
+    step = pt._den * p
+    codes = tuple([2 * (v // step) + (v % step > 0) for v in pt._pairs])
     return _located(Facette, rank=pt.rank, p=p, _codes=codes)
 
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .alcove import _node_classes
 from .errors import InvariantViolationError, PreconditionError
-from .partition import Partition, _partition_of_components, partition_of_basis, sup
+from .partition import Partition, partition_of_basis, sup
 from .rootsys import (
     RootA,
     ShiftedPoint,
@@ -164,21 +163,43 @@ def chain_bases_in(scope: Iterable[RootA]) -> tuple[frozenset[RootA], ...]:
 def s_partition_oracle(pt: ShiftedPoint, p: int) -> Partition:
     """Brute-force supremum over every basis whose whole system fits in gamma.
 
-    Walks all chain bases made of roots of gamma (not only antichains,
-    at most Bell(n+1) of them, see chain_bases_in), keeps those whose
-    generated system lies inside gamma, and takes the supremum of their
-    partitions.  Each basis' chain components are computed once, for both
-    the containment test and the partition.  Independent route from
-    s_partition.
+    Independent route from s_partition: s_partition_oracle_of on
+    gamma(pt, p).
     """
-    g = gamma(pt, p)
-    n = pt.rank
-    parts = []
-    for b in chain_bases_in(g):
-        comps = chain_components(tuple(b))
-        if all(r in g for r in _system_of(comps)):
-            parts.append(_partition_of_components(comps, n))
-    return sup(parts)
+    return s_partition_oracle_of(gamma(pt, p), pt.rank)
+
+
+def s_partition_oracle_of(g: frozenset[RootA], n: int) -> Partition:
+    """The all-bases oracle's supremum for the threshold set g of A_n.
+
+    A chain basis of A_n is a set partition of the nodes 1..n+1, its
+    chains running through each block's nodes in order, and its system is
+    every root (u, v), u < v, inside one block (see chain_bases_in).  So
+    the bases whose whole system lies inside g, not only antichains, are
+    the set partitions whose blocks hold only pairs of g.  The walk places
+    the nodes 1, ..., n+1 in turn: node v opens a new block, or joins a
+    block whose every node u has (u, v) in g.  Each such partition is
+    reached exactly once, fixed by where its nodes go, and no other is: a
+    pair placed in one block stays there, so every block holds only pairs
+    of g.  A basis' partition is the block sizes in decreasing order (a
+    singleton block being a part 1), and the result is the supremum of the
+    distinct ones.  For a caller that has gamma already, such as a
+    certificate.
+    """
+    below: list[set[int]] = [set() for _ in range(n + 2)]
+    for u, v in g:
+        below[v].add(u)
+    walked: list[tuple[tuple[int, ...], ...]] = [()]
+    for v in range(1, n + 2):
+        grown = []
+        for blocks in walked:
+            grown.append(blocks + ((v,),))
+            for k, block in enumerate(blocks):
+                if below[v].issuperset(block):
+                    grown.append(blocks[:k] + (block + (v,),) + blocks[k + 1 :])
+        walked = grown
+    sizes = {tuple(sorted(map(len, blocks), reverse=True)) for blocks in walked}
+    return sup([_located(Partition, parts=parts) for parts in sizes])
 
 
 def comparable_pairs_of(basis: Iterable[RootA]) -> list[tuple[RootA, RootA]]:
@@ -275,8 +296,9 @@ def d_partition(pt: ShiftedPoint, p: int) -> Partition:
     of nodes inside one class; its simple roots are the consecutive pairs
     of each class, a chain basis whose components are the classes with
     two or more nodes.  Padding with 1s for the singletons, the partition
-    is the class sizes in decreasing order.
+    is the class sizes in decreasing order, counted by residue.
     """
     check_p(p)
-    sizes = Counter(_node_classes(pt, p)).values()
+    step = pt._den * p
+    sizes = Counter([v % step for v in pt._num]).values()
     return _located(Partition, parts=tuple(sorted(sizes, reverse=True)))

@@ -404,7 +404,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
                 "basis": [_root_pair(r) for r in sorted(leg.basis)],
                 "pi": list(leg.pi.parts),
                 "mu": list(leg.mu.coord_strings()),
-                "mu_prime": [int(c) for c in leg.mu_prime.coord_strings()],
+                "mu_prime": [c + 1 for c in leg.mu_prime.weight()],
                 "d_mu_prime": list(leg.d_mu_prime.parts),
                 "mu_alcove": list(leg.mu_alcove.indices),
                 "lambda_alcove": list(leg.lambda_alcove.indices),

@@ -36,7 +36,7 @@ from .cells import (
     gamma,
     is_good_basis,
     s_partition,
-    s_partition_oracle,
+    s_partition_oracle_of,
 )
 from .errors import InvariantViolationError, PreconditionError
 from .partition import (
@@ -261,16 +261,16 @@ def facette_lattice_point(f: Facette) -> Optional[ShiftedPoint]:
     non-empty, leaves no integral point, and so does an empty window.
     """
     p, n = f.p, f.rank
-    ups, downs = [], []
+    x = [0] * (n + 1)
+    edges = []
     for (i, j), c in zip(positive_roots(n), f._codes):
         w = c & 1
         lo, hi = (c - w) * p // 2 + w, (c + w) * p // 2 - w
         if lo > hi:
             return None
-        ups.append((i - 1, j - 1, lo))
-        downs.append((j - 1, i - 1, -hi))
-    x = [0, *(lo for _, _, lo in ups[:n])]
-    edges = ups + downs
+        if i == 1:
+            x[j - 1] = lo
+        edges += ((i - 1, j - 1, lo), (j - 1, i - 1, -hi))
     for _ in range(n + 1):
         moved = False
         for a, b, w in edges:
@@ -285,16 +285,17 @@ def facette_lattice_point(f: Facette) -> Optional[ShiftedPoint]:
 def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
     """The per-good-basis certificate chain for the tilting upper bound.
 
-    Requires p >= n+1.  gamma is computed once, for the basis enumeration,
-    pt's alcove once, for every leg, and each leg keeps the alcove
-    construct_mu located for its mu.  Every leg is machine-checked: construct_mu checks that the
-    basis is good and inside gamma, that p divides the constructed point's
-    pairing on every root of the basis' system (so its stabilizer system
-    contains that system), that mu is regular dominant and that its alcove
-    is weakly below; here its facette must contain an integral point whose
-    d-partition dominates the basis partition, and the supremum of basis
-    partitions must equal the all-bases oracle's s, which checks at this
-    point that good bases suffice.
+    Requires p >= n+1.  gamma is computed once, for the basis enumeration
+    and the oracle, pt's alcove once, for every leg, and each leg keeps the
+    alcove construct_mu located for its mu.  Every leg is machine-checked:
+    construct_mu checks that the basis is good and inside gamma, that p
+    divides the constructed point's pairing on every root of the basis'
+    system (so its stabilizer system contains that system), that mu is
+    regular dominant and that its alcove is weakly below; here its facette
+    must contain an integral point whose d-partition dominates the basis
+    partition, and the supremum of basis partitions must equal the
+    all-bases oracle's s on the same gamma, which checks at this point that
+    good bases suffice.
     """
     check_p(p)
     _require_integral_dominant(pt, regular=True)
@@ -303,10 +304,11 @@ def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
             f"the upper bound requires p >= n+1 = {pt.rank + 1}, got p={p}"
         )
     n = pt.rank
+    g = gamma(pt, p)
     lam_alcove = alcove_of(pt, p)
     legs = []
     pis = []
-    for basis in enumerate_good_bases(gamma(pt, p)):
+    for basis in enumerate_good_bases(g):
         mu, mu_alcove = construct_mu(pt, lam_alcove, basis)
         f = facette_of(mu, p)
         mu_prime = facette_lattice_point(f)
@@ -333,7 +335,7 @@ def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
             )
         )
     s = sup(pis)
-    if s != s_partition_oracle(pt, p):
+    if s != s_partition_oracle_of(g, n):
         raise InvariantViolationError("certificate supremum disagrees with s")
     return UpperBoundCertificate(
         point=pt, p=p, s=s, orbit=orbit_label(transpose(s)), legs=tuple(legs)

@@ -99,6 +99,18 @@ def test_cli_output_matches_golden(case, fmt):
     assert render(CASES[case], fmt) == expected
 
 
+def test_certificate_goldens_replay_in_one_process():
+    # forward and then in reverse in one process: each run follows the runs
+    # before it, so state one call leaves behind (a module-level cache, the
+    # shared parser) must not change another call's bytes
+    cases = [case for case in sorted(CASES) if case.startswith("certificate_")]
+    runs = [(case, fmt) for case in cases for fmt in FORMATS]
+    assert len(runs) == 12
+    for case, fmt in runs + runs[::-1]:
+        expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
+        assert render(CASES[case], fmt).encode("utf-8") == expected, (case, fmt)
+
+
 def test_corpus_has_no_stray_files():
     expected = {f"{case}.{fmt}" for case in CASES for fmt in FORMATS}
     assert {path.name for path in GOLDEN.iterdir()} == expected

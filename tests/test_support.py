@@ -138,9 +138,9 @@ def test_certificate_locates_lambda_once_and_each_mu_once(monkeypatch):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     cert = upper_bound_certificate(point_from_weight((9, 9, 9, 9)), 5)
     assert len(cert.legs) == 42
-    # one gamma for the legs and one inside s_partition_oracle; one alcove
-    # for lambda and one per mu
-    assert calls["gamma"] <= 2
+    # one gamma for the legs and the oracle; one alcove for lambda and one
+    # per mu
+    assert calls["gamma"] == 1
     assert calls["alcove_of"] == len(cert.legs) + 1
     for leg in cert.legs:
         assert leg.mu_alcove == alcove_of(leg.mu, 5)
