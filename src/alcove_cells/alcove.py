@@ -48,6 +48,7 @@ from .rootsys import (
     RootA,
     ShiftedPoint,
     _located,
+    _located_point,
     check_p,
     inverse_cartan_numerators,
     point_from_e,
@@ -314,7 +315,8 @@ def interior_point(f: Union[Facette, Alcove]) -> ShiftedPoint:
     [c - (c & 1), c + (c & 1)] p / 2.  The bounds of a realizable facette
     are closed (see _realizable), so no interval is empty and this is the
     closure-then-midpoint witness of the solver.  In units of p / 2^rank
-    every value is an integer (e_k is a multiple of 2^(rank - k + 1)).
+    every value is an integer (e_k is a multiple of 2^(rank - k + 1)), so
+    the point's prefix numerators over 2^rank are the integers (e_1 - e_k) p.
     """
     pos = root_position(f.rank)
     half = 1 << (f.rank - 1)
@@ -324,7 +326,7 @@ def interior_point(f: Union[Facette, Alcove]) -> ShiftedPoint:
         lo = max(x - (c + (c & 1)) * half for x, c in bounds)
         hi = min(x - (c - (c & 1)) * half for x, c in bounds)
         e.append((lo + hi) // 2)
-    return point_from_e([Q(v * f.p, 2 * half) for v in e])
+    return _located_point(tuple((e[0] - v) * f.p for v in e), 2 * half)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Threshold root sets, chain bases, good bases, and weight-cell partitions.
 
 For a regular dominant point the threshold set gamma collects the
-positive roots whose pairing reaches p.  Subsets of it that form chain
-bases select subroot systems; the partition s is the dominance supremum
-of the component partitions, computed both over good (antichain) bases
-with a fast enumeration and over all bases by the oracle's walk.  A chain
-basis of A_n is a set partition of the nodes 1..n+1, one chain per block,
-so that walk visits at most Bell(n+1) bases, whatever the size of gamma.
+positive roots whose pairing reaches p, an upper ideal of the root order.
+The partition s is the dominance supremum of the component partitions,
+computed both over good (antichain) bases with a fast enumeration and over
+all bases by the oracle.  A chain basis of A_n is a set partition of the
+nodes 1..n+1, one chain per block, so set_partitions_within, the one walk
+behind the oracle and the reduction sweep, visits at most Bell(n+1) bases.
 The reduction step rewrites a non-good basis into two smaller ones without
 lowering the eventual supremum, mirroring how the two routes agree.
 """
@@ -121,43 +121,39 @@ def s_partition(pt: ShiftedPoint, p: int) -> Partition:
     """Supremum of component partitions over good bases inside gamma.
 
     Membership of the generated subroot system in gamma is checked on the
-    basis alone; for dominant points the rest of the system follows,
-    because gamma is upward closed and every system root lies above a
-    basis root (asserted in the test suite against the brute-force path).
+    basis alone; the rest of the system follows, because every system root
+    lies above a basis root and gamma is an upper ideal, a premise that
+    good_sup_sweep asserts on every gamma it meets.
     """
     g = gamma(pt, p)
     n = pt.rank
     return sup([partition_of_basis(b, n) for b in enumerate_good_bases(g)])
 
 
-def chain_bases_in(scope: Iterable[RootA]) -> tuple[frozenset[RootA], ...]:
-    """All chain bases made of roots of scope, smallest first, then lexicographic.
+def set_partitions_within(g: Iterable[RootA], n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The chain bases of A_n whose whole system lies inside g, as block tuples.
 
-    A root set is a chain basis exactly when no left end and no right end
-    repeats (see chain_components).  Walks the scope level by level in
-    canonical root order, as enumerate_good_bases does; a root extends a
-    basis exactly when it comes after the basis' last root, its left end is
-    no chosen root's left end and its right end no chosen root's right end.
-    Every extension is a basis, so the walk has no dead branch and takes at
-    most |scope| steps per basis.  A chain basis of A_n is a set partition
-    of the nodes 1..n+1, one block per chain, with roots joining consecutive
-    nodes of a block, so there are at most Bell(n+1) of them: 52 at n = 4,
-    877 at n = 6.  Includes the empty basis.  Independent of
-    enumerate_good_bases, whose output it contains.
+    A chain basis is a set partition of the nodes 1..n+1, its chains joining
+    the consecutive nodes of each block (the singletons of the empty basis
+    included), and its system is every root (u, v), u < v, inside one block.
+    The walk places the nodes 1, ..., n+1 in turn: node v opens a new block,
+    or joins a block whose every node u has (u, v) in g.  Each partition
+    whose blocks hold only pairs of g is reached exactly once, fixed by
+    where its nodes go, and no other is: a pair placed in one block stays.
     """
-    pool = sorted(set(scope))
-    # (basis, pool index after its last root, bit masks of the used ends)
-    level = [((), 0, 0, 0)]
-    found: list[tuple[RootA, ...]] = []
-    while level:
-        found += [b for b, _, _, _ in level]
-        level = [
-            (b + (r,), k, lefts | 1 << r.i, rights | 1 << r.j)
-            for b, start, lefts, rights in level
-            for k, r in enumerate(pool[start:], start + 1)
-            if not (lefts >> r.i & 1 or rights >> r.j & 1)
-        ]
-    return tuple([frozenset(b) for b in found])
+    below: list[set[int]] = [set() for _ in range(n + 2)]
+    for u, v in g:
+        below[v].add(u)
+    walked: list[tuple[tuple[int, ...], ...]] = [()]
+    for v in range(1, n + 2):
+        grown = []
+        for blocks in walked:
+            grown.append(blocks + ((v,),))
+            for k, block in enumerate(blocks):
+                if below[v].issuperset(block):
+                    grown.append(blocks[:k] + (block + (v,),) + blocks[k + 1 :])
+        walked = grown
+    return walked
 
 
 def s_partition_oracle(pt: ShiftedPoint, p: int) -> Partition:
@@ -172,33 +168,11 @@ def s_partition_oracle(pt: ShiftedPoint, p: int) -> Partition:
 def s_partition_oracle_of(g: frozenset[RootA], n: int) -> Partition:
     """The all-bases oracle's supremum for the threshold set g of A_n.
 
-    A chain basis of A_n is a set partition of the nodes 1..n+1, its
-    chains running through each block's nodes in order, and its system is
-    every root (u, v), u < v, inside one block (see chain_bases_in).  So
-    the bases whose whole system lies inside g, not only antichains, are
-    the set partitions whose blocks hold only pairs of g.  The walk places
-    the nodes 1, ..., n+1 in turn: node v opens a new block, or joins a
-    block whose every node u has (u, v) in g.  Each such partition is
-    reached exactly once, fixed by where its nodes go, and no other is: a
-    pair placed in one block stays there, so every block holds only pairs
-    of g.  A basis' partition is the block sizes in decreasing order (a
-    singleton block being a part 1), and the result is the supremum of the
-    distinct ones.  For a caller that has gamma already, such as a
-    certificate.
+    Over every basis of set_partitions_within(g, n), not only antichains,
+    the supremum of the distinct block sizes in decreasing order.  For a
+    caller that has gamma already, such as a certificate.
     """
-    below: list[set[int]] = [set() for _ in range(n + 2)]
-    for u, v in g:
-        below[v].add(u)
-    walked: list[tuple[tuple[int, ...], ...]] = [()]
-    for v in range(1, n + 2):
-        grown = []
-        for blocks in walked:
-            grown.append(blocks + ((v,),))
-            for k, block in enumerate(blocks):
-                if below[v].issuperset(block):
-                    grown.append(blocks[:k] + (block + (v,),) + blocks[k + 1 :])
-        walked = grown
-    sizes = {tuple(sorted(map(len, blocks), reverse=True)) for blocks in walked}
+    sizes = {tuple(sorted(map(len, b), reverse=True)) for b in set_partitions_within(g, n)}
     return sup([_located(Partition, parts=parts) for parts in sizes])
 
 
@@ -272,18 +246,16 @@ def reduce_all(basis: Iterable[RootA], n: int) -> tuple[frozenset[RootA], ...]:
         raise PreconditionError(f"{sorted(b0)} is not a chain basis")
     leaves: list[frozenset[RootA]] = []
     seen: set[frozenset[RootA]] = set()
-
-    def walk(b: frozenset[RootA]) -> None:
+    # preorder on an explicit stack: the first output of a step is walked first
+    stack = [b0]
+    while stack:
+        b = stack.pop()
         pairs = comparable_pairs_of(b)
-        if not pairs:
-            if b not in seen:
-                seen.add(b)
-                leaves.append(b)
-            return
-        for out in reduce_step(b, pairs[0], n):
-            walk(out)
-
-    walk(b0)
+        if pairs:
+            stack.extend(reversed(reduce_step(b, pairs[0], n)))
+        elif b not in seen:
+            seen.add(b)
+            leaves.append(b)
     return tuple(leaves)
 
 

@@ -205,8 +205,8 @@ def _located(cls, **fields):
 def _located_point(num: tuple[int, ...], den: int) -> ShiftedPoint:
     """The point with prefix numerators num over den, built without a Fraction.
 
-    Only for the points the library makes from integers (mu and the facette
-    lattice point of the support module), which pass the constructor's
+    Only for the points the library makes from integers (mu, the facette
+    lattice point and alcove.interior_point), which pass the constructor's
     checks by construction: num[0] == 0, at least one coordinate, den > 0.
     Dividing by g = gcd(den, *num) leaves den the least common denominator
     (the gcd of the prefix sums is that of the coordinates), so the point

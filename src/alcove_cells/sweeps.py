@@ -5,9 +5,9 @@ over a finite window: closure membership against the stabilizer route,
 the index criterion for the weak order against raw BFS, the good-basis
 supremum against the all-bases oracle, the reduction step against
 its contract, the mu construction against its postconditions, and
-facette lattice-point existence.  The good-sup and reduction sweeps walk
-the chain bases inside gamma (cells.chain_bases_in, at most Bell(n+1) of
-them) once per distinct gamma, not once per point.  Results carry case
+facette lattice-point existence.  Once per distinct gamma, not per point,
+good-sup runs the oracle and the upper-ideal check and reduction walks the
+chain bases inside gamma (cells.set_partitions_within).  Results carry case
 counts, failure counts with the first descriptions, and non-failing
 observational reports.
 The dominant alcoves, the facettes meeting a box and the box test are calls
@@ -37,7 +37,6 @@ from .alcove import (
     weak_leq_oracle,
 )
 from .cells import (
-    chain_bases_in,
     comparable_pairs_of,
     enumerate_good_bases,
     gamma,
@@ -46,12 +45,13 @@ from .cells import (
     reduce_all,
     reduce_step,
     s_partition,
-    s_partition_oracle,
+    s_partition_oracle_of,
+    set_partitions_within,
     upward_closure,
 )
 from .errors import InvariantViolationError, PreconditionError
 from .partition import dominance_leq, partition_of_basis, sup
-from .rootsys import RootA, ShiftedPoint, _located, positive_roots, shifted_point
+from .rootsys import RootA, ShiftedPoint, _located, positive_roots, root_position, shifted_point
 from .support import construct_mu, facette_lattice_point
 
 MAX_RECORDED_FAILURES = 20
@@ -258,10 +258,11 @@ def good_sup_sweep(
 ) -> SweepResult:
     """s-partition against the brute-force oracle over a dominant box.
 
-    Also asserts that every chain basis made of roots of gamma generates
-    a system inside gamma, and that points sharing a facette share gamma.
-    The oracle and the gamma check run once per distinct gamma; the
-    comparisons and failures stay per point.
+    Also asserts that gamma is an upper ideal of the root order, the
+    premise under which s_partition checks only a basis' own roots, and
+    that points sharing a facette share gamma.  The oracle and the ideal
+    check run once per distinct gamma; the comparisons and failures stay
+    per point.
     The weak-order monotonicity of s is probed on MONOTONICITY_PROBES
     sampled comparable pairs and surfaced as reports only, never failures.
     """
@@ -270,22 +271,22 @@ def good_sup_sweep(
     pts = _window_points(res, n, hi, sample, seed)
     gamma_by_facette: dict = {}
     s_by_point: dict = {}
-    by_gamma: dict = {}  # gamma -> (oracle s, chain bases whose system escapes gamma)
+    by_gamma: dict = {}  # gamma -> (oracle s, roots above gamma missing from it)
     for pt in pts:
         res.cases += 1
         g = gamma(pt, p)
         if g not in by_gamma:
-            escaping = [b for b in chain_bases_in(g) if not positive_roots_of(b) <= g]
-            by_gamma[g] = (s_partition_oracle(pt, p), escaping)
-        brute, escaping = by_gamma[g]
+            missing = [tuple(r) for r in sorted(upward_closure(g, n) - g)]
+            by_gamma[g] = (s_partition_oracle_of(g, n), missing)
+        brute, missing = by_gamma[g]
         fast = s_partition(pt, p)
         s_by_point[pt] = fast
         if fast != brute:
             res.fail(
                 f"s mismatch at {pt.coords}: good-basis {fast} brute-force {brute}"
             )
-        for basis in escaping:
-            res.fail(f"system of {sorted(basis)} escapes gamma at {pt.coords}")
+        if missing:
+            res.fail(f"gamma at {pt.coords} is not an upper ideal: missing {missing}")
         key = facette_of(pt, p)
         if key in gamma_by_facette:
             if gamma_by_facette[key] != g:
@@ -332,6 +333,7 @@ def reduction_sweep(
     pts = _window_points(res, n, hi, sample, seed)
     if n <= 2:
         res.reports.append("not applicable: A_1 and A_2 have no non-good chain basis")
+    roots, pos = positive_roots(n), root_position(n)
     seen_gammas: set[frozenset[RootA]] = set()
     seen_bases: set[frozenset[RootA]] = set()
     for pt in pts:
@@ -339,8 +341,9 @@ def reduction_sweep(
         if g in seen_gammas:
             continue
         seen_gammas.add(g)
-        for basis in chain_bases_in(g):
-            if basis in seen_bases or is_good_basis(basis) or not positive_roots_of(basis) <= g:
+        for blocks in set_partitions_within(g, n):
+            basis = frozenset(roots[pos[uv]] for nodes in blocks for uv in zip(nodes, nodes[1:]))
+            if basis in seen_bases or is_good_basis(basis):
                 continue
             seen_bases.add(basis)
             pi_in = partition_of_basis(basis, n)

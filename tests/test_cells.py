@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcove_cells.cells import (
-    chain_bases_in,
     comparable_pairs_of,
     d_partition,
     enumerate_good_bases,
@@ -18,6 +17,7 @@ from alcove_cells.cells import (
     reduce_step,
     s_partition,
     s_partition_oracle,
+    set_partitions_within,
     upward_closure,
 )
 from alcove_cells.errors import PreconditionError
@@ -195,16 +195,23 @@ def test_good_basis_systems_stay_inside_gamma(data):
         assert positive_roots_of(basis) <= g
 
 
-@pytest.mark.parametrize("walk", [enumerate_good_bases, chain_bases_in])
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda: enumerate_good_bases(positive_roots(4)),
+        lambda: set_partitions_within(positive_roots(4), 4),
+        lambda: reduce_all(frozenset({RootA(1, 5), RootA(2, 3), RootA(3, 4)}), 4),
+    ],
+    ids=["enumerate_good_bases", "set_partitions_within", "reduce_all"],
+)
 def test_a_basis_walk_leaves_no_reference_cycle(walk):
     # the walks keep no self-referencing closure, so a call frees its frames,
     # lists and tuples by reference counting alone
-    roots = positive_roots(4)
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        assert len(walk(roots)) > 1
+        assert len(walk()) > 1
         assert gc.collect() == 0
     finally:
         if enabled:

@@ -92,7 +92,7 @@ def test_only_the_kernel_and_its_oracle_name_the_datum_format():
 
 def test_only_points_oracles_and_the_parser_import_fractions():
     # points decode Fraction coordinates on read (rootsys), the AffineMap
-    # oracle and interior_point build them (alcove), the difference-system
+    # oracle builds them (alcove), the difference-system
     # oracle solves over them (constraints) and --shifted parses them (cli);
     # every other module runs on integer numerators
     allowed = {"rootsys.py", "alcove.py", "constraints.py", "cli.py"}

@@ -68,8 +68,14 @@ CASES = {
     "verify_good_sup_n2_p3_box_6": [
         "verify", "good-sup", "--n", "2", "--p", "3", "--box", "6",
     ],
+    "verify_good_sup_n3_p3_box_6": [
+        "verify", "good-sup", "--n", "3", "--p", "3", "--box", "6",
+    ],
     "verify_reduction_n3_p3_box_4": [
         "verify", "reduction", "--n", "3", "--p", "3", "--box", "4",
+    ],
+    "verify_reduction_n4_p5_box_10": [
+        "verify", "reduction", "--n", "4", "--p", "5", "--box", "10",
     ],
     "verify_mu_n2_p5_box_6": ["verify", "mu", "--n", "2", "--p", "5", "--box", "6"],
     "verify_lattice_n2_p3_box_4": [

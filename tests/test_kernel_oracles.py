@@ -16,9 +16,10 @@ dominant_alcoves against the difference system on every prefix.  Chain
 bases: the increasing-chain rule behind is_good_basis and
 enumerate_good_bases, the next-pointer walk of chain_components and the
 class sizes of d_partition against the pairwise bracket, union-find and
-stabilizer-system routes they replaced; the set-partition walk of
-chain_bases_in behind s_partition_oracle and the sweeps against the subset
-routes it replaced.  Box facettes, interior points and
+stabilizer-system routes they replaced; the set-partition walk
+set_partitions_within behind s_partition_oracle_of and reduction_sweep
+against the subset routes it replaced, and the explicit stack of
+reduce_all against the recursion it replaced.  Box facettes, interior points and
 lattice points: the split-rule generator behind facettes_meeting_box, its
 box test on the gcd grid, the midpoint interior_point and the least-solution
 facette_lattice_point against the Floyd-Warshall box search, the solver's
@@ -72,13 +73,17 @@ from alcove_cells.alcove import (
 )
 from alcove_cells import cells, sweeps
 from alcove_cells.cells import (
-    chain_bases_in,
+    comparable_pairs_of,
     d_partition,
     enumerate_good_bases,
     gamma,
     is_good_basis,
     positive_roots_of,
+    reduce_all,
+    reduce_step,
+    s_partition,
     s_partition_oracle,
+    set_partitions_within,
 )
 from alcove_cells.constraints import _base_system
 from alcove_cells.errors import PreconditionError
@@ -895,6 +900,23 @@ def test_lattice_point_misses_a_facette_whose_integer_bounds_hold_a_positive_cyc
 # -- all chain bases: the set-partition walk against the subset routes ----
 
 
+def _walked_bases(g, n):
+    """The bases of set_partitions_within(g, n): consecutive nodes of each block."""
+    return [
+        frozenset(RootA(u, v) for block in blocks for u, v in zip(block, block[1:]))
+        for blocks in set_partitions_within(g, n)
+    ]
+
+
+def _assert_walk_matches_the_subset_route(g, n):
+    """The walk lists each chain basis of g whose system lies inside g once."""
+    bases = _walked_bases(g, n)
+    want = [b for b in _chain_bases_by_combinations(g) if positive_roots_of(b) <= g]
+    assert len(bases) == len(set(bases)) == len(want), sorted(g)
+    assert set(bases) == set(want), sorted(g)
+    return bases
+
+
 def _chain_bases_by_combinations(g):
     """The sweeps' chain-basis route as it was: every subset of g, smallest
     first, kept when chain_components accepts it."""
@@ -932,7 +954,7 @@ def _s_by_mask_tables(g, n):
 def test_chain_bases_match_the_subset_route_on_every_subset(rank):
     subsets = _subsets(positive_roots(rank))
     for sub in subsets:
-        assert chain_bases_in(sub) == _chain_bases_by_combinations(sub), sub
+        _assert_walk_matches_the_subset_route(frozenset(sub), rank)
     assert len(subsets) == (2, 8, 64, 1024)[rank - 1]
 
 
@@ -940,16 +962,41 @@ def test_chain_bases_match_the_subset_route_on_every_upper_set_of_rank_five():
     uppers = _upper_sets(5)
     assert len(uppers) == 132
     for g in uppers:
-        bases = chain_bases_in(g)
-        assert bases == _chain_bases_by_combinations(g), sorted(g)
+        bases = _assert_walk_matches_the_subset_route(g, 5)
         assert set(enumerate_good_bases(g)) <= set(bases)
 
 
 @pytest.mark.parametrize("n, bell", [(1, 2), (2, 5), (3, 15), (4, 52), (5, 203), (6, 877)])
 def test_all_chain_bases_of_a_rank_are_the_set_partitions(n, bell):
-    bases = chain_bases_in(positive_roots(n))
+    bases = _walked_bases(positive_roots(n), n)
     assert len(bases) == len(set(bases)) == bell
     assert all(chain_components(tuple(b)) is not None for b in bases)
+
+
+def _reduce_all_by_recursion(basis, n):
+    """reduce_all as it was: a recursive walk, first comparable pair first."""
+    leaves, seen = [], set()
+
+    def walk(b):
+        pairs = comparable_pairs_of(b)
+        if not pairs:
+            if b not in seen:
+                seen.add(b)
+                leaves.append(b)
+            return
+        for out in reduce_step(b, pairs[0], n):
+            walk(out)
+
+    walk(frozenset(basis))
+    return tuple(leaves)
+
+
+@pytest.mark.parametrize("n, bad", [(4, 10), (5, 71)])
+def test_reduce_all_matches_the_recursion_on_every_non_good_chain_basis(n, bad):
+    bases = [b for b in _walked_bases(positive_roots(n), n) if not is_good_basis(b)]
+    assert len(bases) == bad
+    for basis in bases:
+        assert reduce_all(basis, n) == _reduce_all_by_recursion(basis, n), sorted(basis)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -962,7 +1009,7 @@ def test_oracle_matches_the_mask_tables_on_every_subset(rank, monkeypatch):
         g = frozenset(sub)
         monkeypatch.setattr(cells, "gamma", lambda pt, p: g)
         assert s_partition_oracle(pt, 1) == _s_by_mask_tables(g, rank), sub
-        filtered += any(not positive_roots_of(b) <= g for b in chain_bases_in(g))
+        filtered += any(not positive_roots_of(b) <= g for b in _chain_bases_by_combinations(g))
     assert (filtered > 0) == (rank > 1)
 
 
@@ -989,9 +1036,11 @@ def test_reduction_sweep_case_counts(n, p, box, cases):
 
 
 def test_gamma_check_runs_for_every_distinct_gamma(monkeypatch):
-    """A gamma missing (1,3) beside (1,2) and (2,3) lets the basis of both
-    escape; the first point's gamma has no such pair, so only a check made
-    for every distinct gamma sees it, and it fails once per point."""
+    """A gamma missing (1,3) beside (1,2) is no upper ideal; the first
+    point's gamma has no such hole, so only a check made for every distinct
+    gamma sees it, and it fails once per holed point.  The oracle runs on the
+    sweep's gamma, so s_partition, which reads the true one, may also differ
+    from it there; those points fail once more, as the subset route says."""
     n, p, hi = 3, 3, 6
 
     def holed(pt, p):
@@ -999,16 +1048,16 @@ def test_gamma_check_runs_for_every_distinct_gamma(monkeypatch):
         return g - {RootA(1, 3)} if {RootA(1, 2), RootA(2, 3)} <= g else g
 
     pts = integral_points(n, 1, hi)
-    expected = sum(
-        not positive_roots_of(b) <= holed(pt, p)
-        for pt in pts
-        for b in _chain_bases_by_combinations(holed(pt, p))
-    )
-    assert holed(pts[0], p) == gamma(pts[0], p) and expected > 0
+    holes = sum(holed(pt, p) != gamma(pt, p) for pt in pts)
+    mismatches = sum(s_partition(pt, p) != _s_by_mask_tables(holed(pt, p), n) for pt in pts)
+    assert holed(pts[0], p) == gamma(pts[0], p) and holes == 96
     monkeypatch.setattr(sweeps, "gamma", holed)
     r = good_sup_sweep(n, p, box=hi)
-    assert r.failed == expected
-    assert all("escapes gamma" in f for f in r.failures[:-1])
+    assert r.failed == holes + mismatches
+    assert all(
+        f.startswith("s mismatch") or f.endswith("not an upper ideal: missing [(1, 3)]")
+        for f in r.failures[:-1]
+    )
 
 
 # -- the integer mu loop against the Fraction recursion ----------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcove_cells.cells import chain_bases_in, d_partition
+from alcove_cells.cells import d_partition, set_partitions_within
 from alcove_cells.errors import PreconditionError
 from alcove_cells.partition import (
     Partition,
@@ -196,8 +196,9 @@ def test_every_derived_partition_passes_the_checks():
 
 def test_component_and_class_partitions_pass_the_checks():
     for n in range(1, 6):
-        for b in chain_bases_in(positive_roots(n)):
-            q = _partition_of_components(chain_components(tuple(b)), n)
+        for blocks in set_partitions_within(positive_roots(n), n):
+            b = [RootA(u, v) for block in blocks for u, v in zip(block, block[1:])]
+            q = _partition_of_components(chain_components(b), n)
             assert q == _checked(q) and q.total == n + 1
     for p in (2, 3, 5):
         for coords in product(range(-2, 7), repeat=3):

@@ -158,4 +158,14 @@ def test_good_sup_sweep_fails_when_gamma_is_not_upward_closed(monkeypatch):
     monkeypatch.setattr(sweeps, "gamma", lambda pt, p: holes)
     r = good_sup_sweep(2, 3, box=6)
     assert not r.ok
-    assert any("escapes gamma" in f for f in r.failures)
+    assert any(f.endswith("is not an upper ideal: missing [(1, 3)]") for f in r.failures)
+
+
+def test_good_sup_sweep_names_the_roots_missing_above_gamma(monkeypatch):
+    # {(2,3)} generates no system outside itself, yet (1,3) lies above (2,3):
+    # the ideal check fails once per point where a basis check finds nothing
+    monkeypatch.setattr(sweeps, "gamma", lambda pt, p: frozenset({RootA(2, 3)}))
+    r = good_sup_sweep(2, 3, box=3)
+    holes = [f for f in r.failures if "upper ideal" in f]
+    assert r.cases == len(holes) == 9
+    assert all(f.endswith("is not an upper ideal: missing [(1, 3)]") for f in holes)
