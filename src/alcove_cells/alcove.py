@@ -582,7 +582,7 @@ def weak_leq_oracle(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> boo
     if not (a.is_dominant() and b.is_dominant()):
         raise PreconditionError("weak_leq_oracle is defined on dominant alcoves only")
     start, goal = a.indices, b.indices
-    if any(x > y for x, y in zip(start, goal)):
+    if not all(map(le, start, goal)):
         return False
     seen = {start}
     queue = deque([start])
@@ -591,7 +591,7 @@ def weak_leq_oracle(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> boo
         if cur == goal:
             return True
         for nxt in _up_step_index_families(a.rank, cur):
-            if nxt in seen or any(x > y for x, y in zip(nxt, goal)):
+            if nxt in seen or not all(map(le, nxt, goal)):
                 continue
             seen.add(nxt)
             if len(seen) > bound:
@@ -658,18 +658,6 @@ def _ceilings(rank: int, idx: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, simple)) for row in inverse_cartan_numerators(rank))
 
 
-@lru_cache(maxsize=None)
-def _raise_successors(
-    rank: int, indices: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Every one-step raise of an index family, in root order, with its ceilings."""
-    out = []
-    for beta_pos in range(len(indices)):
-        nxt = _raise_step(rank, indices, beta_pos)
-        out.append((nxt, _ceilings(rank, nxt)))
-    return tuple(out)
-
-
 def _raise_step(rank: int, indices: tuple[int, ...], beta_pos: int) -> tuple[int, ...]:
     table = _raise_tables(rank)[beta_pos]
     m = indices[beta_pos]
@@ -684,6 +672,47 @@ def _raise_step(rank: int, indices: tuple[int, ...], beta_pos: int) -> tuple[int
     return tuple(out)
 
 
+class _RaisingGraph:
+    """The one-step raises among the index families of one rank, interned.
+
+    A family gets an int id on first sight, and by id the graph keeps the
+    family, its ceilings and, once the family is first expanded, the ids of
+    its raises, one per root position in root order.  Raising is a function
+    of the family alone, so the graph only grows and serves every p.
+    """
+
+    def __init__(self, rank: int) -> None:
+        self.rank = rank
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.families: list[tuple[int, ...]] = []
+        self.ceilings: list[tuple[int, ...]] = []
+        self._raises: list[Union[tuple[int, ...], None]] = []
+
+    def id_of(self, family: tuple[int, ...]) -> int:
+        fid = self.ids.get(family)
+        if fid is None:
+            fid = self.ids[family] = len(self.families)
+            self.families.append(family)
+            self.ceilings.append(_ceilings(self.rank, family))
+            self._raises.append(None)
+        return fid
+
+    def raises(self, fid: int) -> tuple[int, ...]:
+        out = self._raises[fid]
+        if out is None:
+            family = self.families[fid]
+            out = tuple(
+                self.id_of(_raise_step(self.rank, family, k)) for k in range(len(family))
+            )
+            self._raises[fid] = out
+        return out
+
+
+@lru_cache(maxsize=None)
+def _raising_graph(rank: int) -> _RaisingGraph:
+    return _RaisingGraph(rank)
+
+
 def up_reachable(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
     """Reachability of b from a by raising reflections, one per step.
 
@@ -692,29 +721,32 @@ def up_reachable(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
     not); the transitive closure of these steps is the full alcove-level
     raising relation, because the higher reflections s_{beta, mp} with
     m > n_beta factor through consecutive one-steps along beta.  The
-    search prunes through exact monotone coordinates: raising steps
-    translate points by nonnegative rational multiples of positive roots,
-    so each inverse-Cartan-weighted combination of simple-root indices
-    must stay above a's floor and below b's ceiling.  A family's floor is
-    its ceiling minus the row sum R_k, so a step to a family with
-    ceilings h is admissible when a_floor_k < h_k < b_ceiling_k + R_k.
+    search prunes through exact monotone coordinates: the step sends each
+    point x of C to x + c beta with c > 0, so t_k(x) = (n+1)<x, omega_k>/p
+    never decreases along a path.  On a family with ceilings h (the
+    inverse-Cartan-weighted combinations of its simple-root indices) t_k
+    lies strictly between h_k - R_k and h_k, R_k the row sum.  So every
+    family reached from a has h_k > t_k > h_k(a) - R_k, a floor that can
+    never prune, and only the ceiling bound h_k < h_k(b) + R_k is tested.
+    The search runs on the ids of the rank's interned raising graph.
     """
     if (a.rank, a.p) != (b.rank, b.p):
         raise PreconditionError("up_reachable compares alcoves of equal rank and p")
     rank = a.rank
     if a.indices == b.indices:
         return True
+    graph = _raising_graph(rank)
+    ceilings = graph.ceilings
     rows = [sum(row) for row in inverse_cartan_numerators(rank)]
-    lows = [h - r for h, r in zip(_ceilings(rank, a.indices), rows)]
     tops = [h + r for h, r in zip(_ceilings(rank, b.indices), rows)]
-    seen = {a.indices}
-    queue = deque([a.indices])
+    start, goal = graph.id_of(a.indices), graph.id_of(b.indices)
+    seen = {start}
+    queue = deque([start])
     while queue:
-        cur = queue.popleft()
-        for nxt, hi in _raise_successors(rank, cur):
-            if nxt in seen or not (all(map(lt, lows, hi)) and all(map(lt, hi, tops))):
+        for nxt in graph.raises(queue.popleft()):
+            if nxt in seen or not all(map(lt, ceilings[nxt], tops)):
                 continue
-            if nxt == b.indices:
+            if nxt == goal:
                 return True
             seen.add(nxt)
             if len(seen) > bound:

@@ -32,7 +32,7 @@ def gamma(pt: ShiftedPoint, p: int) -> frozenset[RootA]:
     """Positive roots whose pairing with pt is at least p."""
     check_p(p)
     if not pt.is_regular_dominant():
-        raise PreconditionError(f"gamma needs a regular dominant point, got {pt.coords}")
+        raise PreconditionError(f"gamma needs a regular dominant point, got {pt}")
     step = pt.denominator * p
     return frozenset(
         r for r, v in zip(positive_roots(pt.rank), pt.pairing_numerators()) if v >= step

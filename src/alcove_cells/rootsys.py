@@ -126,6 +126,10 @@ class ShiftedPoint:
     def __repr__(self) -> str:
         return f"ShiftedPoint(coords={self.coords!r})"
 
+    def __str__(self) -> str:
+        """The coordinates as a tuple of coord_strings, as messages print a point: "(1/2, 3)"."""
+        return f"({', '.join(self.coord_strings())})"
+
     def coord_strings(self) -> tuple[str, ...]:
         """str(c) for every coordinate c, read off the numerators without a Fraction.
 

@@ -96,9 +96,9 @@ class UpperBoundCertificate:
 def _require_integral_dominant(pt: ShiftedPoint, regular: bool) -> None:
     """An integral point is dominant (coordinates at least 1) iff it is regular dominant."""
     if not pt.is_integral():
-        raise PreconditionError(f"{pt.coords} is not integral")
+        raise PreconditionError(f"{pt} is not integral")
     if not pt.is_regular_dominant():
-        raise PreconditionError(f"{pt.coords} is not {'regular ' if regular else ''}dominant")
+        raise PreconditionError(f"{pt} is not {'regular ' if regular else ''}dominant")
 
 
 def _backing(rank: int, p: int) -> str:
@@ -194,12 +194,12 @@ def construct_mu(
     divides it when p divides each summand; the basis is part of the system.
     """
     if not lower_closure_contains(lam, pt):
-        raise PreconditionError(f"alcove {lam.indices} is not the alcove of {pt.coords}")
+        raise PreconditionError(f"alcove {lam.indices} is not the alcove of {pt}")
     basis = frozenset(good)
     if not is_good_basis(basis):
         raise PreconditionError(f"{sorted(basis)} is not a good basis")
     if not pt.is_regular_dominant():
-        raise PreconditionError(f"construct_mu needs a regular dominant point, got {pt.coords}")
+        raise PreconditionError(f"construct_mu needs a regular dominant point, got {pt}")
     p, n = lam.p, pt.rank
     pos_of = root_position(n)
     if any(r not in pos_of or lam.indices[pos_of[r]] < 2 for r in basis):
@@ -227,7 +227,7 @@ def construct_mu(
                 f"pairing at {tuple(beta)} is {mu.pairing(beta)}, not divisible by {p}"
             )
     if not mu.is_regular_dominant():
-        raise InvariantViolationError(f"constructed point {mu.coords} left the chamber")
+        raise InvariantViolationError(f"constructed point {mu} left the chamber")
     mu_alcove = alcove_of(mu, p)
     if not weak_leq(mu_alcove, lam):
         raise InvariantViolationError("constructed point's alcove is not weakly below")
@@ -313,7 +313,7 @@ def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
         f = facette_of(mu, p)
         mu_prime = facette_lattice_point(f)
         if mu_prime is None:
-            raise InvariantViolationError(f"no lattice point in the facette of {mu.coords}")
+            raise InvariantViolationError(f"no lattice point in the facette of {mu}")
         if facette_of(mu_prime, p) != f:
             raise InvariantViolationError("lattice point left its facette")
         d_mu = d_partition(mu_prime, p)

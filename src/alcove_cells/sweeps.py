@@ -202,21 +202,21 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
     for pt in pts:
         f_of = facette_of(pt, p)
         if f_of not in known:
-            res.fail(f"facette of {pt.coords} missing from the box enumeration")
+            res.fail(f"facette of {pt} missing from the box enumeration")
     for f in facettes:
+        res.cases += len(pts)
         for pt in pts:
-            res.cases += 1
             direct = lower_closure_contains(f, pt)
             if closure_contains(f, pt):
                 dual = lower_closure_contains_via_stabilizer(f, pt)
                 if direct != dual:
                     res.fail(
-                        f"routes disagree: facette {f.data} point {pt.coords} "
+                        f"routes disagree: facette {f.data} point {pt} "
                         f"direct={direct} stabilizer={dual}"
                     )
             elif direct:
                 res.fail(
-                    f"point {pt.coords} outside closure yet inside lower closure "
+                    f"point {pt} outside closure yet inside lower closure "
                     f"of {f.data}"
                 )
     return res
@@ -233,8 +233,8 @@ def weak_order_sweep(
     alcoves = dominant_alcoves(n, p, index_bound)
     res.require_window(len(alcoves), "dominant alcoves")
     for a in alcoves:
+        res.cases += len(alcoves)
         for b in alcoves:
-            res.cases += 1
             direct = weak_leq(a, b)
             oracle = weak_leq_oracle(a, b, bfs_bound)
             if direct != oracle:
@@ -283,14 +283,14 @@ def good_sup_sweep(
         s_by_point[pt] = fast
         if fast != brute:
             res.fail(
-                f"s mismatch at {pt.coords}: good-basis {fast} brute-force {brute}"
+                f"s mismatch at {pt}: good-basis {fast} brute-force {brute}"
             )
         if missing:
-            res.fail(f"gamma at {pt.coords} is not an upper ideal: missing {missing}")
+            res.fail(f"gamma at {pt} is not an upper ideal: missing {missing}")
         key = facette_of(pt, p)
         if key in gamma_by_facette:
             if gamma_by_facette[key] != g:
-                res.fail(f"gamma differs within one facette at {pt.coords}")
+                res.fail(f"gamma differs within one facette at {pt}")
         else:
             gamma_by_facette[key] = g
     rng = random.Random(seed)
@@ -306,7 +306,7 @@ def good_sup_sweep(
         probes += 1
         if not dominance_leq(s_by_point[a], s_by_point[b]):
             res.reports.append(
-                f"s not monotone along weak order: {a.coords} -> {b.coords} "
+                f"s not monotone along weak order: {a} -> {b} "
                 f"({s_by_point[a]} vs {s_by_point[b]})"
             )
     res.reports.append(f"monotonicity probe: {probes} comparable pairs examined")
@@ -393,7 +393,7 @@ def mu_sweep(
             try:
                 construct_mu(pt, lam, basis)
             except (PreconditionError, InvariantViolationError) as exc:
-                res.fail(f"mu failed at {pt.coords} basis {sorted(basis)}: {exc}")
+                res.fail(f"mu failed at {pt} basis {sorted(basis)}: {exc}")
     return res
 
 
@@ -413,5 +413,5 @@ def lattice_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
         if pt is None:
             res.fail(f"no lattice point in realizable facette {f.data}")
         elif facette_of(pt, p) != f:
-            res.fail(f"lattice point {pt.coords} missed its facette {f.data}")
+            res.fail(f"lattice point {pt} missed its facette {f.data}")
     return res

@@ -351,6 +351,14 @@ def test_up_reachable_extends_weak_order():
                 assert up_reachable(a, b)
 
 
+def test_up_reachable_at_rank_one_is_the_index_order():
+    # at rank 1 the ceiling bound h < h(b) + R admits b itself with no slack
+    alcoves = [Alcove(1, 5, (k,)) for k in range(-3, 4)]
+    for a in alcoves:
+        for b in alcoves:
+            assert up_reachable(a, b) == (a.indices <= b.indices)
+
+
 def test_raise_step_matches_geometric_reflection():
     for n, p in ((2, 5), (3, 3)):
         roots = positive_roots(n)
@@ -373,6 +381,18 @@ def test_oracle_bound_raises():
     assert b.indices == (2, 4, 6, 2, 4, 2)
     with pytest.raises(ResourceLimitError):
         weak_leq_oracle(a, b, bound=2)
+
+
+def test_up_reachable_bound_raises():
+    # the search from the bottom alcove holds 93 families in seen when it
+    # meets b, so 93 is the least bound it finishes under
+    a = bottom_alcove(3, 5)
+    b = Alcove(3, 5, (1, 2, 3, 2, 3, 2))
+    assert b in dominant_alcoves(3, 5, 4) and weak_leq(a, b)
+    for bound in (1, 92):
+        with pytest.raises(ResourceLimitError, match=f"raising BFS exceeded bound {bound}"):
+            up_reachable(a, b, bound=bound)
+    assert up_reachable(a, b, bound=93)
 
 
 @given(st.data())

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from alcove_cells import sweeps
 from alcove_cells.cli import _json_text, build_parser, main
+from alcove_cells.rootsys import RootA
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -77,6 +78,27 @@ def test_cell_rejects_non_integer_entry(capsys):
 def test_cell_rejects_non_integral_point(capsys):
     code, _, err = run(capsys, ["cell", "--n", "2", "--p", "5", "--shifted", "9/2,1/2"])
     assert code == 2 and "integral" in err
+
+
+def test_a_rejected_point_prints_as_coordinates(capsys):
+    code, out, err = run(capsys, ["certificate", "--n", "2", "--p", "5", "--shifted", "1/2,3"])
+    assert (code, out) == (2, "")
+    assert err == "alcove-cells: error: (1/2, 3) is not integral\n"
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_good_sup_failures_print_points_as_coordinates(capsys, monkeypatch, fmt):
+    # a gamma holed below (1,3) fails good-sup at every point of the box
+    monkeypatch.setattr(sweeps, "gamma", lambda pt, p: frozenset({RootA(2, 3)}))
+    argv = ["verify", "good-sup", "--n", "2", "--p", "3", "--box", "3", "--format", fmt]
+    code, out, _ = run(capsys, argv)
+    assert code == 1 and "Fraction(" not in out
+    if fmt == "json":
+        (suite,) = json.loads(out)["suites"]
+        assert suite["failures"][:2] == [
+            "s mismatch at (1, 1): good-basis 1+1+1 brute-force 2+1",
+            "gamma at (1, 1) is not an upper ideal: missing [(1, 3)]",
+        ]
 
 
 def test_cell_rejects_irregular_point(capsys):

@@ -65,6 +65,9 @@ CASES = {
         "verify", "lclosure", "--n", "2", "--p", "3", "--box", "4",
     ],
     "verify_weak_order_n2_p3": ["verify", "weak-order", "--n", "2", "--p", "3"],
+    "verify_weak_order_n3_p5_index_bound_4": [
+        "verify", "weak-order", "--n", "3", "--p", "5", "--index-bound", "4",
+    ],
     "verify_good_sup_n2_p3_box_6": [
         "verify", "good-sup", "--n", "2", "--p", "3", "--box", "6",
     ],

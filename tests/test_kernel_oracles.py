@@ -7,8 +7,10 @@ facette_of, gamma, stabilizer_subroot_system and the closures against
 the Fraction pairing formulas, on random rational points.  Stabilizers:
 the class-permutation group against the Fraction closure of
 stabilizer_group, and the integer cone test against the Fraction loop
-over AffineMap.apply.  Raising: the memoized up_reachable against the
-BFS that recomputed every step.  Walls and up-steps: the split rule behind
+over AffineMap.apply.  Raising: up_reachable on its interned raising
+graph against the BFS that recomputed every step and tested both bounds,
+and the floor bound it dropped against every family raised inside a
+start's box.  Walls and up-steps: the split rule behind
 upper_walls / lower_walls and the index transform behind up_step_neighbors
 against a difference-system witness per root (with its order-2 stabilizer)
 and the reflection of an interior point; the split-rule prune of
@@ -460,6 +462,56 @@ def test_up_reachable_matches_the_plain_bfs_on_comparable_pairs():
     assert len(pairs) == 848
     for a, b in pairs:
         assert up_reachable(a, b) == _up_reachable_plain(a, b), (a.indices, b.indices)
+
+
+def _ceilings_and_rows(rank):
+    """A family's ceilings h, the inverse-Cartan-weighted simple-root indices,
+    and the row sums R, so that t_k lies strictly between h_k - R_k and h_k."""
+    simple_pos = [root_position(rank)[RootA(k, k + 1)] for k in range(1, rank + 1)]
+    numerators = inverse_cartan_numerators(rank)
+
+    def ceilings(idx):
+        return tuple(sum(c * idx[sp] for c, sp in zip(row, simple_pos)) for row in numerators)
+
+    return ceilings, [sum(row) for row in numerators]
+
+
+def _raised_within_box(a):
+    """Every family one-step raises reach from a with ceilings h < h(a) + R."""
+    rank = a.rank
+    ceilings, rows = _ceilings_and_rows(rank)
+    tops = [h + r for h, r in zip(ceilings(a.indices), rows)]
+    seen = {a.indices}
+    queue = deque([a.indices])
+    while queue:
+        cur = queue.popleft()
+        for beta_pos in range(len(cur)):
+            nxt = _raise_step(rank, cur, beta_pos)
+            if nxt not in seen and all(h < t for h, t in zip(ceilings(nxt), tops)):
+                seen.add(nxt)
+                assert len(seen) < 10**5, "the raised families left every box"
+                queue.append(nxt)
+    return seen
+
+
+def test_no_raised_family_falls_below_the_start_floor():
+    # up_reachable tests no floor: raising never lowers t_k = (n+1)<x, omega_k>/p,
+    # so every family raised from a keeps h_k > h_k(a) - R_k
+    rng = random.Random(19)
+    starts = dominant_alcoves(2, 3, 4) + dominant_alcoves(3, 5, 4)
+    for rank in (2, 3):
+        for _ in range(50):
+            coords = [Q(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(rank)]
+            starts.append(alcove_of(ShiftedPoint(coords), 3))
+    assert sum(not a.is_dominant() for a in starts) > 50
+    reached = 0
+    for a in starts:
+        ceilings, rows = _ceilings_and_rows(a.rank)
+        floors = [h - r for h, r in zip(ceilings(a.indices), rows)]
+        for idx in _raised_within_box(a):
+            reached += 1
+            assert all(h > f for h, f in zip(ceilings(idx), floors)), (a.indices, idx)
+    assert reached > 10**4
 
 
 # -- walls, up-steps and dominant alcoves against the Floyd-Warshall routes -

@@ -252,6 +252,12 @@ def test_repr_prints_the_fraction_coordinates():
     assert repr(_located_point((0, 2), 1)) == "ShiftedPoint(coords=(Fraction(2, 1),))"
 
 
+def test_str_prints_the_coordinate_strings():
+    assert str(ShiftedPoint((Q(1, 2), 3))) == "(1/2, 3)"
+    assert str(ShiftedPoint((Q(9, 2), 1, "-1/3"))) == "(9/2, 1, -1/3)"
+    assert str(_located_point((0, 2), 1)) == "(2)"
+
+
 def test_a_point_is_frozen():
     pt = ShiftedPoint((1, 2))
     for name, value in (("_num", (0, 5, 7)), ("_den", 3), ("rank", 3), ("coords", (Q(1),))):

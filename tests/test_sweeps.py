@@ -161,6 +161,41 @@ def test_good_sup_sweep_fails_when_gamma_is_not_upward_closed(monkeypatch):
     assert any(f.endswith("is not an upper ideal: missing [(1, 3)]") for f in r.failures)
 
 
+def _refuse(*args):
+    raise PreconditionError("refused")
+
+
+@pytest.mark.parametrize(
+    "name, stub, sweep, first",
+    [
+        (
+            "lower_closure_contains_via_stabilizer",
+            lambda f, pt: None,
+            lambda: lclosure_sweep(2, 3, box=2),
+            "routes disagree: facette (Wall(index=0), Wall(index=0), Wall(index=0)) "
+            "point (0, 0) direct=True",
+        ),
+        (
+            "construct_mu",
+            _refuse,
+            lambda: mu_sweep(2, 3, box=3),
+            "mu failed at (1, 1) basis []: refused",
+        ),
+        (
+            "facette_lattice_point",
+            lambda f: sweeps.shifted_point((1, 1)),
+            lambda: lattice_sweep(2, 3, box=3),
+            "lattice point (1, 1) missed its facette",
+        ),
+    ],
+)
+def test_sweep_failures_print_points_as_coordinates(monkeypatch, name, stub, sweep, first):
+    monkeypatch.setattr(sweeps, name, stub)
+    r = sweep()
+    assert r.failures[0].startswith(first)
+    assert not any("Fraction(" in f for f in r.failures)
+
+
 def test_good_sup_sweep_names_the_roots_missing_above_gamma(monkeypatch):
     # {(2,3)} generates no system outside itself, yet (1,3) lies above (2,3):
     # the ideal check fails once per point where a basis check finds nothing
