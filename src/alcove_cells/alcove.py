@@ -280,7 +280,9 @@ def lower_closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
     Wall roots keep their equality; window roots admit the half-open
     interval [(index-1)p, index p), i.e. the lower bounding hyperplane is
     adjoined and the upper one is not.  On the doubled scale a datum with
-    code c is the point or open window centred on c * p / 2.
+    code c is the point or open window centred on c * p / 2.  In codes:
+    with d the code of pt's own facette on a root, pt is in the lower
+    closure iff d is in {c - (c & 1), c} on every root.
     """
     if pt.rank != f.rank:
         raise PreconditionError(f"rank mismatch: point {pt.rank}, facette {f.rank}")
@@ -296,7 +298,14 @@ def lower_closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
 
 
 def closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
-    """Membership of pt in the topological closure of f."""
+    """Membership of pt in the topological closure of f.
+
+    In codes: with d the code of pt's own facette on a root (facette_of), pt
+    is in the closure iff |d - c| <= c & 1 on every root.  A wall (c even)
+    needs d = c; a window (c odd) admits its own code and the walls at both
+    ends.  This holds at every denominator, since d = 2 floor(v / step) +
+    [v mod step > 0] decides |2v - c step| <= (c & 1) step.
+    """
     if pt.rank != f.rank:
         raise PreconditionError(f"rank mismatch: point {pt.rank}, facette {f.rank}")
     step = pt._den * f.p

@@ -1,17 +1,20 @@
 """Exhaustive and sampled verification sweeps.
 
 Each sweep pits an operation against an independent characterization
-over a finite window: closure membership against the stabilizer route,
-the index criterion for the weak order against raw BFS, the good-basis
-supremum against the all-bases oracle, the reduction step against
-its contract, the mu construction against its postconditions, and
-facette lattice-point existence.  Once per distinct gamma, not per point,
-good-sup runs the oracle and the upper-ideal check and reduction walks the
-chain bases inside gamma (cells.set_partitions_within).  Results carry case
-counts, failure counts with the first descriptions, and non-failing
-observational reports.
-The dominant alcoves, the facettes meeting a box and the box test are calls
-of one integer generator, alcove._code_families, and its families are located.
+over a finite window: lower-closure membership against the stabilizer
+route, the index criterion for the weak order against raw BFS, the
+good-basis supremum against the all-bases oracle, the reduction step
+against its contract, the mu construction against its postconditions,
+and facette lattice-point existence.  Once per distinct gamma, not per
+point, good-sup runs the oracle and the upper-ideal check and reduction
+walks the chain bases inside gamma (cells.set_partitions_within).  Results
+carry case counts, failure counts with the first descriptions, and
+non-failing observational reports.
+The dominant alcoves, the facettes meeting a box, the box test and the
+facettes whose closure holds a point are calls of one integer generator,
+alcove._code_families, and its families are located or looked up by code:
+lclosure reads its closure pairs from each point's facette codes, with no
+closure test per (facette, point) pair.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .alcove import (
     DEFAULT_BFS_BOUND,
@@ -28,7 +31,6 @@ from .alcove import (
     Facette,
     _code_families,
     alcove_of,
-    closure_contains,
     facette_of,
     lower_closure_contains,
     lower_closure_contains_via_stabilizer,
@@ -160,6 +162,17 @@ def _meets_box(rank: int, p: int, hi: int, codes: Sequence[int]) -> bool:
     return next(_code_families(rank, fine), None) is not None
 
 
+def _closure_families(rank: int, codes: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The facettes, as code families, whose closure holds a point of facette codes `codes`.
+
+    On a root where the point has code d, the closure of a facette with code c
+    holds it iff |d - c| <= c & 1 (alcove.closure_contains): c = d when d is
+    odd, c in {d - 1, d, d + 1} when d is even.  The realizable families with
+    those codes on every root are exactly those facettes.
+    """
+    return _code_families(rank, [range(d - 1 + (d & 1), d + 2 - (d & 1)) for d in codes])
+
+
 def facettes_meeting_box(n: int, p: int, hi: int) -> list[Facette]:
     """All facettes whose region meets the dominant box [0, hi]^n.
 
@@ -191,23 +204,29 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
     Compares the two characterizations on every (facette, point) pair
     with integral points in [0, box]^n and facettes meeting that box; for
     points outside a facette's topological closure the stabilizer route
-    is undefined, so the direct route is required to answer false.
+    is undefined, so the direct route is required to answer false.  The
+    closure pairs are read from each point's facette codes, one
+    _closure_families walk per point, not a closure test per pair.
     """
     hi = window_bound(p, box)
     res = SweepResult(f"lclosure n={n} p={p} box={hi}")
     pts = integral_points(n, 0, hi)
     facettes = facettes_meeting_box(n, p, hi)
     res.require_window(len(pts) * len(facettes), "(facette, point) pairs")
-    known = set(facettes)
-    for pt in pts:
-        f_of = facette_of(pt, p)
-        if f_of not in known:
+    position = {f._codes: k for k, f in enumerate(facettes)}
+    closed: list[set[int]] = [set() for _ in facettes]  # points in each facette's closure
+    for j, pt in enumerate(pts):
+        codes = facette_of(pt, p)._codes
+        if codes not in position:
             res.fail(f"facette of {pt} missing from the box enumeration")
-    for f in facettes:
+        for family in _closure_families(n, codes):
+            if family in position:
+                closed[position[family]].add(j)
+    for f, inside in zip(facettes, closed):
         res.cases += len(pts)
-        for pt in pts:
+        for j, pt in enumerate(pts):
             direct = lower_closure_contains(f, pt)
-            if closure_contains(f, pt):
+            if j in inside:
                 dual = lower_closure_contains_via_stabilizer(f, pt)
                 if direct != dual:
                     res.fail(

@@ -33,12 +33,16 @@ Fraction recursion over pt's alcove that it replaced.  Located families:
 the alcoves and facettes of points and the walked families of
 facettes_meeting_box and dominant_alcoves against the public constructors.
 The family walk: _code_families against a brute-force filter of every
-code tuple by _realizable.
+code tuple by _realizable.  The closure walk: the facettes _closure_families
+yields for a point's codes, which the lclosure sweep takes as its closure
+pairs, against closure_contains on every box facette, at integral points and
+at points of denominator 2, 3 and 6.
 """
 
 import random
 from collections import deque
 from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -105,6 +109,7 @@ from alcove_cells.rootsys import (
 )
 from alcove_cells.support import construct_mu, facette_lattice_point, upper_bound_certificate
 from alcove_cells.sweeps import (
+    _closure_families,
     _meets_box,
     dominant_alcoves,
     facettes_meeting_box,
@@ -850,6 +855,66 @@ def test_box_test_matches_the_solver_on_straddling_facettes(rank, p, hi):
         straddling += near and not meets
     assert answers == {True, False}
     assert (straddling > 0) == (rank > 2)
+
+
+# the lclosure sweep's windows: n <= 3 at p in {2, 3, 5}, each at box 2p and
+# at a box coprime to p, and one rank-4 window
+CLOSURE_WINDOWS = [
+    (n, p, hi)
+    for n in (1, 2, 3)
+    for p, coprime in ((2, 3), (3, 4), (5, 7))
+    for hi in (2 * p, coprime)
+] + [(4, 3, 3)]
+
+
+@lru_cache(maxsize=None)
+def _box_facettes(n, p, hi):
+    return tuple(facettes_meeting_box(n, p, hi))
+
+
+def _closure_pairs(n, p, hi, pt):
+    """(walked, tested): the box facettes _closure_families yields for pt's
+    codes, and those that closure_contains admits, both as code tuples."""
+    box = _box_facettes(n, p, hi)
+    walked = set(_closure_families(n, facette_of(pt, p)._codes))
+    return walked & {f._codes for f in box}, {f._codes for f in box if closure_contains(f, pt)}
+
+
+@pytest.mark.parametrize("n, p, hi", CLOSURE_WINDOWS)
+def test_closure_families_match_closure_contains_on_integral_windows(n, p, hi):
+    pairs = 0
+    for pt in integral_points(n, 0, hi):
+        walked, tested = _closure_pairs(n, p, hi, pt)
+        assert walked == tested, (pt.coords, p, hi)
+        pairs += len(tested)
+    assert pairs > 0
+
+
+@st.composite
+def points_in_closure_windows(draw):
+    """(window, pt): pt in the window's box with coordinates of denominator
+    2, 3 or 6, half of them in (p / den)Z, so on many hyperplanes."""
+    n, p, hi = draw(st.sampled_from(CLOSURE_WINDOWS))
+    den = draw(st.sampled_from([2, 3, 6]))
+    unit = p if draw(st.booleans()) else 1
+    steps = st.integers(min_value=0, max_value=hi * den // unit)
+    return (n, p, hi), ShiftedPoint(tuple(Q(unit * draw(steps), den) for _ in range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=points_in_closure_windows())
+@example(case=((3, 3, 6), ShiftedPoint((Q(3, 2), Q(3, 2), Q(3)))))
+@example(case=((3, 5, 7), ShiftedPoint((Q(5, 3), Q(10, 3), Q(5, 6)))))
+def test_closure_families_match_closure_contains(case):
+    """The code rule behind the lclosure sweep holds for any denominator: the
+    box facettes it walks are those whose closure holds pt, and every family
+    it walks, inside the box or not, is a facette whose closure holds pt."""
+    (n, p, hi), pt = case
+    walked, tested = _closure_pairs(n, p, hi, pt)
+    assert walked == tested and facette_of(pt, p)._codes in tested
+    for codes in _closure_families(n, facette_of(pt, p)._codes):
+        data = tuple(Between((c + 1) // 2) if c & 1 else Wall(c // 2) for c in codes)
+        assert closure_contains(Facette(n, p, data), pt), (codes, pt.coords)
 
 
 def _facette_lattice_point_by_search(f):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from alcove_cells import sweeps
+from alcove_cells.alcove import lower_closure_contains
 from alcove_cells.errors import PreconditionError
 from alcove_cells.rootsys import RootA
 from alcove_cells.sweeps import (
@@ -83,6 +84,26 @@ def test_dominant_alcoves_count():
 def test_lclosure_sweep_small():
     r = lclosure_sweep(2, 3, box=6)
     assert r.ok and r.cases > 0
+
+
+def test_lclosure_sweep_rank_four():
+    r = lclosure_sweep(4, 3, box=3)
+    assert r.ok and r.cases == 76544
+
+
+@pytest.mark.parametrize(
+    "n, p, box, closure_pairs", [(2, 3, 6, 153), (3, 3, 6, 2579), (4, 3, 3, 3896)]
+)
+def test_lclosure_sweep_sends_exactly_the_closure_pairs_to_the_stabilizer_route(
+    monkeypatch, n, p, box, closure_pairs
+):
+    # a stabilizer route that contradicts the direct one fails every pair it
+    # is asked about: the closure pairs, as many as closure_contains admits
+    def contradict(f, pt):
+        return not lower_closure_contains(f, pt)
+
+    monkeypatch.setattr(sweeps, "lower_closure_contains_via_stabilizer", contradict)
+    assert lclosure_sweep(n, p, box=box).failed == closure_pairs
 
 
 def test_weak_order_sweep_small():
