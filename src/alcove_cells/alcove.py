@@ -2,10 +2,13 @@
 
 Fix a rank n and a positive integer p.  The affine hyperplanes
 H_{alpha,mp} = {x : <x, alpha> = mp}, over positive roots alpha and
-integers m, cut the space into open alcoves; an alcove is recorded by its
-integer index family {n_alpha}: (n_alpha - 1)p < <x, alpha> < n_alpha p
-for every positive root, listed in canonical root order.  A facette
-generalizes this by allowing equality (a wall datum) at some roots.
+integers m, cut the space into facettes, recorded per positive root (in
+canonical root order) by one integer code on the doubled scale: 2m for
+the wall <x, alpha> = mp, 2m - 1 for the window (m - 1)p < <x, alpha> < mp.
+An open alcove is the facette whose codes are all odd; its index family
+{n_alpha}, (n_alpha - 1)p < <x, alpha> < n_alpha p, is the codes'
+decoding n = (c + 1) / 2, and the raising layer (walls, one-step raises,
+the interned raising graph) runs on the codes as well.
 
 Realizability of an index family or facette datum is decided by a local
 integer rule on the splits alpha = beta + gamma of each root (Shi's
@@ -16,10 +19,10 @@ bounds closed, an interior point is a midpoint of a facette's own bounds.
 Point location, closures and stabilizer root systems compare the point's
 integer pairing numerators with multiples of p; the closure predicates read
 them, the denominator and the facette's codes straight from the stored
-fields.  A facette stores only its codes and decodes its Wall/Between
-data on read; the families the library makes itself (a point's, a walked
-one, an alcove's) are located, skipping the checks they pass by
-construction.
+fields.  A facette, alcoves included, stores only its codes and decodes
+its Wall/Between data or indices on read; the families the library makes
+itself (a point's, a walked one, a raised one) are located, skipping the
+checks they pass by construction.
 The stabilizer route to lower closures runs on ints too: around a point,
 its stabilizer permutes the eps coordinates within the classes of equal
 prefix numerators mod p, so the group is enumerated as a product of
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import permutations, product
@@ -167,39 +170,6 @@ def _code_families(rank: int, allowed: Sequence[range]) -> Iterator[tuple[int, .
             stack.pop()
 
 
-@dataclass(frozen=True)
-class Alcove:
-    """An open alcove, recorded by its index family in canonical root order.
-
-    _codes holds its windows on the doubled scale of _realizable, as
-    Facette._codes does, so closures read either without conversion.
-    """
-
-    rank: int
-    p: int
-    indices: tuple[int, ...]
-    _codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        check_p(self.p)
-        idx = tuple(self.indices)
-        if not all(isinstance(v, int) for v in idx):
-            raise PreconditionError(f"alcove indices must be integers, got {idx}")
-        object.__setattr__(self, "indices", idx)
-        count = len(positive_roots(self.rank))
-        if len(idx) != count:
-            raise PreconditionError(
-                f"expected {count} indices for rank {self.rank}, got {len(idx)}"
-            )
-        codes = tuple(2 * v - 1 for v in idx)
-        if not _realizable(self.rank, codes):
-            raise PreconditionError(f"index family {idx} cuts out an empty region")
-        object.__setattr__(self, "_codes", codes)
-
-    def is_dominant(self) -> bool:
-        return min(self.indices) >= 1
-
-
 @dataclass(frozen=True, init=False)
 class Facette:
     """A facette: per root either a wall equality or an open window.
@@ -245,8 +215,38 @@ class Facette:
         return all(c & 1 for c in self._codes)
 
 
-def facette_from_alcove(a: Alcove) -> Facette:
-    return _located(Facette, rank=a.rank, p=a.p, _codes=a._codes)
+@dataclass(frozen=True, init=False, eq=False)
+class Alcove(Facette):
+    """An open alcove: the facette whose codes are all odd.
+
+    Index n at a root is the window code 2n - 1, so an alcove stores only
+    Facette's fields, and indices decodes the codes on read.  Equality and
+    hash are Facette's, on (rank, p, _codes), so an alcove never equals a
+    plain Facette with the same codes.
+    """
+
+    def __init__(self, rank: int, p: int, indices: Sequence[int]) -> None:
+        check_p(p)
+        idx = tuple(indices)
+        if not all(isinstance(v, int) for v in idx):
+            raise PreconditionError(f"alcove indices must be integers, got {idx}")
+        count = len(positive_roots(rank))
+        if len(idx) != count:
+            raise PreconditionError(f"expected {count} indices for rank {rank}, got {len(idx)}")
+        codes = tuple(2 * v - 1 for v in idx)
+        if not _realizable(rank, codes):
+            raise PreconditionError(f"index family {idx} cuts out an empty region")
+        vars(self).update(rank=rank, p=p, _codes=codes)
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple([(c + 1) // 2 for c in self._codes])
+
+    def __repr__(self) -> str:
+        return f"Alcove(rank={self.rank!r}, p={self.p!r}, indices={self.indices!r})"
+
+    def is_dominant(self) -> bool:
+        return min(self._codes) >= 1
 
 
 def bottom_alcove(rank: int, p: int) -> Alcove:
@@ -256,14 +256,14 @@ def bottom_alcove(rank: int, p: int) -> Alcove:
 def alcove_of(pt: ShiftedPoint, p: int) -> Alcove:
     """The unique alcove whose lower closure contains pt.
 
-    The index at alpha is floor(pairing / p) + 1, so a pairing sitting
-    exactly on a hyperplane is assigned the alcove directly above it.
+    The index at alpha is floor(pairing / p) + 1, code 2 floor(pairing / p)
+    + 1, so a pairing sitting exactly on a hyperplane is assigned the alcove
+    directly above it.
     """
     check_p(p)
     step = pt._den * p
-    indices = tuple([v // step + 1 for v in pt._pairs])
-    codes = tuple([2 * v - 1 for v in indices])
-    return _located(Alcove, rank=pt.rank, p=p, indices=indices, _codes=codes)
+    codes = tuple([2 * (v // step) + 1 for v in pt._pairs])
+    return _located(Alcove, rank=pt.rank, p=p, _codes=codes)
 
 
 def facette_of(pt: ShiftedPoint, p: int) -> Facette:
@@ -274,7 +274,7 @@ def facette_of(pt: ShiftedPoint, p: int) -> Facette:
     return _located(Facette, rank=pt.rank, p=p, _codes=codes)
 
 
-def lower_closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
+def lower_closure_contains(f: Facette, pt: ShiftedPoint) -> bool:
     """Membership of pt in the lower closure of f.
 
     Wall roots keep their equality; window roots admit the half-open
@@ -297,7 +297,7 @@ def lower_closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
     return True
 
 
-def closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
+def closure_contains(f: Facette, pt: ShiftedPoint) -> bool:
     """Membership of pt in the topological closure of f.
 
     In codes: with d the code of pt's own facette on a root (facette_of), pt
@@ -316,7 +316,7 @@ def closure_contains(f: Union[Facette, Alcove], pt: ShiftedPoint) -> bool:
 
 
 @lru_cache(maxsize=None)
-def interior_point(f: Union[Facette, Alcove]) -> ShiftedPoint:
+def interior_point(f: Facette) -> ShiftedPoint:
     """A deterministic exact rational point inside f.
 
     With e_1 = 0, each later eps coordinate e_k is the midpoint of the
@@ -486,9 +486,7 @@ def _class_permutations(classes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
     return tuple(out)
 
 
-def lower_closure_contains_via_stabilizer(
-    f: Union[Facette, Alcove], pt: ShiftedPoint
-) -> bool:
+def lower_closure_contains_via_stabilizer(f: Facette, pt: ShiftedPoint) -> bool:
     """Lower-closure membership via the stabilizer characterization.
 
     Requires pt to lie in the topological closure of f.  Picks the
@@ -522,43 +520,43 @@ def lower_closure_contains_via_stabilizer(
     return True
 
 
-def _wall_positions(rank: int, indices: Sequence[int], upper: bool) -> tuple[int, ...]:
+def _wall_positions(rank: int, codes: Sequence[int], upper: bool) -> tuple[int, ...]:
     """Root positions whose top (upper) or bottom hyperplane carries a facet.
 
     The candidate facet is the alcove's facette with a wall at alpha, and
-    only the splits touching alpha change its _realizable codes.  With gap
-    n_ij - n_ik - n_kj in {-1, 0}, a top wall needs gap -1 on the splits of
-    alpha and gap 0 where alpha is a summand; a bottom wall swaps the two.
+    only the splits touching alpha change its _realizable codes.  With odd
+    codes the gap c_ij - c_ik - c_kj is in {-1, 1} (Shi's index gap
+    n_ij - n_ik - n_kj in {-1, 0}, doubled and plus one); a top wall needs
+    gap -1 on the splits of alpha and gap 1 where alpha is a summand; a
+    bottom wall swaps the two.
     """
     blocked = set()
     for ik, kj, ij in _splits(rank):
-        if (indices[ij] - indices[ik] - indices[kj] == 0) == upper:
+        if (codes[ij] - codes[ik] - codes[kj] == 1) == upper:
             blocked.add(ij)
         else:
             blocked.update((ik, kj))
-    return tuple(pos for pos in range(len(indices)) if pos not in blocked)
+    return tuple(pos for pos in range(len(codes)) if pos not in blocked)
 
 
 def upper_walls(a: Alcove) -> frozenset[tuple[RootA, int]]:
     """Pairs (alpha, n_alpha) whose top hyperplane carries a facet of a."""
     roots = positive_roots(a.rank)
-    walls = _wall_positions(a.rank, a.indices, True)
-    return frozenset((roots[k], a.indices[k]) for k in walls)
+    walls = _wall_positions(a.rank, a._codes, True)
+    return frozenset((roots[k], (a._codes[k] + 1) // 2) for k in walls)
 
 
 def lower_walls(a: Alcove) -> frozenset[tuple[RootA, int]]:
     """Pairs (alpha, n_alpha - 1) whose bottom hyperplane carries a facet."""
     roots = positive_roots(a.rank)
-    walls = _wall_positions(a.rank, a.indices, False)
-    return frozenset((roots[k], a.indices[k] - 1) for k in walls)
+    walls = _wall_positions(a.rank, a._codes, False)
+    return frozenset((roots[k], (a._codes[k] - 1) // 2) for k in walls)
 
 
 @lru_cache(maxsize=None)
-def _up_step_index_families(
-    rank: int, indices: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    walls = _wall_positions(rank, indices, True)
-    return tuple(_raise_step(rank, indices, k) for k in walls)
+def _up_step_families(rank: int, codes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    walls = _wall_positions(rank, codes, True)
+    return tuple(_raise_step(rank, codes, k) for k in walls)
 
 
 def up_step_neighbors(a: Alcove) -> tuple[Alcove, ...]:
@@ -567,17 +565,17 @@ def up_step_neighbors(a: Alcove) -> tuple[Alcove, ...]:
     Each neighbor is the reflection of a across the wall hyperplane, as
     computed by _raise_step; results follow the wall roots' canonical order.
     """
-    families = _up_step_index_families(a.rank, a.indices)
-    return tuple(Alcove(a.rank, a.p, idx) for idx in families)
+    families = _up_step_families(a.rank, a._codes)
+    return tuple(_located(Alcove, rank=a.rank, p=a.p, _codes=c) for c in families)
 
 
 def weak_leq(a: Alcove, b: Alcove) -> bool:
-    """Componentwise index comparison; the weak order on dominant alcoves."""
+    """Componentwise index (so code) comparison; the weak order on dominant alcoves."""
     if (a.rank, a.p) != (b.rank, b.p):
         raise PreconditionError("weak_leq compares alcoves of equal rank and p")
     if not (a.is_dominant() and b.is_dominant()):
         raise PreconditionError("weak_leq is defined on dominant alcoves only")
-    return all(map(le, a.indices, b.indices))
+    return all(map(le, a._codes, b._codes))
 
 
 def weak_leq_oracle(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
@@ -590,7 +588,7 @@ def weak_leq_oracle(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> boo
         raise PreconditionError("weak_leq_oracle compares alcoves of equal rank and p")
     if not (a.is_dominant() and b.is_dominant()):
         raise PreconditionError("weak_leq_oracle is defined on dominant alcoves only")
-    start, goal = a.indices, b.indices
+    start, goal = a._codes, b._codes
     if not all(map(le, start, goal)):
         return False
     seen = {start}
@@ -599,7 +597,7 @@ def weak_leq_oracle(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> boo
         cur = queue.popleft()
         if cur == goal:
             return True
-        for nxt in _up_step_index_families(a.rank, cur):
+        for nxt in _up_step_families(a.rank, cur):
             if nxt in seen or not all(map(le, nxt, goal)):
                 continue
             seen.add(nxt)
@@ -661,28 +659,39 @@ def _simple_positions(rank: int) -> tuple[int, ...]:
     return tuple(pos_of[RootA(k, k + 1)] for k in range(1, rank + 1))
 
 
-def _ceilings(rank: int, idx: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse-Cartan-weighted combinations of the simple-root indices."""
-    simple = [idx[k] for k in _simple_positions(rank)]
+def _ceilings(rank: int, codes: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse-Cartan-weighted combinations of the simple-root codes.
+
+    With h the same combination of the simple-root indices and R the row
+    sum, each is 2h - R, since code 2n - 1 stands for index n.
+    """
+    simple = [codes[k] for k in _simple_positions(rank)]
     return tuple(sum(map(mul, row, simple)) for row in inverse_cartan_numerators(rank))
 
 
-def _raise_step(rank: int, indices: tuple[int, ...], beta_pos: int) -> tuple[int, ...]:
+def _raise_step(rank: int, codes: tuple[int, ...], beta_pos: int) -> tuple[int, ...]:
+    """The codes of the alcove that _raise_tables' reflection in beta gives.
+
+    The index transform of _raise_tables read on codes c = 2n - 1: beta's
+    code becomes c_beta + 2, and every other root takes c_src + (c_beta + 1)
+    times the bracket, with -c_src in place of c_src where the table says
+    negated.
+    """
     table = _raise_tables(rank)[beta_pos]
-    m = indices[beta_pos]
+    lift = codes[beta_pos] + 1
     out = []
-    for pos in range(len(indices)):
+    for pos in range(len(codes)):
         if pos == beta_pos:
-            out.append(m + 1)
+            out.append(lift + 1)
         else:
             src, bracket, negated = table[pos]
-            base = 1 - indices[src] if negated else indices[src]
-            out.append(base + m * bracket)
+            base = -codes[src] if negated else codes[src]
+            out.append(base + lift * bracket)
     return tuple(out)
 
 
 class _RaisingGraph:
-    """The one-step raises among the index families of one rank, interned.
+    """The one-step raises among the alcove code families of one rank, interned.
 
     A family gets an int id on first sight, and by id the graph keeps the
     family, its ceilings and, once the family is first expanded, the ids of
@@ -732,23 +741,24 @@ def up_reachable(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
     m > n_beta factor through consecutive one-steps along beta.  The
     search prunes through exact monotone coordinates: the step sends each
     point x of C to x + c beta with c > 0, so t_k(x) = (n+1)<x, omega_k>/p
-    never decreases along a path.  On a family with ceilings h (the
-    inverse-Cartan-weighted combinations of its simple-root indices) t_k
-    lies strictly between h_k - R_k and h_k, R_k the row sum.  So every
-    family reached from a has h_k > t_k > h_k(a) - R_k, a floor that can
-    never prune, and only the ceiling bound h_k < h_k(b) + R_k is tested.
+    never decreases along a path.  On a family whose simple-root indices
+    have the inverse-Cartan-weighted combinations h, t_k lies strictly
+    between h_k - R_k and h_k, R_k the row sum.  So every family reached
+    from a has h_k > t_k > h_k(a) - R_k, a floor that can never prune, and
+    only the ceiling bound h_k < h_k(b) + R_k is tested.  It is tested on
+    the codes' ceilings 2h - R (see _ceilings), as 2h - R < 2h(b) - R + 2R.
     The search runs on the ids of the rank's interned raising graph.
     """
     if (a.rank, a.p) != (b.rank, b.p):
         raise PreconditionError("up_reachable compares alcoves of equal rank and p")
     rank = a.rank
-    if a.indices == b.indices:
+    if a._codes == b._codes:
         return True
     graph = _raising_graph(rank)
     ceilings = graph.ceilings
     rows = [sum(row) for row in inverse_cartan_numerators(rank)]
-    tops = [h + r for h, r in zip(_ceilings(rank, b.indices), rows)]
-    start, goal = graph.id_of(a.indices), graph.id_of(b.indices)
+    tops = [h + 2 * r for h, r in zip(_ceilings(rank, b._codes), rows)]
+    start, goal = graph.id_of(a._codes), graph.id_of(b._codes)
     seen = {start}
     queue = deque([start])
     while queue:

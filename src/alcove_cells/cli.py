@@ -22,7 +22,6 @@ import argparse
 import csv
 import functools
 import sys
-import warnings
 from fractions import Fraction as Q
 from itertools import product
 from json.encoder import encode_basestring_ascii
@@ -55,7 +54,7 @@ from .rootsys import (
     positive_roots,
     shifted_point,
 )
-from .support import tilting_support, upper_bound_certificate
+from .support import CONJECTURE, tilting_support, upper_bound_certificate, weight_cell_of
 from . import sweeps
 
 SAMPLE_CAP = 5000
@@ -158,11 +157,13 @@ def cmd_cell(args: argparse.Namespace) -> int:
             "cell reports need a dominant weight (shifted point strictly dominant)"
         )
     n = args.n
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pred = tilting_support(pt, args.p)
-    for w in caught:
-        print(f"alcove-cells: note: {w.message}", file=sys.stderr)
+    pred = tilting_support(pt, args.p)
+    if pred.backing == CONJECTURE:
+        print(
+            f"alcove-cells: note: p={args.p} is at most n+1={n + 1}: "
+            "the prediction is conjecture-backed",
+            file=sys.stderr,
+        )
     g = gamma(pt, args.p)
     s = pred.partition
     cell = transpose(s)
@@ -349,8 +350,6 @@ def cmd_atlas(args: argparse.Namespace) -> int:
             f"atlas would locate {count} points ([1, {box}]^{n}), "
             f"above the cap of {ATLAS_POINT_CAP}; lower --box or --n"
         )
-    from .support import weight_cell_of
-
     buckets: dict[Partition, list[tuple[int, ...]]] = {
         c: [] for c in partitions_of(n + 1)
     }
@@ -392,6 +391,9 @@ def cmd_atlas(args: argparse.Namespace) -> int:
 def cmd_certificate(args: argparse.Namespace) -> int:
     pt = _point_of(args)
     cert = upper_bound_certificate(pt, args.p)
+    # every leg holds the point's one alcove: decode its indices once
+    lam = cert.legs[0].lambda_alcove.indices
+    lam_text = " ".join(str(i) for i in lam)
     doc = {
         "n": args.n,
         "p": args.p,
@@ -407,7 +409,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
                 "mu_prime": [c + 1 for c in leg.mu_prime.weight()],
                 "d_mu_prime": list(leg.d_mu_prime.parts),
                 "mu_alcove": list(leg.mu_alcove.indices),
-                "lambda_alcove": list(leg.lambda_alcove.indices),
+                "lambda_alcove": list(lam),
             }
             for leg in cert.legs
         ],
@@ -428,7 +430,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
                     ",".join(leg.mu_prime.coord_strings()),
                     str(leg.d_mu_prime),
                     " ".join(str(i) for i in leg.mu_alcove.indices),
-                    " ".join(str(i) for i in leg.lambda_alcove.indices),
+                    lam_text,
                 ]
             )
     else:
@@ -442,10 +444,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
             print(f"    mu_prime: {','.join(leg.mu_prime.coord_strings())}")
             print(f"    d(mu_prime): {leg.d_mu_prime}")
             print(f"    mu alcove:     {' '.join(str(i) for i in leg.mu_alcove.indices)}")
-            print(
-                f"    lambda alcove: "
-                + " ".join(str(i) for i in leg.lambda_alcove.indices)
-            )
+            print(f"    lambda alcove: {lam_text}")
         print(f"s: {cert.s}")
         print(f"cell: {transpose(cert.s)}")
         print(f"orbit dim: {cert.orbit.dim}")

@@ -17,9 +17,8 @@ prefix numerators, so the module builds no Fraction at all.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .alcove import (
@@ -109,15 +108,10 @@ def tilting_support(pt: ShiftedPoint, p: int) -> SupportPrediction:
     """Predicted tilting-module support: the orbit of s(pt) transposed.
 
     Theorem-backed for p > n+1; for smaller p the same formula is the
-    conjectural prediction and a warning is emitted.
+    conjectural prediction, and backing says so.
     """
     check_p(p)
     _require_integral_dominant(pt, regular=True)
-    if p <= pt.rank + 1:
-        warnings.warn(
-            f"p={p} is at most n+1={pt.rank + 1}: the prediction is conjecture-backed",
-            stacklevel=2,
-        )
     s = s_partition(pt, p)
     return SupportPrediction(
         point=pt,
@@ -163,8 +157,9 @@ def construct_mu(
     returns mu with that alcove, so the caller need not locate mu again.
     The inputs and all three properties are machine-checked on every call:
     lam must hold pt in its lower closure, i.e. be pt's alcove (an integer
-    loop), and the basis must lie inside gamma, read off lam's indices, since
-    alpha is in gamma iff its index floor(<pt, alpha> / p) + 1 is at least 2.
+    loop), and the basis must lie inside gamma, read off lam's codes, since
+    alpha is in gamma iff its index floor(<pt, alpha> / p) + 1 is at least 2,
+    i.e. iff its code 2 floor(<pt, alpha> / p) + 1 is at least 3.
 
     Starting from the coordinates 1/n, the roots (i, j) are taken in
     decreasing left end (a good basis has distinct left ends, and its right
@@ -202,7 +197,7 @@ def construct_mu(
         raise PreconditionError(f"construct_mu needs a regular dominant point, got {pt}")
     p, n = lam.p, pt.rank
     pos_of = root_position(n)
-    if any(r not in pos_of or lam.indices[pos_of[r]] < 2 for r in basis):
+    if any(r not in pos_of or lam._codes[pos_of[r]] < 3 for r in basis):
         raise PreconditionError(f"{sorted(basis)} does not lie inside gamma")
     roots = sorted(basis, reverse=True)
     den = n
@@ -340,25 +335,3 @@ def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
     return UpperBoundCertificate(
         point=pt, p=p, s=s, orbit=orbit_label(transpose(s)), legs=tuple(legs)
     )
-
-
-def enumerate_cell(
-    target: Partition, p: int, box: int
-) -> tuple[ShiftedPoint, ...]:
-    """All integral regular dominant points in [1, box]^n whose cell is target.
-
-    The rank is read off the target's total; points are listed in
-    lexicographic coordinate order.
-    """
-    check_p(p)
-    if not isinstance(box, int) or box < 1:
-        raise PreconditionError(f"box must be a positive integer, got {box!r}")
-    n = target.total - 1
-    if n < 1:
-        raise PreconditionError("target must be a partition of n+1 with n >= 1")
-    out = []
-    for coords in product(range(1, box + 1), repeat=n):
-        pt = ShiftedPoint(coords)
-        if weight_cell_of(pt, p) == target:
-            out.append(pt)
-    return tuple(out)

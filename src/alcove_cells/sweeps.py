@@ -192,10 +192,7 @@ def facettes_meeting_box(n: int, p: int, hi: int) -> list[Facette]:
 def dominant_alcoves(n: int, p: int, index_bound: int) -> list[Alcove]:
     """All dominant alcoves with indices in [1, index_bound] (odd codes), lexicographic."""
     windows = [range(1, 2 * index_bound, 2)] * len(positive_roots(n))
-    return [
-        _located(Alcove, rank=n, p=p, indices=tuple((c + 1) // 2 for c in codes), _codes=codes)
-        for codes in sorted(_code_families(n, windows))
-    ]
+    return [_located(Alcove, rank=n, p=p, _codes=c) for c in sorted(_code_families(n, windows))]
 
 
 def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:

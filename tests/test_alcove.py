@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction as Q
 from itertools import product
 from math import factorial
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from alcove_cells.alcove import (
     alcove_of,
     bottom_alcove,
     closure_contains,
-    facette_from_alcove,
     facette_of,
     interior_point,
     lower_closure_contains,
@@ -33,7 +33,7 @@ from alcove_cells.alcove import (
     weak_leq_oracle,
 )
 from alcove_cells.errors import PreconditionError, ResourceLimitError
-from alcove_cells.rootsys import RootA, positive_roots, shifted_point
+from alcove_cells.rootsys import RootA, _located, positive_roots, shifted_point
 from alcove_cells.sweeps import dominant_alcoves, facettes_meeting_box
 
 
@@ -62,6 +62,55 @@ def test_alcove_rejects_non_integer_indices():
     # 1.9 used to be truncated to the realizable family (1, 2, 1)
     with pytest.raises(PreconditionError, match="integers"):
         Alcove(2, 5, (1.9, 2, 1))
+
+
+def test_alcove_repr_and_constructor_messages():
+    assert repr(Alcove(2, 5, (1, 1, 1))) == "Alcove(rank=2, p=5, indices=(1, 1, 1))"
+    for idx, message in (
+        ((1.9, 2, 1), "alcove indices must be integers, got (1.9, 2, 1)"),
+        ((1, 2), "expected 3 indices for rank 2, got 2"),
+        ((1, 3, 1), "index family (1, 3, 1) cuts out an empty region"),
+    ):
+        with pytest.raises(PreconditionError) as caught:
+            Alcove(2, 5, idx)
+        assert str(caught.value) == message
+
+
+def test_equal_alcoves_hash_equal_and_differ_from_a_plain_facette():
+    a = Alcove(2, 5, (2, 3, 2))
+    b = alcove_of(shifted_point([6, 6]), 5)
+    assert a == b and hash(a) == hash(b)
+    assert a != Alcove(2, 3, (2, 3, 2))
+    # the same codes as a plain facette: an alcove never equals one
+    f = _located(Facette, rank=2, p=5, _codes=(3, 5, 3))
+    assert a != f and f != a
+
+
+def test_an_alcove_is_a_facette_that_stores_only_its_codes():
+    lam = alcove_of(shifted_point([6, 6]), 5)
+    made = [Alcove(2, 5, (2, 3, 2)), lam, *up_step_neighbors(lam), *dominant_alcoves(2, 5, 2)]
+    for a in made:
+        assert isinstance(a, Facette) and a.is_alcove()
+        assert set(vars(a)) == {"rank", "p", "_codes"}
+        assert a._codes == tuple(2 * v - 1 for v in a.indices)
+
+
+def _floor_indices(pt, p):
+    return tuple(int(pt.pairing(r) // p) + 1 for r in positive_roots(pt.rank))
+
+
+def test_alcove_of_indices_are_the_pairing_floors_plus_one():
+    for a in dominant_alcoves(3, 5, 4):
+        pt = interior_point(a)
+        assert alcove_of(pt, 5).indices == _floor_indices(pt, 5) == a.indices
+    rng = Random(20)
+    for _ in range(100):
+        n, p = rng.randint(1, 4), rng.choice((2, 3, 5))
+        coords = [Q(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(n)]
+        coords[rng.randrange(n)] = -abs(coords[0]) - 1  # never dominant
+        pt = shifted_point(coords)
+        assert not pt.is_regular_dominant()
+        assert alcove_of(pt, p).indices == _floor_indices(pt, p), (coords, p)
 
 
 def test_facette_of_known_values():
@@ -190,7 +239,8 @@ def test_closure_predicates_refuse_a_point_of_another_rank(contains):
     # zip would pair a rank-3 point's first pairings with a rank-2 facette's
     # codes; the origin would pass both closures of the bottom alcove
     c0 = bottom_alcove(2, 5)
-    for f in (c0, facette_from_alcove(c0), facette_of(shifted_point([5, 0]), 5)):
+    plain = _located(Facette, rank=2, p=5, _codes=c0._codes)
+    for f in (c0, plain, facette_of(shifted_point([5, 0]), 5)):
         for coords, rank in (([0, 0, 0], 3), ([0], 1)):
             with pytest.raises(PreconditionError) as caught:
                 contains(f, shifted_point(coords))
@@ -367,12 +417,12 @@ def test_raise_step_matches_geometric_reflection():
                 a = Alcove(n, p, idx)
             except PreconditionError:
                 continue
-            pt = interior_point(facette_from_alcove(a))
+            pt = interior_point(_located(Facette, rank=n, p=p, _codes=a._codes))
             assert interior_point(a) == pt
             for pos, beta in enumerate(roots):
                 refl = AffineMap.reflection(n, beta, Q(a.indices[pos] * p))
                 image = alcove_of(refl.apply(pt), p)
-                assert _raise_step(n, a.indices, pos) == image.indices
+                assert _raise_step(n, a._codes, pos) == image._codes
 
 
 def test_oracle_bound_raises():
@@ -415,4 +465,4 @@ def test_alcove_of_contains_its_point(data):
     assert closure_contains(f, pt)
     if not stabilizer_subroot_system(pt, p):
         assert f.is_alcove()
-        assert facette_from_alcove(a) == f
+        assert _located(Facette, rank=a.rank, p=a.p, _codes=a._codes) == f

@@ -9,7 +9,6 @@ that exits 0.  After a deliberate output change, rewrite the corpus with
 
 import contextlib
 import io
-import warnings
 from pathlib import Path
 
 import pytest
@@ -94,8 +93,7 @@ CASES = {
 def render(argv: list[str], fmt: str) -> str:
     """Stdout of one CLI run; the run must exit 0."""
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with contextlib.redirect_stdout(buf):
         code = main([*argv, "--format", fmt])
     if code != 0:
         raise AssertionError(f"{argv} --format {fmt} exited {code}")

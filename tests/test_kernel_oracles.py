@@ -64,7 +64,6 @@ from alcove_cells.alcove import (
     _splits,
     alcove_of,
     closure_contains,
-    facette_from_alcove,
     facette_of,
     interior_point,
     lower_closure_contains,
@@ -420,22 +419,24 @@ def test_stabilizer_route_matches_the_fraction_loop(case, nudge):
 
 
 def _up_reachable_plain(a, b):
-    """up_reachable as it was, recomputing every step and both bounds."""
+    """up_reachable as it was, recomputing every step and both bounds on
+    the indices that the code families decode to."""
     rank = a.rank
-    if a.indices == b.indices:
+    if a._codes == b._codes:
         return True
     simple_pos = [root_position(rank)[RootA(k, k + 1)] for k in range(1, rank + 1)]
     numerators = inverse_cartan_numerators(rank)
 
-    def floors_and_ceils(idx):
+    def floors_and_ceils(codes):
+        idx = [(c + 1) // 2 for c in codes]
         lo = tuple(sum(c * (idx[sp] - 1) for c, sp in zip(row, simple_pos)) for row in numerators)
         hi = tuple(sum(c * idx[sp] for c, sp in zip(row, simple_pos)) for row in numerators)
         return lo, hi
 
-    a_lo, _ = floors_and_ceils(a.indices)
-    _, b_hi = floors_and_ceils(b.indices)
-    seen = {a.indices}
-    queue = deque([a.indices])
+    a_lo, _ = floors_and_ceils(a._codes)
+    _, b_hi = floors_and_ceils(b._codes)
+    seen = {a._codes}
+    queue = deque([a._codes])
     while queue:
         cur = queue.popleft()
         for beta_pos in range(len(cur)):
@@ -445,7 +446,7 @@ def _up_reachable_plain(a, b):
                 all(h > al for h, al in zip(hi, a_lo)) and all(l < bh for l, bh in zip(lo, b_hi))
             ):
                 continue
-            if nxt == b.indices:
+            if nxt == b._codes:
                 return True
             seen.add(nxt)
             queue.append(nxt)
@@ -470,12 +471,14 @@ def test_up_reachable_matches_the_plain_bfs_on_comparable_pairs():
 
 
 def _ceilings_and_rows(rank):
-    """A family's ceilings h, the inverse-Cartan-weighted simple-root indices,
-    and the row sums R, so that t_k lies strictly between h_k - R_k and h_k."""
+    """A code family's ceilings h, the inverse-Cartan-weighted simple-root
+    indices, and the row sums R, so that t_k lies strictly between h_k - R_k
+    and h_k."""
     simple_pos = [root_position(rank)[RootA(k, k + 1)] for k in range(1, rank + 1)]
     numerators = inverse_cartan_numerators(rank)
 
-    def ceilings(idx):
+    def ceilings(codes):
+        idx = [(c + 1) // 2 for c in codes]
         return tuple(sum(c * idx[sp] for c, sp in zip(row, simple_pos)) for row in numerators)
 
     return ceilings, [sum(row) for row in numerators]
@@ -485,9 +488,9 @@ def _raised_within_box(a):
     """Every family one-step raises reach from a with ceilings h < h(a) + R."""
     rank = a.rank
     ceilings, rows = _ceilings_and_rows(rank)
-    tops = [h + r for h, r in zip(ceilings(a.indices), rows)]
-    seen = {a.indices}
-    queue = deque([a.indices])
+    tops = [h + r for h, r in zip(ceilings(a._codes), rows)]
+    seen = {a._codes}
+    queue = deque([a._codes])
     while queue:
         cur = queue.popleft()
         for beta_pos in range(len(cur)):
@@ -512,10 +515,10 @@ def test_no_raised_family_falls_below_the_start_floor():
     reached = 0
     for a in starts:
         ceilings, rows = _ceilings_and_rows(a.rank)
-        floors = [h - r for h, r in zip(ceilings(a.indices), rows)]
-        for idx in _raised_within_box(a):
+        floors = [h - r for h, r in zip(ceilings(a._codes), rows)]
+        for codes in _raised_within_box(a):
             reached += 1
-            assert all(h > f for h, f in zip(ceilings(idx), floors)), (a.indices, idx)
+            assert all(h > f for h, f in zip(ceilings(codes), floors)), (a.indices, codes)
     assert reached > 10**4
 
 
@@ -541,7 +544,7 @@ def _walls_by_witness(a, upper):
 def _up_steps_by_reflection(a):
     """up_step_neighbors as it was: reflect an interior point across each
     upper wall and locate its alcove."""
-    x = interior_point(facette_from_alcove(a))
+    x = interior_point(a)
     pos_of = root_position(a.rank)
     found = sorted(
         (pos_of[r], alcove_of(AffineMap.reflection(a.rank, r, m * a.p).apply(x), a.p).indices)

@@ -1,5 +1,7 @@
 import random
+import warnings
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -7,13 +9,12 @@ from alcove_cells.alcove import alcove_of, bottom_alcove, facette_of, weak_leq
 from alcove_cells.cells import enumerate_good_bases, gamma, positive_roots_of
 from alcove_cells import cells, rootsys, support
 from alcove_cells.errors import InvariantViolationError, PreconditionError
-from alcove_cells.partition import dominance_leq, partition
+from alcove_cells.partition import dominance_leq, partition, partitions_of
 from alcove_cells.rootsys import RootA, ShiftedPoint, point_from_weight, shifted_point
 from alcove_cells.support import (
     CONJECTURE,
     THEOREM,
     construct_mu,
-    enumerate_cell,
     facette_lattice_point,
     induced_support,
     tilting_support,
@@ -180,14 +181,18 @@ def test_tilting_support_predictions():
 
 
 def test_tilting_support_warns_below_threshold():
-    with pytest.warns(UserWarning):
+    # the caveat is data: backing says conjecture, and no Python warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         pred = tilting_support(point_from_weight([0, 0]), 3)
     assert pred.backing == CONJECTURE
     assert pred.partition == partition([1, 1, 1])
     # the certificate threshold p >= n+1 is met even though backing is not
     assert pred.upper_bound_applicable
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         pred = tilting_support(point_from_weight([0, 0]), 2)
+    assert pred.backing == CONJECTURE
     assert not pred.upper_bound_applicable
 
 
@@ -249,28 +254,20 @@ def test_certificate_guards_small_p():
         upper_bound_certificate(shifted_point([2, 2]), 2)
 
 
-def test_enumerate_cell_bottom_region():
-    got = enumerate_cell(partition([3]), 5, 5)
-    assert shifted_point([1, 1]) in got
-    assert shifted_point([2, 2]) in got
-    assert shifted_point([1, 2]) in got
-    assert shifted_point([5, 5]) not in got
+def test_weight_cell_of_bottom_region():
+    for coords in ([1, 1], [2, 2], [1, 2]):
+        assert weight_cell_of(shifted_point(coords), 5) == partition([3])
+    assert weight_cell_of(shifted_point([5, 5]), 5) != partition([3])
 
 
-def test_enumerate_cell_zero_orbit_contains_remark_point():
-    got = enumerate_cell(partition([1, 1, 1]), 5, 7)
-    assert shifted_point([6, 6]) in got
+def test_weight_cell_of_zero_orbit_contains_remark_point():
+    assert weight_cell_of(shifted_point([6, 6]), 5) == partition([1, 1, 1])
 
 
-def test_enumerate_cell_tiles_box():
-    box, p, n = 6, 3, 2
-    from alcove_cells.partition import partitions_of
-
-    seen = []
-    for target in partitions_of(n + 1):
-        seen.extend(enumerate_cell(target, p, box))
-    assert len(seen) == box**n
-    assert len(set(seen)) == box**n
+def test_weight_cell_of_labels_every_point_of_a_box():
+    cells_of_3 = partitions_of(3)
+    for coords in product(range(1, 7), repeat=2):
+        assert weight_cell_of(shifted_point(coords), 3) in cells_of_3
 
 
 def test_randomized_mu_postconditions_rank4():
