@@ -19,10 +19,12 @@ bounds closed, an interior point is a midpoint of a facette's own bounds.
 Point location, closures and stabilizer root systems compare the point's
 integer pairing numerators with multiples of p; the closure predicates read
 them, the denominator and the facette's codes straight from the stored
-fields.  A facette, alcoves included, stores only its codes and decodes
-its Wall/Between data or indices on read; the families the library makes
-itself (a point's, a walked one, a raised one) are located, skipping the
-checks they pass by construction.
+fields, and _lower_closure_masks decides the lower-closure test for many
+(facette, point) pairs at once, per (root, code, point).  A facette,
+alcoves included, stores only its codes and decodes its Wall/Between data
+or indices on read; the families the library makes itself (a point's, a
+walked one, a raised one) are located, skipping the checks they pass by
+construction.
 The stabilizer route to lower closures runs on ints too: around a point,
 its stabilizer permutes the eps coordinates within the classes of equal
 prefix numerators mod p, so the group is enumerated as a product of
@@ -283,6 +285,11 @@ def lower_closure_contains(f: Facette, pt: ShiftedPoint) -> bool:
     code c is the point or open window centred on c * p / 2.  In codes:
     with d the code of pt's own facette on a root, pt is in the lower
     closure iff d is in {c - (c & 1), c} on every root.
+
+    The test is a conjunction over roots, and the part at a root reads only
+    the root's code c, pt's pairing numerator v there and the step den * p:
+    -step <= 2v - c step < step for odd c, 2v = c step for even c.
+    _lower_closure_masks decides it once per (root, code, point) on this.
     """
     if pt.rank != f.rank:
         raise PreconditionError(f"rank mismatch: point {pt.rank}, facette {f.rank}")
@@ -295,6 +302,36 @@ def lower_closure_contains(f: Facette, pt: ShiftedPoint) -> bool:
         elif gap:
             return False
     return True
+
+
+def _lower_closure_masks(facettes: Sequence[Facette], pts: Sequence[ShiftedPoint]) -> list[int]:
+    """lower_closure_contains on every (facette, point) pair, as point bitmasks.
+
+    Bit j of a facette's mask is lower_closure_contains(f, pts[j]).  That test
+    is a conjunction over roots (see its docstring), so one pass over the
+    points per root and per code that some facette carries there decides the
+    root's part as a mask, and a facette's mask is the AND of its roots'
+    masks.  The facettes share one rank and p, the points' rank.
+    """
+    if not facettes:
+        return []
+    rank, p = facettes[0].rank, facettes[0].p
+    if any(f.rank != rank or f.p != p for f in facettes) or any(pt.rank != rank for pt in pts):
+        raise PreconditionError("masks need facettes of one rank and p and points of that rank")
+    steps = [pt._den * p for pt in pts]
+    masks = [(1 << len(pts)) - 1] * len(facettes)
+    for pos in range(len(positive_roots(rank))):
+        twice = [2 * pt._pairs[pos] for pt in pts]
+        by_code = {}
+        for c in {f._codes[pos] for f in facettes}:
+            bits = 0
+            for j, (v2, step) in enumerate(zip(twice, steps)):
+                gap = v2 - c * step
+                if (-step <= gap < step) if c & 1 else not gap:
+                    bits |= 1 << j
+            by_code[c] = bits
+        masks = [m & by_code[f._codes[pos]] for m, f in zip(masks, facettes)]
+    return masks
 
 
 def closure_contains(f: Facette, pt: ShiftedPoint) -> bool:

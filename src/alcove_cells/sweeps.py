@@ -14,7 +14,9 @@ The dominant alcoves, the facettes meeting a box, the box test and the
 facettes whose closure holds a point are calls of one integer generator,
 alcove._code_families, and its families are located or looked up by code:
 lclosure reads its closure pairs from each point's facette codes, with no
-closure test per (facette, point) pair.
+closure test per (facette, point) pair, and its direct route from
+alcove._lower_closure_masks, the interval test decided once per (root, code,
+point) as point bitmasks, with no lower_closure_contains call per pair.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .alcove import (
     Alcove,
     Facette,
     _code_families,
+    _lower_closure_masks,
     alcove_of,
     facette_of,
-    lower_closure_contains,
     lower_closure_contains_via_stabilizer,
     up_reachable,
     weak_leq,
@@ -203,7 +205,12 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
     points outside a facette's topological closure the stabilizer route
     is undefined, so the direct route is required to answer false.  The
     closure pairs are read from each point's facette codes, one
-    _closure_families walk per point, not a closure test per pair.
+    _closure_families walk per point, not a closure test per pair.  The
+    direct route is the facette's bit in _lower_closure_masks, which decides
+    the interval test on the point's own pairing numerators and step, never
+    on its facette codes, so the outside-closure check can fail; each
+    facette's closure and lower-closure pairs are visited in ascending point
+    order.
     """
     hi = window_bound(p, box)
     res = SweepResult(f"lclosure n={n} p={p} box={hi}")
@@ -211,26 +218,30 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
     facettes = facettes_meeting_box(n, p, hi)
     res.require_window(len(pts) * len(facettes), "(facette, point) pairs")
     position = {f._codes: k for k, f in enumerate(facettes)}
-    closed: list[set[int]] = [set() for _ in facettes]  # points in each facette's closure
+    closed = [0] * len(facettes)  # point bitmask of each facette's closure
     for j, pt in enumerate(pts):
         codes = facette_of(pt, p)._codes
         if codes not in position:
             res.fail(f"facette of {pt} missing from the box enumeration")
         for family in _closure_families(n, codes):
-            if family in position:
-                closed[position[family]].add(j)
-    for f, inside in zip(facettes, closed):
-        res.cases += len(pts)
-        for j, pt in enumerate(pts):
-            direct = lower_closure_contains(f, pt)
-            if j in inside:
+            k = position.get(family)
+            if k is not None:
+                closed[k] |= 1 << j
+    res.cases = len(facettes) * len(pts)
+    for f, inside, lower in zip(facettes, closed, _lower_closure_masks(facettes, pts)):
+        pending = inside | lower  # the pairs to check, in ascending point order
+        while pending:
+            j = (pending & -pending).bit_length() - 1
+            pending &= pending - 1
+            pt, direct = pts[j], bool(lower >> j & 1)
+            if inside >> j & 1:
                 dual = lower_closure_contains_via_stabilizer(f, pt)
                 if direct != dual:
                     res.fail(
                         f"routes disagree: facette {f.data} point {pt} "
                         f"direct={direct} stabilizer={dual}"
                     )
-            elif direct:
+            else:
                 res.fail(
                     f"point {pt} outside closure yet inside lower closure "
                     f"of {f.data}"

@@ -36,7 +36,11 @@ The family walk: _code_families against a brute-force filter of every
 code tuple by _realizable.  The closure walk: the facettes _closure_families
 yields for a point's codes, which the lclosure sweep takes as its closure
 pairs, against closure_contains on every box facette, at integral points and
-at points of denominator 2, 3 and 6.
+at points of denominator 2, 3 and 6.  The lower-closure masks: the point
+bitmasks _lower_closure_masks builds per (root, code), from which the lclosure
+sweep reads its direct route, against lower_closure_contains on every (box
+facette, point) pair, at integral points and on batches that mix the
+denominators 1, 2, 3 and 6.
 """
 
 import random
@@ -58,6 +62,7 @@ from alcove_cells.alcove import (
     _class_permutations,
     _closing_order,
     _code_families,
+    _lower_closure_masks,
     _node_classes,
     _raise_step,
     _realizable,
@@ -861,13 +866,14 @@ def test_box_test_matches_the_solver_on_straddling_facettes(rank, p, hi):
 
 
 # the lclosure sweep's windows: n <= 3 at p in {2, 3, 5}, each at box 2p and
-# at a box coprime to p, and one rank-4 window
+# at a box coprime to p, one rank-4 window, and windows at p = 1, where no
+# window of a root holds an integer
 CLOSURE_WINDOWS = [
     (n, p, hi)
     for n in (1, 2, 3)
     for p, coprime in ((2, 3), (3, 4), (5, 7))
     for hi in (2 * p, coprime)
-] + [(4, 3, 3)]
+] + [(4, 3, 3), (1, 1, 2), (2, 1, 3), (3, 1, 2)]
 
 
 @lru_cache(maxsize=None)
@@ -893,15 +899,21 @@ def test_closure_families_match_closure_contains_on_integral_windows(n, p, hi):
     assert pairs > 0
 
 
+def _draw_window_point(draw, n, p, hi, dens):
+    """A point of the box [0, hi]^n whose coordinates share a denominator
+    drawn from dens, half of them in (p / den)Z, so on many hyperplanes."""
+    den = draw(st.sampled_from(dens))
+    unit = p if draw(st.booleans()) else 1
+    steps = st.integers(min_value=0, max_value=hi * den // unit)
+    return ShiftedPoint(tuple(Q(unit * draw(steps), den) for _ in range(n)))
+
+
 @st.composite
 def points_in_closure_windows(draw):
     """(window, pt): pt in the window's box with coordinates of denominator
     2, 3 or 6, half of them in (p / den)Z, so on many hyperplanes."""
     n, p, hi = draw(st.sampled_from(CLOSURE_WINDOWS))
-    den = draw(st.sampled_from([2, 3, 6]))
-    unit = p if draw(st.booleans()) else 1
-    steps = st.integers(min_value=0, max_value=hi * den // unit)
-    return (n, p, hi), ShiftedPoint(tuple(Q(unit * draw(steps), den) for _ in range(n)))
+    return (n, p, hi), _draw_window_point(draw, n, p, hi, [2, 3, 6])
 
 
 @settings(max_examples=200, deadline=None)
@@ -918,6 +930,64 @@ def test_closure_families_match_closure_contains(case):
     for codes in _closure_families(n, facette_of(pt, p)._codes):
         data = tuple(Between((c + 1) // 2) if c & 1 else Wall(c // 2) for c in codes)
         assert closure_contains(Facette(n, p, data), pt), (codes, pt.coords)
+
+
+def _assert_masks_match_lower_closure_contains(facettes, pts):
+    masks = _lower_closure_masks(facettes, pts)
+    assert len(masks) == len(facettes)
+    for f, mask in zip(facettes, masks):
+        assert mask >> len(pts) == 0, f.data
+        bits = [bool(mask >> j & 1) for j in range(len(pts))]
+        assert bits == [lower_closure_contains(f, pt) for pt in pts], f.data
+    return masks
+
+
+@pytest.mark.parametrize("n, p, hi", CLOSURE_WINDOWS)
+def test_lower_closure_masks_match_lower_closure_contains_on_integral_windows(n, p, hi):
+    box, pts = _box_facettes(n, p, hi), integral_points(n, 0, hi)
+    masks = _assert_masks_match_lower_closure_contains(box, pts)
+    # every point lies in the lower closure of its own facette
+    mask_of = dict(zip(box, masks))
+    assert all(mask_of[facette_of(pt, p)] >> j & 1 for j, pt in enumerate(pts))
+
+
+@st.composite
+def point_batches_in_closure_windows(draw):
+    """(window, pts): one to eight points of the window's box, each with its
+    own denominator 1, 2, 3 or 6, drawn as points_in_closure_windows draws."""
+    n, p, hi = draw(st.sampled_from(CLOSURE_WINDOWS))
+    size = draw(st.integers(min_value=1, max_value=8))
+    return (n, p, hi), [_draw_window_point(draw, n, p, hi, [1, 2, 3, 6]) for _ in range(size)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=point_batches_in_closure_windows())
+@example(
+    case=((3, 3, 6), [
+        ShiftedPoint((Q(3, 2), Q(3, 2), Q(3))),
+        ShiftedPoint((3, 0, 3)),
+        ShiftedPoint((Q(1), Q(2, 3), Q(7, 3))),
+        ShiftedPoint((Q(1, 2), Q(5, 6), Q(2, 3))),
+    ])
+)
+def test_lower_closure_masks_match_lower_closure_contains_on_mixed_denominators(case):
+    """One call over points of denominators 1, 2, 3 and 6, each point's bit
+    read at its own step den * p, compared on every box facette."""
+    (n, p, hi), pts = case
+    _assert_masks_match_lower_closure_contains(_box_facettes(n, p, hi), pts)
+
+
+def test_lower_closure_masks_refuse_mixed_ranks_and_levels():
+    box = list(_box_facettes(2, 3, 6))
+    pt = shifted_point([1, 1])
+    assert _lower_closure_masks([], [pt]) == []
+    for facettes, pts in (
+        (box, [pt, shifted_point([1, 1, 1])]),
+        (box + [facette_of(pt, 5)], [pt]),
+        (box + [facette_of(shifted_point([1]), 3)], [pt]),
+    ):
+        with pytest.raises(PreconditionError):
+            _lower_closure_masks(facettes, pts)
 
 
 def _facette_lattice_point_by_search(f):

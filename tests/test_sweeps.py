@@ -106,6 +106,29 @@ def test_lclosure_sweep_sends_exactly_the_closure_pairs_to_the_stabilizer_route(
     assert lclosure_sweep(n, p, box=box).failed == closure_pairs
 
 
+@pytest.mark.parametrize(
+    "n, p, box, failed", [(2, 3, 6, 1528), (3, 3, 6, 99554), (4, 3, 3, 75611)]
+)
+def test_lclosure_sweep_fails_every_pair_outside_the_lower_closure_when_direct_says_yes(
+    monkeypatch, n, p, box, failed
+):
+    # a direct route that answers True on every pair (masks all ones) is wrong
+    # on every pair outside the lower closure: outside the closure set it
+    # trips the outside-closure failure, inside it the stabilizer route disagrees
+    def all_ones(facettes, pts):
+        return [(1 << len(pts)) - 1] * len(facettes)
+
+    monkeypatch.setattr(sweeps, "_lower_closure_masks", all_ones)
+    r = lclosure_sweep(n, p, box=box)
+    assert r.cases == len(facettes_meeting_box(n, p, box)) * (box + 1) ** n
+    assert r.failed == failed
+    if (n, p, box) == (2, 3, 6):
+        assert r.failures[0] == (
+            "point (0, 1) outside closure yet inside lower closure of "
+            "(Wall(index=0), Wall(index=0), Wall(index=0))"
+        )
+
+
 def test_weak_order_sweep_small():
     r = weak_order_sweep(2, 3, index_bound=3)
     assert r.ok and r.cases > 0
