@@ -39,7 +39,6 @@ implemented by AffineMap is the dot action written plainly.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -616,10 +615,13 @@ def weak_leq(a: Alcove, b: Alcove) -> bool:
 
 
 def weak_leq_oracle(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
-    """Weak order decided independently by BFS along up_step_neighbors.
+    """Weak order decided independently by a search along up_step_neighbors.
 
     The search never visits an alcove whose index exceeds b's anywhere
-    (raising steps only ever increase indices, so the prune is exact).
+    (raising steps only ever increase indices, so the prune is exact).  It
+    runs depth-first, the last family found expanded next, so it heads
+    straight up towards b; it is still complete, since every family that
+    enters seen is expanded before the answer is False.
     """
     if (a.rank, a.p) != (b.rank, b.p):
         raise PreconditionError("weak_leq_oracle compares alcoves of equal rank and p")
@@ -629,9 +631,9 @@ def weak_leq_oracle(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> boo
     if not all(map(le, start, goal)):
         return False
     seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
+    stack = [start]
+    while stack:
+        cur = stack.pop()
         if cur == goal:
             return True
         for nxt in _up_step_families(a.rank, cur):
@@ -640,7 +642,7 @@ def weak_leq_oracle(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> boo
             seen.add(nxt)
             if len(seen) > bound:
                 raise ResourceLimitError(f"weak-order BFS exceeded bound {bound}")
-            queue.append(nxt)
+            stack.append(nxt)
     return False
 
 
@@ -784,7 +786,14 @@ def up_reachable(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
     from a has h_k > t_k > h_k(a) - R_k, a floor that can never prune, and
     only the ceiling bound h_k < h_k(b) + R_k is tested.  It is tested on
     the codes' ceilings 2h - R (see _ceilings), as 2h - R < 2h(b) - R + 2R.
-    The search runs on the ids of the rank's interned raising graph.
+    The search runs on the ids of the rank's interned raising graph,
+    depth-first on two stacks: a family whose codes are componentwise <= b's
+    goes on near, any other on far, and far is popped only when near is
+    empty.  On dominant alcoves codes <= b's is the weak order, so the
+    search climbs towards b before it widens; off the dominant chamber the
+    split is only a heuristic.  Either way the search is complete: every
+    family that enters seen is expanded before the answer is False, so the
+    order changes how many families a True answer visits, never the answer.
     """
     if (a.rank, a.p) != (b.rank, b.p):
         raise PreconditionError("up_reachable compares alcoves of equal rank and p")
@@ -795,11 +804,12 @@ def up_reachable(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
     ceilings = graph.ceilings
     rows = [sum(row) for row in inverse_cartan_numerators(rank)]
     tops = [h + 2 * r for h, r in zip(_ceilings(rank, b._codes), rows)]
-    start, goal = graph.id_of(a._codes), graph.id_of(b._codes)
+    families, goal_codes = graph.families, b._codes
+    start, goal = graph.id_of(a._codes), graph.id_of(goal_codes)
     seen = {start}
-    queue = deque([start])
-    while queue:
-        for nxt in graph.raises(queue.popleft()):
+    near, far = [start], []
+    while near or far:
+        for nxt in graph.raises(near.pop() if near else far.pop()):
             if nxt in seen or not all(map(lt, ceilings[nxt], tops)):
                 continue
             if nxt == goal:
@@ -807,5 +817,5 @@ def up_reachable(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
             seen.add(nxt)
             if len(seen) > bound:
                 raise ResourceLimitError(f"raising BFS exceeded bound {bound}")
-            queue.append(nxt)
+            (near if all(map(le, families[nxt], goal_codes)) else far).append(nxt)
     return False

@@ -495,7 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--bfs-bound",
         type=int,
         default=DEFAULT_BFS_BOUND,
-        help=f"frontier cap for reachability searches (default {DEFAULT_BFS_BOUND})",
+        help=(
+            "cap on the families a reachability search holds in seen "
+            f"(default {DEFAULT_BFS_BOUND})"
+        ),
     )
     verify.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
     command("atlas", cmd_atlas, "cell decomposition of a box of weights", box=True)

@@ -2,7 +2,8 @@
 
 Each sweep pits an operation against an independent characterization
 over a finite window: lower-closure membership against the stabilizer
-route, the index criterion for the weak order against raw BFS, the
+route, the index criterion for the weak order against a search over
+up-steps (and raising reachability on every weakly ordered pair), the
 good-basis supremum against the all-bases oracle, the reduction step
 against its contract, the mu construction against its postconditions,
 and facette lattice-point existence.  Once per distinct gamma, not per
@@ -164,26 +165,42 @@ def _meets_box(rank: int, p: int, hi: int, codes: Sequence[int]) -> bool:
     return next(_code_families(rank, fine), None) is not None
 
 
-def _closure_families(rank: int, codes: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The facettes, as code families, whose closure holds a point of facette codes `codes`.
+def _box_windows(n: int, p: int, hi: int) -> list[range]:
+    """Per root, the codes of the cells that a pairing on the box [0, hi]^n can meet.
+
+    On the box a root of span s pairs into [0, s hi], met by the cells of the
+    codes 0 .. floor(s hi / p) + ceil(s hi / p).
+    """
+    return [range(t // p - (-t // p) + 1) for t in (hi * (j - i) for i, j in positive_roots(n))]
+
+
+def _closure_families(
+    rank: int, codes: Sequence[int], windows: Sequence[range]
+) -> Iterator[tuple[int, ...]]:
+    """The facettes within `windows`, as code families, whose closure holds a
+    point of facette codes `codes`.
 
     On a root where the point has code d, the closure of a facette with code c
     holds it iff |d - c| <= c & 1 (alcove.closure_contains): c = d when d is
     odd, c in {d - 1, d, d + 1} when d is even.  The realizable families with
-    those codes on every root are exactly those facettes.
+    those codes on every root, cut to the root's window, are exactly those
+    facettes.
     """
-    return _code_families(rank, [range(d - 1 + (d & 1), d + 2 - (d & 1)) for d in codes])
+    allowed = [
+        range(max(d - 1 + (d & 1), w.start), min(d + 2 - (d & 1), w.stop))
+        for d, w in zip(codes, windows)
+    ]
+    return _code_families(rank, allowed)
 
 
 def facettes_meeting_box(n: int, p: int, hi: int) -> list[Facette]:
     """All facettes whose region meets the dominant box [0, hi]^n.
 
-    On the box a root of span s pairs into [0, s hi], met by the cells of the
-    codes 0 .. floor(s hi / p) + ceil(s hi / p); _meets_box keeps the families
-    that meet the box, and locates them.  Sorted root by root: walls (even
-    codes) before windows, by index.
+    The families within the box's code windows (_box_windows) that _meets_box
+    keeps, located.  Sorted root by root: walls (even codes) before windows,
+    by index.
     """
-    windows = [range(t // p - (-t // p) + 1) for t in (hi * (j - i) for i, j in positive_roots(n))]
+    windows = _box_windows(n, p, hi)
     found = sorted(
         (codes for codes in _code_families(n, windows) if _meets_box(n, p, hi, codes)),
         key=lambda codes: [(c & 1, c) for c in codes],
@@ -205,7 +222,8 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
     points outside a facette's topological closure the stabilizer route
     is undefined, so the direct route is required to answer false.  The
     closure pairs are read from each point's facette codes, one
-    _closure_families walk per point, not a closure test per pair.  The
+    _closure_families walk per point cut to the box's code windows, not a
+    closure test per pair.  The
     direct route is the facette's bit in _lower_closure_masks, which decides
     the interval test on the point's own pairing numerators and step, never
     on its facette codes, so the outside-closure check can fail; each
@@ -217,13 +235,14 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
     pts = integral_points(n, 0, hi)
     facettes = facettes_meeting_box(n, p, hi)
     res.require_window(len(pts) * len(facettes), "(facette, point) pairs")
+    windows = _box_windows(n, p, hi)
     position = {f._codes: k for k, f in enumerate(facettes)}
     closed = [0] * len(facettes)  # point bitmask of each facette's closure
     for j, pt in enumerate(pts):
         codes = facette_of(pt, p)._codes
         if codes not in position:
             res.fail(f"facette of {pt} missing from the box enumeration")
-        for family in _closure_families(n, codes):
+        for family in _closure_families(n, codes, windows):
             k = position.get(family)
             if k is not None:
                 closed[k] |= 1 << j
@@ -255,7 +274,7 @@ def weak_order_sweep(
     index_bound: int,
     bfs_bound: int = DEFAULT_BFS_BOUND,
 ) -> SweepResult:
-    """Weak order: index criterion against BFS, and raising consistency."""
+    """Weak order: index criterion against the up-step search, and raising consistency."""
     res = SweepResult(f"weak-order n={n} p={p} index_bound={index_bound}")
     alcoves = dominant_alcoves(n, p, index_bound)
     res.require_window(len(alcoves), "dominant alcoves")

@@ -16,6 +16,7 @@ from alcove_cells.alcove import (
     Facette,
     Wall,
     _raise_step,
+    _raising_graph,
     alcove_of,
     bottom_alcove,
     closure_contains,
@@ -34,7 +35,7 @@ from alcove_cells.alcove import (
 )
 from alcove_cells.errors import PreconditionError, ResourceLimitError
 from alcove_cells.rootsys import RootA, _located, positive_roots, shifted_point
-from alcove_cells.sweeps import dominant_alcoves, facettes_meeting_box
+from alcove_cells.sweeps import dominant_alcoves, facettes_meeting_box, weak_order_sweep
 
 
 def _points(n, lo, hi):
@@ -434,15 +435,35 @@ def test_oracle_bound_raises():
 
 
 def test_up_reachable_bound_raises():
-    # the search from the bottom alcove holds 93 families in seen when it
-    # meets b, so 93 is the least bound it finishes under
+    # the depth-first search from the bottom alcove holds 36 families in seen
+    # when it meets b, so 36 is the least bound it finishes under; on a True
+    # answer that count depends on the search order (a breadth-first search
+    # held 93)
     a = bottom_alcove(3, 5)
     b = Alcove(3, 5, (1, 2, 3, 2, 3, 2))
     assert b in dominant_alcoves(3, 5, 4) and weak_leq(a, b)
-    for bound in (1, 92):
+    for bound in (1, 35):
         with pytest.raises(ResourceLimitError, match=f"raising BFS exceeded bound {bound}"):
             up_reachable(a, b, bound=bound)
-    assert up_reachable(a, b, bound=93)
+    assert up_reachable(a, b, bound=36)
+
+
+def test_up_reachable_bound_on_a_false_answer():
+    # a False answer expands every family of the pruned region, whatever the
+    # search order, so 440 is the least bound it finishes under in any order
+    a = Alcove(3, 5, (1, 1, 4, 1, 3, 3))
+    b = Alcove(3, 5, (1, 4, 4, 4, 4, 1))
+    with pytest.raises(ResourceLimitError, match="raising BFS exceeded bound 439"):
+        up_reachable(a, b, bound=439)
+    assert not up_reachable(a, b, bound=440)
+
+
+def test_weak_order_sweep_raising_graph_size():
+    # the depth-first search heads for b, so the sweep's 848 up_reachable
+    # calls intern 337 rank-3 families; the breadth-first search interned 858
+    _raising_graph.cache_clear()
+    assert weak_order_sweep(3, 5, 4).ok
+    assert len(_raising_graph(3).families) == 337
 
 
 @given(st.data())

@@ -71,6 +71,9 @@ CASES = {
     "verify_weak_order_n3_p5_index_bound_4": [
         "verify", "weak-order", "--n", "3", "--p", "5", "--index-bound", "4",
     ],
+    "verify_weak_order_n4_p3_index_bound_3": [
+        "verify", "weak-order", "--n", "4", "--p", "3", "--index-bound", "3",
+    ],
     "verify_good_sup_n2_p3_box_6": [
         "verify", "good-sup", "--n", "2", "--p", "3", "--box", "6",
     ],

@@ -7,8 +7,9 @@ facette_of, gamma, stabilizer_subroot_system and the closures against
 the Fraction pairing formulas, on random rational points.  Stabilizers:
 the class-permutation group against the Fraction closure of
 stabilizer_group, and the integer cone test against the Fraction loop
-over AffineMap.apply.  Raising: up_reachable on its interned raising
-graph against the BFS that recomputed every step and tested both bounds,
+over AffineMap.apply.  Raising: up_reachable's depth-first search on its
+interned raising graph against the BFS that recomputed every step and tested
+both bounds, on dominant pairs and on random pairs off the dominant chamber,
 and the floor bound it dropped against every family raised inside a
 start's box.  Walls and up-steps: the split rule behind
 upper_walls / lower_walls and the index transform behind up_step_neighbors
@@ -34,13 +35,14 @@ the alcoves and facettes of points and the walked families of
 facettes_meeting_box and dominant_alcoves against the public constructors.
 The family walk: _code_families against a brute-force filter of every
 code tuple by _realizable.  The closure walk: the facettes _closure_families
-yields for a point's codes, which the lclosure sweep takes as its closure
-pairs, against closure_contains on every box facette, at integral points and
-at points of denominator 2, 3 and 6.  The lower-closure masks: the point
-bitmasks _lower_closure_masks builds per (root, code), from which the lclosure
-sweep reads its direct route, against lower_closure_contains on every (box
-facette, point) pair, at integral points and on batches that mix the
-denominators 1, 2, 3 and 6.
+yields for a point's codes within the box's code windows, which the lclosure
+sweep takes as its closure pairs, against closure_contains on every box
+facette, at integral points and at points of denominator 2, 3 and 6, and
+against the walk with no window, whose box facettes it must all keep.  The
+lower-closure masks: the point bitmasks _lower_closure_masks builds per
+(root, code), from which the lclosure sweep reads its direct route, against
+lower_closure_contains on every (box facette, point) pair, at integral points
+and on batches that mix the denominators 1, 2, 3 and 6.
 """
 
 import random
@@ -113,6 +115,7 @@ from alcove_cells.rootsys import (
 )
 from alcove_cells.support import construct_mu, facette_lattice_point, upper_bound_certificate
 from alcove_cells.sweeps import (
+    _box_windows,
     _closure_families,
     _meets_box,
     dominant_alcoves,
@@ -473,6 +476,24 @@ def test_up_reachable_matches_the_plain_bfs_on_comparable_pairs():
     assert len(pairs) == 848
     for a, b in pairs:
         assert up_reachable(a, b) == _up_reachable_plain(a, b), (a.indices, b.indices)
+
+
+def test_up_reachable_matches_the_plain_bfs_off_the_dominant_chamber():
+    # off the dominant chamber codes <= b's is not the raising order, so the
+    # near/far split of the search only orders it; the answers must not move
+    rng = random.Random(23)
+    for rank, span, count in ((2, 12, 2400), (3, 3, 600)):
+
+        def random_alcove():
+            coords = [Q(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(rank)]
+            return alcove_of(ShiftedPoint(coords), 3)
+
+        pairs = [(random_alcove(), random_alcove()) for _ in range(count)]
+        assert sum(not a.is_dominant() for a, _ in pairs) > count // 2
+        answers = [up_reachable(a, b) for a, b in pairs]
+        assert set(answers) == {True, False}
+        for (a, b), fast in zip(pairs, answers):
+            assert fast == _up_reachable_plain(a, b), (a.indices, b.indices)
 
 
 def _ceilings_and_rows(rank):
@@ -881,11 +902,18 @@ def _box_facettes(n, p, hi):
     return tuple(facettes_meeting_box(n, p, hi))
 
 
+def _unclamped_closure_families(n, codes):
+    """_closure_families with no window to cut it: every facette whose
+    closure holds a point of these codes, inside the box or not."""
+    return _closure_families(n, codes, [range(-(10**9), 10**9)] * len(codes))
+
+
 def _closure_pairs(n, p, hi, pt):
     """(walked, tested): the box facettes _closure_families yields for pt's
-    codes, and those that closure_contains admits, both as code tuples."""
+    codes within the box's windows, as the lclosure sweep walks them, and
+    those that closure_contains admits, both as code tuples."""
     box = _box_facettes(n, p, hi)
-    walked = set(_closure_families(n, facette_of(pt, p)._codes))
+    walked = set(_closure_families(n, facette_of(pt, p)._codes, _box_windows(n, p, hi)))
     return walked & {f._codes for f in box}, {f._codes for f in box if closure_contains(f, pt)}
 
 
@@ -897,6 +925,24 @@ def test_closure_families_match_closure_contains_on_integral_windows(n, p, hi):
         assert walked == tested, (pt.coords, p, hi)
         pairs += len(tested)
     assert pairs > 0
+
+
+@pytest.mark.parametrize("n, p, hi", CLOSURE_WINDOWS)
+def test_clamped_closure_walk_keeps_every_box_facette_of_the_unclamped_walk(n, p, hi):
+    box = {f._codes for f in _box_facettes(n, p, hi)}
+    windows = _box_windows(n, p, hi)
+    clamped_total = unclamped_total = 0
+    for pt in integral_points(n, 0, hi):
+        codes = facette_of(pt, p)._codes
+        clamped = list(_closure_families(n, codes, windows))
+        unclamped = set(_unclamped_closure_families(n, codes))
+        assert set(clamped) <= unclamped
+        assert all(c in w for family in clamped for c, w in zip(family, windows))
+        assert set(clamped) & box == unclamped & box, (pt.coords, p, hi)
+        clamped_total += len(clamped)
+        unclamped_total += len(unclamped)
+    if (n, p, hi) == (3, 3, 6):
+        assert (unclamped_total, unclamped_total - clamped_total) == (4629, 2050)
 
 
 def _draw_window_point(draw, n, p, hi, dens):
@@ -927,7 +973,7 @@ def test_closure_families_match_closure_contains(case):
     (n, p, hi), pt = case
     walked, tested = _closure_pairs(n, p, hi, pt)
     assert walked == tested and facette_of(pt, p)._codes in tested
-    for codes in _closure_families(n, facette_of(pt, p)._codes):
+    for codes in _unclamped_closure_families(n, facette_of(pt, p)._codes):
         data = tuple(Between((c + 1) // 2) if c & 1 else Wall(c // 2) for c in codes)
         assert closure_contains(Facette(n, p, data), pt), (codes, pt.coords)
 
