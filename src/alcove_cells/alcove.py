@@ -39,7 +39,6 @@ implemented by AffineMap is the dot action written plainly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import permutations, product
@@ -53,6 +52,7 @@ from .rootsys import (
     ShiftedPoint,
     _located,
     _located_point,
+    _Record,
     check_p,
     inverse_cartan_numerators,
     point_from_e,
@@ -66,15 +66,13 @@ DEFAULT_BFS_BOUND = 10**6
 
 # Plain frozen classes, not NamedTuples: tuple equality would make
 # Wall(m) == Between(m), silently merging distinct facettes in dicts.
-@dataclass(frozen=True)
-class Wall:
+class Wall(_Record):
     """Equality datum: the pairing equals index * p."""
 
     index: int
 
 
-@dataclass(frozen=True)
-class Between:
+class Between(_Record):
     """Open-window datum: (index - 1) * p < pairing < index * p."""
 
     index: int
@@ -171,8 +169,7 @@ def _code_families(rank: int, allowed: Sequence[range]) -> Iterator[tuple[int, .
             stack.pop()
 
 
-@dataclass(frozen=True, init=False)
-class Facette:
+class Facette(_Record):
     """A facette: per root either a wall equality or an open window.
 
     Stored as _codes alone, on the doubled scale of _realizable (2m is
@@ -200,6 +197,14 @@ class Facette:
             raise PreconditionError(f"facette data {data} cut out an empty region")
         vars(self).update(rank=rank, p=p, _codes=codes)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._codes == other._codes and self.rank == other.rank and self.p == other.p
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.p, self._codes))
+
     @property
     def data(self) -> tuple[Datum, ...]:
         return tuple(Between((c + 1) // 2) if c & 1 else Wall(c // 2) for c in self._codes)
@@ -216,7 +221,6 @@ class Facette:
         return all(c & 1 for c in self._codes)
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class Alcove(Facette):
     """An open alcove: the facette whose codes are all odd.
 
@@ -374,8 +378,7 @@ def interior_point(f: Facette) -> ShiftedPoint:
     return _located_point(tuple((e[0] - v) * f.p for v in e), 2 * half)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_Record):
     """An element of the affine Weyl group acting on shifted points.
 
     Stored as a permutation sigma of {1..n+1} together with an exact

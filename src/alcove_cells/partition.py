@@ -13,17 +13,18 @@ partitions by construction and are located, skipping the checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import accumulate, zip_longest
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .rootsys import RootA, _located, chain_components
+from .rootsys import RootA, _located, _Record, chain_components
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+@total_ordering
+class Partition(_Record):
+    """Equality, hash and order read the tuple (parts,), as those of a dataclass do."""
+
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -37,6 +38,19 @@ class Partition:
         if any(p[k] < p[k + 1] for k in range(len(p) - 1)):
             raise PreconditionError(f"parts must be weakly decreasing, got {p}")
         object.__setattr__(self, "parts", p)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts < other.parts
+        return NotImplemented
 
     @property
     def total(self) -> int:
@@ -114,8 +128,7 @@ def sup(ps: Sequence[Partition]) -> Partition:
     return transpose(_meet([transpose(q) for q in ps]))
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
+class OrbitLabel(_Record):
     """A partition naming a nilpotent orbit, with the orbit's dimension."""
 
     partition: Partition

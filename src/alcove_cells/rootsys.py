@@ -17,7 +17,6 @@ derives by construction are built through one unchecked path, _located.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -85,8 +84,78 @@ def root_leq(a: RootA, b: RootA) -> bool:
     return b.i <= a.i and a.j <= b.j
 
 
-@dataclass(frozen=True, init=False)
-class ShiftedPoint:
+class _Record:
+    """Base of the value records: a frozen dataclass, without importing dataclasses.
+
+    The fields are the annotated names of the class body, after those of its
+    bases.  The constructor takes them by position or keyword, then runs
+    __post_init__ if the class has one.  A record equals only a record of its
+    own class with equal fields, and hashes as their tuple, as a frozen
+    dataclass does.  Assigning or deleting any attribute raises
+    FrozenInstanceError; dataclasses (which loads inspect) is imported only
+    then, so that it adds nothing to a command's start-up.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes each of the fields {names} once")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        post_init = getattr(self, "__post_init__", None)
+        if post_init is not None:
+            post_init()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        listed = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({listed})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _located(cls, **fields):
+    """An instance of cls with its fields set by name, skipping the checks.
+
+    Only for the values the library makes, valid by construction: the
+    families of alcoves and facettes it locates or walks, the partitions it
+    derives (chain-component counts, class sizes, joins, conjugates) and the
+    legs of a certificate, checked as they are built.  Each field is set through object.__setattr__, as _Record's __init__
+    sets it, so the object keeps the same compact layout; updating
+    vars(obj) would give it a full dict, 160 more bytes per object on
+    CPython 3.11 for as long as the value is kept (a cell label per point).
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class ShiftedPoint(_Record):
     """A rho-shifted point of the weight space, in exact coordinates.
 
     coords[k-1] is the pairing with the k-th simple coroot; the point is
@@ -102,8 +171,8 @@ class ShiftedPoint:
 
     _num: tuple[int, ...]
     _den: int
-    _pairs: tuple[int, ...] = field(compare=False)
-    rank: int = field(compare=False)
+    _pairs: tuple[int, ...]
+    rank: int
 
     def __init__(self, coords: Sequence[Rational]) -> None:
         if len(coords) < 1:
@@ -122,6 +191,14 @@ class ShiftedPoint:
     def coords(self) -> tuple[Q, ...]:
         num, den = self._num, self._den
         return tuple(Q(b - a, den) for a, b in zip(num, num[1:]))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._num == other._num and self._den == other._den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
         return f"ShiftedPoint(coords={self.coords!r})"
@@ -187,23 +264,6 @@ def _store(pt: ShiftedPoint, num: tuple[int, ...], den: int) -> None:
     """Set a point's fields from its prefix numerators over their least denominator."""
     pairs = tuple([b - a for a, b in combinations(num, 2)])
     vars(pt).update(_num=num, _den=den, _pairs=pairs, rank=len(num) - 1)
-
-
-def _located(cls, **fields):
-    """An instance of cls with its fields set by name, skipping the checks.
-
-    Only for the values the library makes, valid by construction: the
-    families of alcoves and facettes it locates or walks, and the partitions
-    it derives (chain-component counts, class sizes, joins, conjugates).
-    Each field is set through object.__setattr__, as a frozen dataclass's
-    __init__ sets it, so the object keeps the same compact layout; updating
-    vars(obj) would give it a full dict, 160 more bytes per object on
-    CPython 3.11 for as long as the value is kept (a cell label per point).
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def _located_point(num: tuple[int, ...], den: int) -> ShiftedPoint:

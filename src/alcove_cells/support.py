@@ -17,7 +17,6 @@ prefix numerators, so the module builds no Fraction at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional
 
@@ -50,7 +49,9 @@ from .partition import (
 from .rootsys import (
     RootA,
     ShiftedPoint,
+    _located,
     _located_point,
+    _Record,
     check_p,
     positive_roots,
     root_position,
@@ -60,8 +61,7 @@ THEOREM = "theorem"
 CONJECTURE = "conjecture"
 
 
-@dataclass(frozen=True)
-class SupportPrediction:
+class SupportPrediction(_Record):
     """A predicted support variety, as a nilpotent orbit label."""
 
     point: ShiftedPoint
@@ -72,8 +72,7 @@ class SupportPrediction:
     upper_bound_applicable: bool
 
 
-@dataclass(frozen=True)
-class CertificateLeg:
+class CertificateLeg(_Record):
     basis: frozenset[RootA]
     pi: Partition
     mu: ShiftedPoint
@@ -83,8 +82,7 @@ class CertificateLeg:
     lambda_alcove: Alcove
 
 
-@dataclass(frozen=True)
-class UpperBoundCertificate:
+class UpperBoundCertificate(_Record):
     point: ShiftedPoint
     p: int
     s: Partition
@@ -319,7 +317,8 @@ def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
             )
         pis.append(pi)
         legs.append(
-            CertificateLeg(
+            _located(
+                CertificateLeg,
                 basis=basis,
                 pi=pi,
                 mu=mu,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -56,20 +55,36 @@ from .cells import (
 )
 from .errors import InvariantViolationError, PreconditionError
 from .partition import dominance_leq, partition_of_basis, sup
-from .rootsys import RootA, ShiftedPoint, _located, positive_roots, root_position, shifted_point
+from .rootsys import (
+    RootA,
+    ShiftedPoint,
+    _located,
+    _Record,
+    positive_roots,
+    root_position,
+    shifted_point,
+)
 from .support import construct_mu, facette_lattice_point
 
 MAX_RECORDED_FAILURES = 20
 MONOTONICITY_PROBES = 200  # comparable pairs the good-sup sweep examines
 
 
-@dataclass
-class SweepResult:
+class SweepResult(_Record):
+    """A sweep's tally: the one mutable record, hence unhashable."""
+
     name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
-    reports: list[str] = field(default_factory=list)
-    failed: int = 0  # every failure; failures keeps the first descriptions
+    cases: int
+    failures: list[str]
+    reports: list[str]
+    failed: int  # every failure; failures keeps the first descriptions
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str) -> None:
+        self.name, self.cases, self.failures, self.reports, self.failed = name, 0, [], [], 0
 
     @property
     def ok(self) -> bool:

@@ -421,3 +421,18 @@ def test_a_certificate_run_builds_no_fraction(capsys, monkeypatch, fmt):
     assert built == []
     Fraction(1, 2)
     assert len(built) == 1
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every command is a fresh process, so the import is part of its run time;
+    # dataclasses pulls in inspect, ast, dis and tokenize
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys; bare = set(sys.modules); import alcove_cells.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=env, check=True, text=True
+    )
+    assert proc.stdout == "[]\n"

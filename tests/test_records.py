@@ -34,7 +34,12 @@ def _certificate():
 def _frozen_records():
     cert = _certificate()
     return [
-        (ShiftedPoint, ShiftedPoint((Q(1, 2), 3)), ("_num", "_den", "_pairs", "rank"), ("_num", "_den")),
+        (
+            ShiftedPoint,
+            ShiftedPoint((Q(1, 2), 3)),
+            ("_num", "_den", "_pairs", "rank"),
+            ("_num", "_den"),
+        ),
         (Wall, Wall(2), ("index",), ("index",)),
         (Between, Between(2), ("index",), ("index",)),
         (Facette, Facette(2, 3, (Between(1), Wall(1), Between(1))), ("rank", "p", "_codes"), None),
@@ -166,7 +171,8 @@ def test_partition_constructors_take_the_parts_by_position_or_keyword():
     for bad in ((), (2, "1"), (2, 0), (1, 2)):
         with pytest.raises(ValueError):
             Partition(bad)
-    for args, kwargs in (((), {}), (((2,), (1,)), {}), (((2,),), {"parts": (2,)}), ((), {"part": (2,)})):
+    wrong = (((), {}), (((2,), (1,)), {}), (((2,),), {"parts": (2,)}), ((), {"part": (2,)}))
+    for args, kwargs in wrong:
         with pytest.raises(TypeError):
             Partition(*args, **kwargs)
 
