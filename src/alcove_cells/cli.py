@@ -13,14 +13,17 @@ restates neither.
 
 Output is byte-deterministic for a fixed invocation and seed.  Exit
 codes: 0 success, 1 verification or internal-check failure, 2 usage or
-domain error.
+domain error, 141 (128 + SIGPIPE, the status a shell reports for a writer
+that SIGPIPE ends) when stdout is closed before the output is written, as
+in `alcove-cells ... | head -1`: the rest of the output is dropped, with
+no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import os
 import sys
 from fractions import Fraction as Q
 from itertools import product
@@ -143,6 +146,8 @@ def _emit_json(doc) -> None:
 
 
 def _csv_writer():
+    import csv  # only --format csv needs it, and every command is a fresh process
+
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
@@ -529,7 +534,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.n < 1 or args.p < 1:
             raise PreconditionError("need n >= 1 and p >= 1")
-        return args.run(args)
+        code = args.run(args)
+        # a closed pipe surfaces here, not in the flush at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the exit flush would fail again: point stdout at the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except PreconditionError as exc:
         print(f"alcove-cells: error: {exc}", file=sys.stderr)
         return 2

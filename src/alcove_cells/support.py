@@ -12,7 +12,10 @@ checked against the all-bases oracle.  mu is computed in one loop on
 integer numerators over a denominator fixed up front, the lattice point
 is the least integer solution of its facette's difference bounds on the
 prefix sums, found by longest paths, and both are located from their
-prefix numerators, so the module builds no Fraction at all.
+prefix numerators, so the module builds no Fraction at all.  A
+certificate makes one construct_mu call for all its legs, which checks
+the point and tables its windows once and reads each mu's pairings once
+for both mu's facette and mu's alcove.
 """
 
 from __future__ import annotations
@@ -144,20 +147,22 @@ def weight_cell_of(pt: ShiftedPoint, p: int) -> Partition:
 
 
 def construct_mu(
-    pt: ShiftedPoint, lam: Alcove, good: Iterable[RootA]
-) -> tuple[ShiftedPoint, Alcove]:
-    """An exact rational point whose walls carry a good basis' system, with its alcove.
+    pt: ShiftedPoint, lam: Alcove, bases: Iterable[Iterable[RootA]]
+) -> list[tuple[ShiftedPoint, Facette, Alcove]]:
+    """Exact rational points whose walls carry good bases' systems, located.
 
     Takes pt with its alcove lam at the level p = lam.p, as the caller
-    located it once for every basis, and a good basis inside gamma(pt, p).
-    Produces mu with pairing divisible by p on every root of the generated
-    system, with mu's alcove weakly below lam, and mu regular dominant, and
-    returns mu with that alcove, so the caller need not locate mu again.
-    The inputs and all three properties are machine-checked on every call:
-    lam must hold pt in its lower closure, i.e. be pt's alcove (an integer
-    loop), and the basis must lie inside gamma, read off lam's codes, since
-    alpha is in gamma iff its index floor(<pt, alpha> / p) + 1 is at least 2,
-    i.e. iff its code 2 floor(<pt, alpha> / p) + 1 is at least 3.
+    located it, and every good basis inside gamma(pt, p) to be built for pt.
+    For each basis, in order, produces mu with pairing divisible by p on
+    every root of the generated system, with mu's alcove weakly below lam,
+    and mu regular dominant, and returns (mu, mu's facette, mu's alcove), so
+    the caller need not locate mu again.  The inputs and all three
+    properties are machine-checked.  Once per call: lam must hold pt in its
+    lower closure, i.e. be pt's alcove (an integer loop), and pt must be
+    regular dominant.  Per basis: it must be good and lie inside gamma, read
+    off lam's codes, since alpha is in gamma iff its index
+    floor(<pt, alpha> / p) + 1 is at least 2, i.e. iff its code
+    2 floor(<pt, alpha> / p) + 1 is at least 3.
 
     Starting from the coordinates 1/n, the roots (i, j) are taken in
     decreasing left end (a good basis has distinct left ends, and its right
@@ -165,7 +170,8 @@ def construct_mu(
     then, when i > 1, sets a_1 = ... = a_{i-1} to half the least of
     a_{j-1} / (i - 1) and (w_k p - a_j - ... - a_{k-1}) / (i - 1) for k = j,
     ..., n+1, where w_k = floor(<pt, eps_j - eps_k> / p) + 1 is pt's window
-    at (j, k), read from pt's own prefix numerators (w_j = 1).
+    at (j, k), read from pt's own prefix numerators (w_j = 1) and tabled
+    once per call for every (j, k).
 
     The coordinates are integer numerators a over the one denominator
     D = n * prod 2(i - 1), the product over the basis roots with i > 1.
@@ -179,52 +185,60 @@ def construct_mu(
     of the next root.  mu is located from the prefix sums of a over D, so
     no Fraction is built at all.
 
-    Divisibility is checked on the basis roots alone, which is the same as
-    checking it on every root of their system: a good basis is a union of
-    chains (v_1, v_2), ..., (v_{m-1}, v_m), the system roots are the
-    (v_a, v_b) with a < b, each is the sum of the chain roots
+    mu's pairing numerators v are read once, over step = den(mu) * p: its
+    facette code is d = 2 floor(v / step) + [v mod step > 0], as facette_of
+    computes it, and its alcove code is d | 1 = 2 floor(v / step) + 1, as
+    alcove_of computes it.  p divides a pairing iff its facette code is
+    even.  Divisibility is checked on the basis roots alone, which is the
+    same as checking it on every root of their system: a good basis is a
+    union of chains (v_1, v_2), ..., (v_{m-1}, v_m), the system roots are
+    the (v_a, v_b) with a < b, each is the sum of the chain roots
     (v_a, v_{a+1}), ..., (v_{b-1}, v_b), and the pairing is additive, so p
     divides it when p divides each summand; the basis is part of the system.
     """
     if not lower_closure_contains(lam, pt):
         raise PreconditionError(f"alcove {lam.indices} is not the alcove of {pt}")
-    basis = frozenset(good)
-    if not is_good_basis(basis):
-        raise PreconditionError(f"{sorted(basis)} is not a good basis")
     if not pt.is_regular_dominant():
         raise PreconditionError(f"construct_mu needs a regular dominant point, got {pt}")
     p, n = lam.p, pt.rank
     pos_of = root_position(n)
-    if any(r not in pos_of or lam._codes[pos_of[r]] < 3 for r in basis):
-        raise PreconditionError(f"{sorted(basis)} does not lie inside gamma")
-    roots = sorted(basis, reverse=True)
-    den = n
-    for i, _ in roots:
-        if i > 1:
-            den *= 2 * (i - 1)
     num, width = pt._num, pt.denominator * p
-    a = [den // n] * n
-    for i, j in roots:
-        a[i - 1] = p * den - sum(a[i : j - 1])
-        if i > 1:
-            windows = ((num[k] - num[j - 1]) // width + 1 for k in range(j - 1, n + 1))
-            tails = accumulate(a[j - 1 :], initial=0)
-            low = min(a[j - 2], *(w * p * den - t for w, t in zip(windows, tails)))
-            a[: i - 1] = [low // (2 * (i - 1))] * (i - 1)
-    mu = _located_point(tuple(accumulate(a, initial=0)), den)
-    step = mu.denominator * p
-    pairs = mu.pairing_numerators()
-    for beta in basis:
-        if pairs[pos_of[beta]] % step:
-            raise InvariantViolationError(
-                f"pairing at {tuple(beta)} is {mu.pairing(beta)}, not divisible by {p}"
-            )
-    if not mu.is_regular_dominant():
-        raise InvariantViolationError(f"constructed point {mu} left the chamber")
-    mu_alcove = alcove_of(mu, p)
-    if not weak_leq(mu_alcove, lam):
-        raise InvariantViolationError("constructed point's alcove is not weakly below")
-    return mu, mu_alcove
+    # windows[j - 1] lists pt's windows w_k at (j, k) for k = j, ..., n + 1
+    windows = [tuple([(x - v) // width + 1 for x in num[k:]]) for k, v in enumerate(num)]
+    out = []
+    for good in bases:
+        basis = frozenset(good)
+        if not is_good_basis(basis):
+            raise PreconditionError(f"{sorted(basis)} is not a good basis")
+        if any(r not in pos_of or lam._codes[pos_of[r]] < 3 for r in basis):
+            raise PreconditionError(f"{sorted(basis)} does not lie inside gamma")
+        roots = sorted(basis, reverse=True)
+        den = n
+        for i, _ in roots:
+            if i > 1:
+                den *= 2 * (i - 1)
+        a = [den // n] * n
+        for i, j in roots:
+            a[i - 1] = p * den - sum(a[i : j - 1])
+            if i > 1:
+                tails = accumulate(a[j - 1 :], initial=0)
+                low = min(a[j - 2], *(w * p * den - t for w, t in zip(windows[j - 1], tails)))
+                a[: i - 1] = [low // (2 * (i - 1))] * (i - 1)
+        mu = _located_point(tuple(accumulate(a, initial=0)), den)
+        step = mu._den * p
+        codes = tuple([2 * (v // step) + (v % step > 0) for v in mu._pairs])
+        for beta in basis:
+            if codes[pos_of[beta]] & 1:
+                raise InvariantViolationError(
+                    f"pairing at {tuple(beta)} is {mu.pairing(beta)}, not divisible by {p}"
+                )
+        if not mu.is_regular_dominant():
+            raise InvariantViolationError(f"constructed point {mu} left the chamber")
+        mu_alcove = _located(Alcove, rank=n, p=p, _codes=tuple([d | 1 for d in codes]))
+        if not weak_leq(mu_alcove, lam):
+            raise InvariantViolationError("constructed point's alcove is not weakly below")
+        out.append((mu, _located(Facette, rank=n, p=p, _codes=codes), mu_alcove))
+    return out
 
 
 def facette_lattice_point(f: Facette) -> Optional[ShiftedPoint]:
@@ -279,16 +293,15 @@ def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
     """The per-good-basis certificate chain for the tilting upper bound.
 
     Requires p >= n+1.  gamma is computed once, for the basis enumeration
-    and the oracle, pt's alcove once, for every leg, and each leg keeps the
-    alcove construct_mu located for its mu.  Every leg is machine-checked:
-    construct_mu checks that the basis is good and inside gamma, that p
-    divides the constructed point's pairing on every root of the basis'
-    system (so its stabilizer system contains that system), that mu is
-    regular dominant and that its alcove is weakly below; here its facette
-    must contain an integral point whose d-partition dominates the basis
-    partition, and the supremum of basis partitions must equal the
-    all-bases oracle's s on the same gamma, which checks at this point that
-    good bases suffice.
+    and the oracle, pt's alcove once, and one construct_mu call builds and
+    locates every leg's mu.  Every leg is machine-checked: construct_mu
+    checks that the basis is good and inside gamma, that p divides the
+    constructed point's pairing on every root of the basis' system (so its
+    stabilizer system contains that system), that mu is regular dominant
+    and that its alcove is weakly below; here its facette must contain an
+    integral point whose d-partition dominates the basis partition, and the
+    supremum of basis partitions must equal the all-bases oracle's s on the
+    same gamma, which checks at this point that good bases suffice.
     """
     check_p(p)
     _require_integral_dominant(pt, regular=True)
@@ -299,11 +312,10 @@ def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
     n = pt.rank
     g = gamma(pt, p)
     lam_alcove = alcove_of(pt, p)
+    bases = enumerate_good_bases(g)
     legs = []
     pis = []
-    for basis in enumerate_good_bases(g):
-        mu, mu_alcove = construct_mu(pt, lam_alcove, basis)
-        f = facette_of(mu, p)
+    for basis, (mu, f, mu_alcove) in zip(bases, construct_mu(pt, lam_alcove, bases)):
         mu_prime = facette_lattice_point(f)
         if mu_prime is None:
             raise InvariantViolationError(f"no lattice point in the facette of {mu}")

@@ -213,13 +213,15 @@ def facettes_meeting_box(n: int, p: int, hi: int) -> list[Facette]:
 
     The families within the box's code windows (_box_windows) that _meets_box
     keeps, located.  Sorted root by root: walls (even codes) before windows,
-    by index.
+    by index.  When p divides hi, _meets_box keeps every family: its grid
+    step q = gcd(p, hi) is p, so it refines a code c to c alone, and the
+    windows already cap the code of a root of span s at 2 s hi / p, the top
+    it allows; so the walk runs only for the other boxes.
     """
-    windows = _box_windows(n, p, hi)
-    found = sorted(
-        (codes for codes in _code_families(n, windows) if _meets_box(n, p, hi, codes)),
-        key=lambda codes: [(c & 1, c) for c in codes],
-    )
+    families = _code_families(n, _box_windows(n, p, hi))
+    if hi % p:
+        families = (codes for codes in families if _meets_box(n, p, hi, codes))
+    found = sorted(families, key=lambda codes: [(c & 1, c) for c in codes])
     return [_located(Facette, rank=n, p=p, _codes=codes) for codes in found]
 
 
@@ -452,7 +454,7 @@ def mu_sweep(
         for basis in enumerate_good_bases(gamma(pt, p)):
             res.cases += 1
             try:
-                construct_mu(pt, lam, basis)
+                construct_mu(pt, lam, [basis])
             except (PreconditionError, InvariantViolationError) as exc:
                 res.fail(f"mu failed at {pt} basis {sorted(basis)}: {exc}")
     return res

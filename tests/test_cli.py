@@ -17,6 +17,12 @@ GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -347,12 +353,10 @@ def test_negative_weight_value_reaches_the_domain_check(capsys):
     ],
 )
 def test_module_entry_point_matches_golden(argv, golden):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "alcove_cells.cli", *argv],
         capture_output=True,
-        env=env,
+        env=_src_env(),
         check=False,
     )
     assert proc.returncode == 0 and proc.stderr == b""
@@ -425,14 +429,32 @@ def test_a_certificate_run_builds_no_fraction(capsys, monkeypatch, fmt):
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # every command is a fresh process, so the import is part of its run time;
-    # dataclasses pulls in inspect, ast, dis and tokenize
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    # dataclasses pulls in inspect, ast, dis and tokenize, and csv is loaded
+    # only by --format csv
     probe = (
         "import sys; bare = set(sys.modules); import alcove_cells.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
+        "print(sorted({'csv', 'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, env=env, check=True, text=True
+        [sys.executable, "-c", probe], capture_output=True, env=_src_env(), check=True, text=True
     )
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_a_closed_stdout_ends_the_run_quietly_with_status_141(fmt):
+    # the read end is closed before the child starts, so its first write (or
+    # the flush main makes) meets EPIPE: no traceback, no "Exception ignored"
+    argv = ["certificate", "--n", "4", "--p", "5", "--weight", "9,3,12,7", "--format", fmt]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "alcove_cells.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_src_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

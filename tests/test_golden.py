@@ -56,6 +56,12 @@ CASES = {
     "certificate_n4_p5_weight_6_2_9_3": [
         "certificate", "--n", "4", "--p", "5", "--weight", "6,2,9,3",
     ],
+    "certificate_n4_p5_weight_9_9_9_9": [
+        "certificate", "--n", "4", "--p", "5", "--weight", "9,9,9,9",
+    ],
+    "certificate_n5_p7_weight_3_9_1_12_5": [
+        "certificate", "--n", "5", "--p", "7", "--weight", "3,9,1,12,5",
+    ],
     "atlas_n2_p3_box_6": ["atlas", "--n", "2", "--p", "3", "--box", "6"],
     "atlas_n2_p5": ["atlas", "--n", "2", "--p", "5"],
     "atlas_n4_p5_box_3": ["atlas", "--n", "4", "--p", "5", "--box", "3"],
@@ -119,7 +125,7 @@ def test_certificate_goldens_replay_in_one_process():
     # shared parser) must not change another call's bytes
     cases = [case for case in sorted(CASES) if case.startswith("certificate_")]
     runs = [(case, fmt) for case in cases for fmt in FORMATS]
-    assert len(runs) == 12
+    assert len(runs) == 18
     for case, fmt in runs + runs[::-1]:
         expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
         assert render(CASES[case], fmt).encode("utf-8") == expected, (case, fmt)

@@ -1334,9 +1334,10 @@ def _mu_by_fraction_recursion(pt, basis, p):
 
 
 def _assert_mu_matches_the_recursion(pt, p, bases):
-    for basis in bases:
+    built = construct_mu(pt, alcove_of(pt, p), bases)
+    assert len(built) == len(bases)
+    for basis, (mu, _, _) in zip(bases, built):
         want = _mu_by_fraction_recursion(pt, basis, p)
-        mu, _ = construct_mu(pt, alcove_of(pt, p), basis)
         assert mu.coords == want, (pt.coords, sorted(basis))
 
 
@@ -1417,3 +1418,31 @@ def test_code_families_match_brute_force_on_coprime_box_windows(rank, p, hi, mon
     assert len(seen) > 20
     for r, allowed in seen:
         assert list(_code_families(r, allowed)) == _families_by_brute_force(r, allowed), allowed
+
+
+@pytest.mark.parametrize(
+    "rank, p, hi", [(2, 3, 6), (3, 3, 6), (4, 3, 6), (2, 5, 10), (3, 5, 10), (2, 5, 7), (3, 5, 7)]
+)
+def test_box_facettes_walk_the_refinement_only_when_p_does_not_divide_the_box(
+    rank, p, hi, monkeypatch
+):
+    """facettes_meeting_box against the same families all filtered by
+    _meets_box: equal on boxes that p divides, where it skips the walk as the
+    walk keeps every family, and on coprime boxes, where it walks every
+    family (at rank 3 the walk drops 6 of 174)."""
+    windowed = list(_code_families(rank, _box_windows(rank, p, hi)))
+    walked = [codes for codes in windowed if _meets_box(rank, p, hi, codes)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _meets_box(*args)
+
+    monkeypatch.setattr(sweeps, "_meets_box", counted)
+    got = facettes_meeting_box(rank, p, hi)
+    assert sorted(f._codes for f in got) == sorted(walked)
+    if hi % p:
+        assert len(calls) == len(windowed)
+        assert rank == 2 or len(walked) < len(windowed)
+    else:
+        assert calls == [] and walked == windowed

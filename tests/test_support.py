@@ -24,7 +24,8 @@ from alcove_cells.support import (
 
 
 def _mu(pt, basis, p):
-    mu, mu_alcove = construct_mu(pt, alcove_of(pt, p), basis)
+    [(mu, mu_facette, mu_alcove)] = construct_mu(pt, alcove_of(pt, p), [basis])
+    assert mu_facette == facette_of(mu, p)
     assert mu_alcove == alcove_of(mu, p)
     return mu
 
@@ -81,9 +82,19 @@ def test_construct_mu_rejects_the_alcove_of_another_point():
     pt, other = shifted_point([2, 2]), shifted_point([6, 6])
     for basis in ({RootA(1, 3)}, frozenset()):
         with pytest.raises(PreconditionError, match="is not the alcove of"):
-            construct_mu(pt, alcove_of(other, 5), basis)
+            construct_mu(pt, alcove_of(other, 5), [basis])
+    # the point is checked once per call, before any basis, so also with none
+    with pytest.raises(PreconditionError, match="is not the alcove of"):
+        construct_mu(pt, alcove_of(other, 5), [])
     with pytest.raises(PreconditionError, match="rank mismatch"):
-        construct_mu(pt, alcove_of(shifted_point([2, 2, 2]), 5), frozenset())
+        construct_mu(pt, alcove_of(shifted_point([2, 2, 2]), 5), [frozenset()])
+
+
+def test_construct_mu_refuses_a_point_off_the_chamber():
+    # (1, 0) lies in the lower closure of its alcove but is not regular dominant
+    pt = shifted_point([1, 0])
+    with pytest.raises(PreconditionError, match="regular dominant"):
+        construct_mu(pt, alcove_of(pt, 5), [])
 
 
 def test_construct_mu_refuses_a_point_off_the_basis_walls(monkeypatch):
@@ -103,7 +114,34 @@ def test_construct_mu_refuses_a_point_off_the_basis_walls(monkeypatch):
 
         monkeypatch.setattr(support, "_located_point", nudged)
         with pytest.raises(InvariantViolationError, match="not divisible"):
-            construct_mu(pt, lam, basis)
+            construct_mu(pt, lam, [basis])
+
+
+def test_construct_mu_refuses_a_point_above_lambda(monkeypatch):
+    # mu's construction, raised by 100p on its first coordinate, keeps every
+    # basis wall (the pairings of the roots (1, j) rise by 100p) and stays
+    # regular dominant, but its alcove leaves the order ideal below lambda
+    pt, p = point_from_weight((9, 9, 9, 9)), 5
+    lam = alcove_of(pt, p)
+
+    def raised(num, den):
+        return rootsys._located_point((0, *(v + 100 * p * den for v in num[1:])), den)
+
+    monkeypatch.setattr(support, "_located_point", raised)
+    for basis in enumerate_good_bases(gamma(pt, p)):
+        with pytest.raises(InvariantViolationError, match="not weakly below"):
+            construct_mu(pt, lam, [basis])
+
+
+def test_certificate_refuses_a_lattice_point_off_its_facette(monkeypatch):
+    # an integral point of the bottom alcove lies in the empty basis' facette
+    # alone: the membership check must refuse it at the next leg, before the
+    # dominance check sees its d-partition
+    pt, p = point_from_weight((9, 9, 9, 9)), 5
+    monkeypatch.setattr(support, "facette_lattice_point", lambda f: shifted_point([1, 1, 1, 1]))
+    assert len(enumerate_good_bases(gamma(pt, p))) == 42
+    with pytest.raises(InvariantViolationError, match="left its facette"):
+        upper_bound_certificate(pt, p)
 
 
 def test_located_mu_and_lattice_points_equal_their_public_construction():
@@ -124,7 +162,7 @@ def test_located_mu_and_lattice_points_equal_their_public_construction():
 
 
 def test_certificate_locates_lambda_once_and_each_mu_once(monkeypatch):
-    calls = {"gamma": 0, "alcove_of": 0}
+    calls = {"gamma": 0, "alcove_of": 0, "facette_of": 0, "construct_mu": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -139,10 +177,13 @@ def test_certificate_locates_lambda_once_and_each_mu_once(monkeypatch):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     cert = upper_bound_certificate(point_from_weight((9, 9, 9, 9)), 5)
     assert len(cert.legs) == 42
-    # one gamma for the legs and the oracle; one alcove for lambda and one
-    # per mu
+    # one gamma for the legs and the oracle, one alcove for lambda, and one
+    # construct_mu call that locates every mu from its pairings; the one
+    # facette_of per leg is the lattice point's membership check
     assert calls["gamma"] == 1
-    assert calls["alcove_of"] == len(cert.legs) + 1
+    assert calls["alcove_of"] == 1
+    assert calls["construct_mu"] == 1
+    assert calls["facette_of"] == len(cert.legs)
     for leg in cert.legs:
         assert leg.mu_alcove == alcove_of(leg.mu, 5)
 
@@ -279,3 +320,29 @@ def test_randomized_mu_postconditions_rank4():
         pt = shifted_point([rng.randint(1, 2 * p) for _ in range(4)])
         for basis in enumerate_good_bases(gamma(pt, p)):
             _mu(pt, basis, p)
+
+
+def test_construct_mu_on_all_bases_equals_one_call_per_basis():
+    # the point checks and the window table are shared by the bases of one
+    # call; each basis must still get the mu, facette and alcove that a call
+    # on it alone builds, at integral and at rational points
+    rng = random.Random(25)
+    built = 0
+    for n in range(1, 6):
+        for den in (1, 1, 2, 3, 6):
+            p = rng.choice((2, 3, 5, 7))
+            pt = shifted_point([Q(rng.randint(1, 2 * p * den), den) for _ in range(n)])
+            lam = alcove_of(pt, p)
+            bases = enumerate_good_bases(gamma(pt, p))
+            together = construct_mu(pt, lam, bases)
+            assert len(together) == len(bases)
+            for basis, got in zip(bases, together):
+                assert construct_mu(pt, lam, [basis]) == [got]
+                mu, mu_facette, mu_alcove = got
+                assert (mu_facette, mu_alcove) == (facette_of(mu, p), alcove_of(mu, p))
+                assert (mu_facette._codes, mu_alcove._codes) == (
+                    facette_of(mu, p)._codes,
+                    alcove_of(mu, p)._codes,
+                )
+            built += len(bases)
+    assert built > 200
