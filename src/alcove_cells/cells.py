@@ -117,6 +117,21 @@ def enumerate_good_bases(scope: Iterable[RootA]) -> tuple[frozenset[RootA], ...]
     return tuple([frozenset(b) for b in found])
 
 
+def count_good_bases(scope: Iterable[RootA]) -> int:
+    """len(enumerate_good_bases(scope)), without building a basis.
+
+    A good basis is an increasing chain of roots (see enumerate_good_bases).
+    In canonical root order, the chains that end at r number
+    ways(r) = 1 + the sum of ways(r') over the earlier roots r' of the
+    scope whose two ends are both smaller; the empty basis adds one more.
+    """
+    pool = sorted(set(scope))
+    ways: list[int] = []
+    for r in pool:
+        ways.append(1 + sum([w for q, w in zip(pool, ways) if q.i < r.i and q.j < r.j]))
+    return 1 + sum(ways)
+
+
 def s_partition(pt: ShiftedPoint, p: int) -> Partition:
     """Supremum of component partitions over good bases inside gamma.
 

@@ -11,6 +11,18 @@ parsed namespace itself.  The option defaults live in the parser, and an
 absent `--box` stays None down to `sweeps.window_bound` (2p), so the CLI
 restates neither.
 
+JSON output is json.dumps(doc, indent=2), written by _json_text, which
+imports json's C string escaper on first use.  A certificate, whose legs are
+most of its output, is built and fully checked first and then streamed:
+the header goes through _json_text, and each leg is one %-format of a
+template made once per certificate, so the document is never held whole.
+
+Work is bounded before it starts: `verify` refuses a --box or
+--index-bound below 1 for every suite (an empty window checks nothing), as
+`atlas` refuses an empty box or one of more than ATLAS_POINT_CAP points,
+and `cell` and `certificate` count the good bases of gamma (without
+building one) and refuse more than GOOD_BASIS_CAP of them.
+
 Output is byte-deterministic for a fixed invocation and seed.  Exit
 codes: 0 success, 1 verification or internal-check failure, 2 usage or
 domain error, 141 (128 + SIGPIPE, the status a shell reports for a writer
@@ -27,7 +39,6 @@ import os
 import sys
 from fractions import Fraction as Q
 from itertools import product
-from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .alcove import (
@@ -37,7 +48,7 @@ from .alcove import (
     stabilizer_subroot_system,
     upper_walls,
 )
-from .cells import d_partition, enumerate_good_bases, gamma
+from .cells import count_good_bases, d_partition, enumerate_good_bases, gamma
 from .errors import (
     InvariantViolationError,
     PreconditionError,
@@ -57,11 +68,18 @@ from .rootsys import (
     positive_roots,
     shifted_point,
 )
-from .support import CONJECTURE, tilting_support, upper_bound_certificate, weight_cell_of
+from .support import (
+    CONJECTURE,
+    UpperBoundCertificate,
+    tilting_support,
+    upper_bound_certificate,
+    weight_cell_of,
+)
 from . import sweeps
 
 SAMPLE_CAP = 5000
 ATLAS_POINT_CAP = 1_000_000
+GOOD_BASIS_CAP = 100_000
 
 SUITES = ("lclosure", "weak-order", "good-sup", "reduction", "mu", "lattice", "all")
 
@@ -107,6 +125,26 @@ def _fmt_roots(roots) -> str:
     return " ".join(_fmt_root(r) for r in sorted(roots)) or "-"
 
 
+def _ascii(text: str) -> str:
+    """json.encoder.encode_basestring_ascii, imported on the first JSON write.
+
+    Only --format json needs json, and every command is a fresh process: the
+    first call rebinds this name to the C escaper itself.
+    """
+    global _ascii
+    from json.encoder import encode_basestring_ascii as _ascii
+
+    return _ascii(text)
+
+
+def _json_list(items, pad: str) -> str:
+    """Already rendered items as json.dumps(..., indent=2) writes a list at the indent pad."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def _json_text(v, pad: str = "\n") -> str:
     """v exactly as json.dumps(v, indent=2) writes it, nested at the indent pad.
 
@@ -117,20 +155,17 @@ def _json_text(v, pad: str = "\n") -> str:
     """
     kind = type(v)
     if kind is str:
-        return encode_basestring_ascii(v)
+        return _ascii(v)
     if kind is int:
         return str(v)
     if kind is list:
-        if not v:
-            return "[]"
         inner = pad + "  "
-        items = [str(x) if type(x) is int else _json_text(x, inner) for x in v]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
+        return _json_list([str(x) if type(x) is int else _json_text(x, inner) for x in v], pad)
     if kind is dict:
         if not v:
             return "{}"
         inner = pad + "  "
-        items = [encode_basestring_ascii(k) + ": " + _json_text(x, inner) for k, x in v.items()]
+        items = [_ascii(k) + ": " + _json_text(x, inner) for k, x in v.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if v is None:
         return "null"
@@ -155,6 +190,21 @@ def _root_header(n: int) -> str:
     return " ".join(_fmt_root(r) for r in positive_roots(n))
 
 
+def _refuse_past_good_basis_cap(g: frozenset[RootA]) -> None:
+    """Refuse, before any is built, a gamma with more than GOOD_BASIS_CAP good bases.
+
+    A good basis is a subset of gamma, so the count is skipped while
+    2^|gamma| is within the cap.
+    """
+    if 1 << len(g) > GOOD_BASIS_CAP:
+        count = count_good_bases(g)
+        if count > GOOD_BASIS_CAP:
+            raise PreconditionError(
+                f"gamma ({len(g)} roots) holds {count} good bases, above the cap of "
+                f"{GOOD_BASIS_CAP}; lower the weight or --n, or raise --p"
+            )
+
+
 def cmd_cell(args: argparse.Namespace) -> int:
     pt = _point_of(args)
     if not pt.is_regular_dominant():
@@ -162,6 +212,8 @@ def cmd_cell(args: argparse.Namespace) -> int:
             "cell reports need a dominant weight (shifted point strictly dominant)"
         )
     n = args.n
+    g = gamma(pt, args.p)
+    _refuse_past_good_basis_cap(g)
     pred = tilting_support(pt, args.p)
     if pred.backing == CONJECTURE:
         print(
@@ -169,7 +221,6 @@ def cmd_cell(args: argparse.Namespace) -> int:
             "the prediction is conjecture-backed",
             file=sys.stderr,
         )
-    g = gamma(pt, args.p)
     s = pred.partition
     cell = transpose(s)
     attaining = [
@@ -304,7 +355,19 @@ def _run_suite(name: str, args: argparse.Namespace) -> list[sweeps.SweepResult]:
     return out
 
 
+def _window_box(args: argparse.Namespace) -> int:
+    """The window's box bound (2p when --box is absent), refused below 1."""
+    box = sweeps.window_bound(args.p, args.box)
+    if box < 1:
+        raise PreconditionError(f"--box must be at least 1, got {box}")
+    return box
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    # an empty window would check nothing: refuse it for every suite
+    _window_box(args)
+    if args.index_bound < 1:
+        raise PreconditionError(f"--index-bound must be at least 1, got {args.index_bound}")
     if args.bfs_bound < 1:
         raise PreconditionError(f"--bfs-bound must be positive, got {args.bfs_bound}")
     results = _run_suite(args.suite, args)
@@ -344,9 +407,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_atlas(args: argparse.Namespace) -> int:
     n, p = args.n, args.p
-    box = sweeps.window_bound(p, args.box)
-    if box < 1:
-        raise PreconditionError(f"--box must be at least 1, got {box}")
+    box = _window_box(args)
     # past rank 64 any box > 1 is over the cap, so the exponent stays small
     points = box ** min(n, 64)
     if points > ATLAS_POINT_CAP:
@@ -393,35 +454,93 @@ def cmd_atlas(args: argparse.Namespace) -> int:
     return 0
 
 
+# A certificate's JSON is streamed leg by leg, as json.dumps(doc, indent=2)
+# would write it: a leg's keys sit at _LEG_PAD, and a basis root [i, j] is
+# a list one level further in.
+_LEG_PAD = "\n      "
+_ROOT_TEMPLATE = _json_list(["%d", "%d"], _LEG_PAD + "  ")
+
+
+def _leg_template(n: int, lam: Sequence[int]) -> str:
+    """One leg of the "legs" list, with %-slots for all but lambda's alcove.
+
+    The slots are, in order: the separator before the leg, basis and pi as
+    rendered lists, the n coordinate strings of mu and then of mu_prime
+    (an integral point, whose strings are its integer coordinates),
+    d_mu_prime as a rendered list, and mu's alcove's n(n+1)/2 indices.
+    A coordinate string holds only digits, "-" and "/", so it needs no JSON
+    escape.  Lambda's alcove is the same on every leg, so its text is
+    rendered here, once per certificate.
+    """
+    pad = _LEG_PAD
+    return (
+        "%s\n    {"
+        + pad + '"basis": %s,'
+        + pad + '"pi": %s,'
+        + pad + '"mu": ' + _json_list(['"%s"'] * n, pad) + ","
+        + pad + '"mu_prime": ' + _json_list(["%s"] * n, pad) + ","
+        + pad + '"d_mu_prime": %s,'
+        + pad + '"mu_alcove": ' + _json_list(["%d"] * len(lam), pad) + ","
+        + pad + '"lambda_alcove": ' + _json_list([str(i) for i in lam], pad)
+        + "\n    }"
+    )
+
+
+def _write_certificate_json(
+    args: argparse.Namespace, pt: ShiftedPoint, cert: UpperBoundCertificate
+) -> None:
+    """The certificate's document, as json.dumps(doc, indent=2) and a newline, leg by leg.
+
+    Only the header goes through _json_text; each leg is one %-format of
+    _leg_template and one write, so the document is never held whole.
+    """
+    head = _json_text(
+        {
+            "n": args.n,
+            "p": args.p,
+            "input": _input_doc(args, pt),
+            "s": list(cert.s.parts),
+            "cell": list(transpose(cert.s).parts),
+            "orbit_dim": cert.orbit.dim,
+        }
+    )
+    write = sys.stdout.write
+    # the header's closing "\n}" gives way to the legs
+    write(head[:-2] + ',\n  "legs": [')
+    template = _leg_template(args.n, cert.legs[0].lambda_alcove.indices)
+    pad = _LEG_PAD
+    sep = ""
+    for leg in cert.legs:
+        write(
+            template
+            % (
+                sep,
+                _json_list([_ROOT_TEMPLATE % r for r in sorted(leg.basis)], pad),
+                _json_list([str(x) for x in leg.pi.parts], pad),
+                *leg.mu.coord_strings(),
+                *leg.mu_prime.coord_strings(),
+                _json_list([str(x) for x in leg.d_mu_prime.parts], pad),
+                *leg.mu_alcove.indices,
+            )
+        )
+        sep = ","
+    write("\n  ]\n}\n")
+
+
 def cmd_certificate(args: argparse.Namespace) -> int:
     pt = _point_of(args)
+    # gamma takes only a regular dominant point (the certificate refuses any
+    # other), and is computed here only where the subsets of all n(n+1)/2
+    # roots outnumber the cap: below that no gamma of A_n can pass it
+    if pt.is_regular_dominant() and 1 << len(positive_roots(args.n)) > GOOD_BASIS_CAP:
+        _refuse_past_good_basis_cap(gamma(pt, args.p))
     cert = upper_bound_certificate(pt, args.p)
-    # every leg holds the point's one alcove: decode its indices once
-    lam = cert.legs[0].lambda_alcove.indices
-    lam_text = " ".join(str(i) for i in lam)
-    doc = {
-        "n": args.n,
-        "p": args.p,
-        "input": _input_doc(args, pt),
-        "s": list(cert.s.parts),
-        "cell": list(transpose(cert.s).parts),
-        "orbit_dim": cert.orbit.dim,
-        "legs": [
-            {
-                "basis": [_root_pair(r) for r in sorted(leg.basis)],
-                "pi": list(leg.pi.parts),
-                "mu": list(leg.mu.coord_strings()),
-                "mu_prime": [c + 1 for c in leg.mu_prime.weight()],
-                "d_mu_prime": list(leg.d_mu_prime.parts),
-                "mu_alcove": list(leg.mu_alcove.indices),
-                "lambda_alcove": list(lam),
-            }
-            for leg in cert.legs
-        ],
-    }
     if args.fmt == "json":
-        _emit_json(doc)
-    elif args.fmt == "csv":
+        _write_certificate_json(args, pt, cert)
+        return 0
+    # every leg holds the point's one alcove: decode its indices once
+    lam_text = " ".join(str(i) for i in cert.legs[0].lambda_alcove.indices)
+    if args.fmt == "csv":
         w = _csv_writer()
         w.writerow(
             ["basis", "pi", "mu", "mu_prime", "d_mu_prime", "mu_alcove", "lambda_alcove"]

@@ -35,7 +35,6 @@ from .cells import (
     d_partition,
     enumerate_good_bases,
     gamma,
-    is_good_basis,
     s_partition,
     s_partition_oracle_of,
 )
@@ -159,8 +158,11 @@ def construct_mu(
     the caller need not locate mu again.  The inputs and all three
     properties are machine-checked.  Once per call: lam must hold pt in its
     lower closure, i.e. be pt's alcove (an integer loop), and pt must be
-    regular dominant.  Per basis: it must be good and lie inside gamma, read
-    off lam's codes, since alpha is in gamma iff its index
+    regular dominant.  Per basis: it must be good and lie inside gamma, both
+    checked in the one walk over its roots in decreasing order that also
+    fixes the denominator below.  Good means that consecutive roots strictly
+    decrease in both ends (see cells.is_good_basis); inside gamma is read off
+    lam's codes, since alpha is in gamma iff its index
     floor(<pt, alpha> / p) + 1 is at least 2, i.e. iff its code
     2 floor(<pt, alpha> / p) + 1 is at least 3.
 
@@ -205,18 +207,28 @@ def construct_mu(
     num, width = pt._num, pt.denominator * p
     # windows[j - 1] lists pt's windows w_k at (j, k) for k = j, ..., n + 1
     windows = [tuple([(x - v) // width + 1 for x in num[k:]]) for k, v in enumerate(num)]
+    lam_codes = lam._codes
     out = []
-    for good in bases:
-        basis = frozenset(good)
-        if not is_good_basis(basis):
-            raise PreconditionError(f"{sorted(basis)} is not a good basis")
-        if any(r not in pos_of or lam._codes[pos_of[r]] < 3 for r in basis):
-            raise PreconditionError(f"{sorted(basis)} does not lie inside gamma")
+    for given in bases:
+        basis = frozenset(given)
         roots = sorted(basis, reverse=True)
-        den = n
-        for i, _ in roots:
+        den, good, inside = n, True, True
+        # the first root has no predecessor to decrease from: start just above it
+        last_i, last_j = (roots[0][0] + 1, roots[0][1] + 1) if roots else (0, 0)
+        for r in roots:
+            i, j = r
+            if i >= last_i or j >= last_j:
+                good = False
+            last_i, last_j = i, j
+            k = pos_of.get(r)
+            if k is None or lam_codes[k] < 3:
+                inside = False
             if i > 1:
                 den *= 2 * (i - 1)
+        if not good:
+            raise PreconditionError(f"{sorted(basis)} is not a good basis")
+        if not inside:
+            raise PreconditionError(f"{sorted(basis)} does not lie inside gamma")
         a = [den // n] * n
         for i, j in roots:
             a[i - 1] = p * den - sum(a[i : j - 1])

@@ -1,4 +1,5 @@
 import gc
+import random
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from alcove_cells.cells import (
     comparable_pairs_of,
+    count_good_bases,
     d_partition,
     enumerate_good_bases,
     gamma,
@@ -87,6 +89,25 @@ def test_enumerate_good_bases_partial_scope():
         frozenset({RootA(1, 3)}),
     )
     assert enumerate_good_bases(frozenset()) == (frozenset(),)
+
+
+def test_count_good_bases_matches_the_enumeration():
+    # every scope of A_1..A_4 (all 2^10 subsets of A_4's roots), a seeded
+    # sample of A_5's, and gamma of every point of [1, 6]^3 at p = 3
+    scopes = [
+        [r for k, r in enumerate(positive_roots(n)) if mask >> k & 1]
+        for n in range(1, 5)
+        for mask in range(1 << len(positive_roots(n)))
+    ]
+    rng = random.Random(5)
+    scopes += [rng.sample(positive_roots(5), rng.randint(0, 15)) for _ in range(200)]
+    scopes += [gamma(shifted_point(c), 3) for c in product(range(1, 7), repeat=3)]
+    for scope in scopes:
+        assert count_good_bases(scope) == len(enumerate_good_bases(scope)), scope
+    # on every root of A_n the good bases are counted by the Catalan numbers
+    assert [count_good_bases(positive_roots(n)) for n in range(1, 12)] == [
+        2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012,
+    ]
 
 
 def test_s_partition_known_values():

@@ -1,7 +1,10 @@
+import contextlib
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,9 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alcove_cells import sweeps
+from alcove_cells import cli, sweeps
 from alcove_cells.cli import _json_text, build_parser, main
-from alcove_cells.rootsys import RootA
+from alcove_cells.partition import transpose
+from alcove_cells.rootsys import RootA, point_from_weight, shifted_point
+from alcove_cells.support import upper_bound_certificate
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -165,23 +170,36 @@ def test_verify_json(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["good-sup", "--n", "2", "--p", "3", "--box", "0"],
-        ["mu", "--n", "2", "--p", "3", "--box", "0"],
-        ["weak-order", "--n", "2", "--p", "3", "--index-bound", "0"],
-        ["good-sup", "--n", "4", "--p", "3", "--box", "-10"],
-        ["reduction", "--n", "4", "--p", "3", "--box", "-10"],
-        ["mu", "--n", "4", "--p", "3", "--box", "-10"],
+        (["lclosure", "--n", "2", "--p", "3", "--box", "0"], "--box must be at least 1, got 0"),
+        (["lattice", "--n", "2", "--p", "3", "--box", "0"], "--box must be at least 1, got 0"),
+        (["good-sup", "--n", "2", "--p", "3", "--box", "0"], "--box must be at least 1, got 0"),
+        (["mu", "--n", "2", "--p", "3", "--box", "0"], "--box must be at least 1, got 0"),
+        (["all", "--n", "2", "--p", "3", "--box", "0"], "--box must be at least 1, got 0"),
+        # a suite that reads no box still refuses one below 1
+        (["weak-order", "--n", "2", "--p", "3", "--box", "0"], "--box must be at least 1"),
+        (
+            ["weak-order", "--n", "2", "--p", "3", "--index-bound", "0"],
+            "--index-bound must be at least 1, got 0",
+        ),
+        (["lclosure", "--n", "2", "--p", "3", "--index-bound", "-1"], "--index-bound must be"),
+        (["good-sup", "--n", "4", "--p", "3", "--box", "-10"], "--box must be at least 1, got -10"),
+        (["reduction", "--n", "4", "--p", "3", "--box", "-10"], "--box must be at least 1"),
+        (["mu", "--n", "4", "--p", "3", "--box", "-10"], "--box must be at least 1"),
     ],
 )
-def test_verify_empty_window_fails(capsys, argv):
-    code, out, _ = run(capsys, ["verify", *argv])
-    assert code == 1
-    assert "cases=0 failures=1 FAIL" in out
-    assert "first failure: empty window" in out
-    assert "sampled" not in out  # a negative box is an empty window, not a sample
-    assert out.endswith("verify: FAIL\n")
+def test_verify_empty_window_fails(capsys, monkeypatch, argv, message):
+    # an empty window is refused up front with exit 2, before any sweep runs;
+    # the sweeps' own empty-window FAIL is tested in test_sweeps.py
+    def fail(*args):
+        raise AssertionError("a sweep ran on a window the CLI should refuse")
+
+    for name in ("lclosure", "weak_order", "good_sup", "reduction", "mu", "lattice"):
+        monkeypatch.setattr(sweeps, f"{name}_sweep", fail)
+    code, out, err = run(capsys, ["verify", *argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"alcove-cells: error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -292,6 +310,130 @@ def test_certificate_json(capsys):
         assert set(leg) >= {"basis", "pi", "mu", "mu_prime", "d_mu_prime"}
         assert all(isinstance(c, str) for c in leg["mu"])
         assert all(isinstance(c, int) for c in leg["mu_prime"])
+
+
+def _seed_certificate_doc(n, p, pt, weight_input):
+    """The certificate's document as a dict of lists, before the legs were streamed."""
+    cert = upper_bound_certificate(pt, p)
+    lam = cert.legs[0].lambda_alcove.indices
+    return {
+        "n": n,
+        "p": p,
+        "input": {"weight": list(pt.weight())}
+        if weight_input
+        else {"shifted": list(pt.coord_strings())},
+        "s": list(cert.s.parts),
+        "cell": list(transpose(cert.s).parts),
+        "orbit_dim": cert.orbit.dim,
+        "legs": [
+            {
+                "basis": [[r.i, r.j] for r in sorted(leg.basis)],
+                "pi": list(leg.pi.parts),
+                "mu": list(leg.mu.coord_strings()),
+                "mu_prime": [c + 1 for c in leg.mu_prime.weight()],
+                "d_mu_prime": list(leg.d_mu_prime.parts),
+                "mu_alcove": list(leg.mu_alcove.indices),
+                "lambda_alcove": list(lam),
+            }
+            for leg in cert.legs
+        ],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_certificate_json_streams_the_bytes_json_dumps_writes(capsys, n):
+    # the legs are written from per-certificate templates; the whole text
+    # must be json.dumps(doc, indent=2) of the dict the CLI once built,
+    # at p = n+1 (the least p a certificate takes), n+2 and 7
+    rng = random.Random(n)
+    for p in sorted({n + 1, n + 2, 7}):
+        for weight_input in (True, False):
+            for _ in range(3):
+                coords = [rng.randint(1, 2 * p) for _ in range(n)]
+                if weight_input:
+                    text = ",".join(str(c - 1) for c in coords)
+                    argv = ["--weight", text]
+                    pt = point_from_weight([c - 1 for c in coords])
+                else:
+                    argv = ["--shifted", ",".join(map(str, coords))]
+                    pt = shifted_point(coords)
+                code, out, err = run(
+                    capsys,
+                    ["certificate", "--n", str(n), "--p", str(p), *argv, "--format", "json"],
+                )
+                assert (code, err) == (0, "")
+                doc = _seed_certificate_doc(n, p, pt, weight_input)
+                assert out == json.dumps(doc, indent=2) + "\n", (n, p, argv)
+
+
+class _Discard:
+    """A stdout that keeps nothing, so only the writer's own memory is traced."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_certificate_json_run_peaks_at_the_certificates_own_memory():
+    # 454 legs, 569,086 bytes of JSON: the run holds the certificate and one
+    # leg's text at a time, never the whole document
+    weight = (6, 9, 4, 10, 5, 8, 7)
+    argv = ["certificate", "--n", "7", "--p", "11", "--weight", "6,9,4,10,5,8,7", "--format", "json"]
+    with contextlib.redirect_stdout(_Discard()):
+        # the parser and the rank-7 root tables, built once per process
+        assert main([*argv[:6], "0,0,0,0,0,0,0", "--format", "json"]) == 0
+    tracemalloc.start()
+    try:
+        cert = upper_bound_certificate(point_from_weight(weight), 11)
+        built = tracemalloc.get_traced_memory()[1]
+        del cert
+        tracemalloc.reset_peak()
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(argv) == 0
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run_peak <= 1.2 * built, (run_peak, built)
+
+
+CAP_ARGV = {
+    # 465 roots, every one in gamma: 14,544,636,039,226,909 good bases,
+    # the Catalan number C_31, counted in milliseconds
+    "cell": ["cell", "--n", "30", "--p", "2", "--weight", ",".join(["1"] * 30)],
+    "certificate": ["certificate", "--n", "30", "--p", "31", "--weight", ",".join(["40"] * 30)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CAP_ARGV))
+def test_a_gamma_over_the_good_basis_cap_is_refused_before_any_basis(capsys, monkeypatch, command):
+    def fail(*args):
+        raise AssertionError("a good basis was built before the refusal")
+
+    for name in ("enumerate_good_bases", "tilting_support", "upper_bound_certificate"):
+        monkeypatch.setattr(cli, name, fail)
+    code, out, err = run(capsys, CAP_ARGV[command])
+    assert (code, out) == (2, "")
+    assert err == (
+        "alcove-cells: error: gamma (465 roots) holds 14544636039226909 good bases, "
+        f"above the cap of {cli.GOOD_BASIS_CAP}; lower the weight or --n, or raise --p\n"
+    )
+
+
+def test_the_good_basis_cap_is_inclusive_and_the_count_skipped_below_it(capsys, monkeypatch):
+    # every root of A_4 is in gamma of (9, 9, 9, 9) at p = 5: 42 good bases
+    argv = ["certificate", "--n", "4", "--p", "5", "--weight", "9,9,9,9", "--format", "json"]
+    counted = []
+    monkeypatch.setattr(cli, "count_good_bases", lambda g: counted.append(g) or 42)
+    # 2^10 roots' worth of subsets is within the default cap: nothing is counted
+    assert run(capsys, argv)[0] == 0 and counted == []
+    monkeypatch.setattr(cli, "GOOD_BASIS_CAP", 42)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and len(json.loads(out)["legs"]) == 42 and len(counted) == 1
+    monkeypatch.setattr(cli, "GOOD_BASIS_CAP", 41)
+    code, out, err = run(capsys, ["cell", *argv[1:]])
+    assert (code, out) == (2, "") and "holds 42 good bases, above the cap of 41" in err
 
 
 def test_certificate_rejects_small_p(capsys):
@@ -429,11 +571,12 @@ def test_a_certificate_run_builds_no_fraction(capsys, monkeypatch, fmt):
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # every command is a fresh process, so the import is part of its run time;
-    # dataclasses pulls in inspect, ast, dis and tokenize, and csv is loaded
-    # only by --format csv
+    # dataclasses pulls in inspect, ast, dis and tokenize, csv is loaded only
+    # by --format csv, and json (with json.decoder, json.scanner and _json)
+    # only by the first JSON write
     probe = (
         "import sys; bare = set(sys.modules); import alcove_cells.cli; "
-        "print(sorted({'csv', 'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
+        "print(sorted({'csv', 'dataclasses', 'inspect', 'json'} & (set(sys.modules) - bare)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, env=_src_env(), check=True, text=True

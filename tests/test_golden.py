@@ -44,6 +44,7 @@ CASES = {
     "alcove_n4_p5_shifted_mixed": [
         "alcove", "--n", "4", "--p", "5", "--shifted", "5/2,7/3,11/6,4",
     ],
+    "certificate_n1_p2_weight_3": ["certificate", "--n", "1", "--p", "2", "--weight", "3"],
     "certificate_n2_p5_weight_5_5": [
         "certificate", "--n", "2", "--p", "5", "--weight", "5,5",
     ],
@@ -61,6 +62,9 @@ CASES = {
     ],
     "certificate_n5_p7_weight_3_9_1_12_5": [
         "certificate", "--n", "5", "--p", "7", "--weight", "3,9,1,12,5",
+    ],
+    "certificate_n6_p7_weight_1_1_1_1_1_1": [
+        "certificate", "--n", "6", "--p", "7", "--weight", "1,1,1,1,1,1",
     ],
     "atlas_n2_p3_box_6": ["atlas", "--n", "2", "--p", "3", "--box", "6"],
     "atlas_n2_p5": ["atlas", "--n", "2", "--p", "5"],
@@ -125,7 +129,7 @@ def test_certificate_goldens_replay_in_one_process():
     # shared parser) must not change another call's bytes
     cases = [case for case in sorted(CASES) if case.startswith("certificate_")]
     runs = [(case, fmt) for case in cases for fmt in FORMATS]
-    assert len(runs) == 18
+    assert len(runs) == 24
     for case, fmt in runs + runs[::-1]:
         expected = (GOLDEN / f"{case}.{fmt}").read_bytes()
         assert render(CASES[case], fmt).encode("utf-8") == expected, (case, fmt)

@@ -67,12 +67,33 @@ def test_construct_mu_walls_divisible_and_dominant():
 
 
 def test_construct_mu_requires_membership():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="does not lie inside gamma"):
         _mu(shifted_point([2, 2]), {RootA(1, 2)}, 5)
+    # at (20, 2, 2, 2, 2) and p = 3, gamma holds (1, 2) and (3, 5) but not
+    # (2, 3), and (5, 7) is not a root of A_4: the walk, in decreasing
+    # order, must check every root, not only the first
+    pt = shifted_point([20, 2, 2, 2, 2])
+    for basis in ({RootA(1, 2), RootA(2, 3)}, {RootA(2, 3), RootA(3, 5)}, {RootA(5, 7)}):
+        with pytest.raises(PreconditionError, match="does not lie inside gamma"):
+            _mu(pt, basis, 3)
 
 
-def test_construct_mu_requires_good_basis():
-    with pytest.raises(PreconditionError):
+@pytest.mark.parametrize(
+    "basis",
+    [
+        {RootA(1, 4), RootA(2, 3)},  # nested: the right ends do not decrease
+        {RootA(1, 3), RootA(1, 4)},  # a shared left end
+        {RootA(1, 4), RootA(2, 4)},  # a shared right end
+        {RootA(1, 2), RootA(3, 4), RootA(2, 5)},  # a nested pair, not the first
+    ],
+)
+def test_construct_mu_requires_good_basis(basis):
+    # every root of A_4 is in gamma of (20, 20, 20, 20, 20) at p = 3, so only
+    # the good-basis check can refuse these
+    with pytest.raises(PreconditionError, match="is not a good basis"):
+        _mu(shifted_point([20] * 5), basis, 3)
+    # a basis that fails both checks is refused as not good, as before
+    with pytest.raises(PreconditionError, match="is not a good basis"):
         _mu(shifted_point([20, 2, 2, 2, 2]), {RootA(1, 4), RootA(2, 3)}, 3)
 
 

@@ -21,6 +21,27 @@ from alcove_cells.sweeps import (
 )
 
 
+@pytest.mark.parametrize(
+    "sweep, args, what",
+    [
+        (lclosure_sweep, (2, 3, -1), "(facette, point) pairs"),
+        (lattice_sweep, (2, 3, -1), "facettes"),
+        (weak_order_sweep, (2, 3, 0), "dominant alcoves"),
+        (good_sup_sweep, (2, 3, 0), "points"),
+        (mu_sweep, (2, 3, 0), "points"),
+        (reduction_sweep, (4, 3, -10), "points"),
+        (good_sup_sweep, (4, 3, -10, 5000, 0), "points"),
+    ],
+)
+def test_a_sweep_on_an_empty_window_fails(sweep, args, what):
+    # the CLI refuses such windows up front; called directly, the sweep
+    # itself must still fail rather than pass on nothing
+    res = sweep(*args)
+    assert (res.cases, res.ok) == (0, False)
+    assert res.failures == [f"empty window: no {what} to check"]
+    assert not any("sampled" in line for line in res.reports)
+
+
 def test_sweep_result_counters():
     r = SweepResult(name="demo")
     assert r.ok and "PASS" in r.summary()
