@@ -11,17 +11,19 @@ parsed namespace itself.  The option defaults live in the parser, and an
 absent `--box` stays None down to `sweeps.window_bound` (2p), so the CLI
 restates neither.
 
-JSON output is json.dumps(doc, indent=2), written by _json_text, which
-imports json's C string escaper on first use.  A certificate, whose legs are
-most of its output, is built and fully checked first and then streamed:
-the header goes through _json_text, and each leg is one %-format of a
-template made once per certificate, so the document is never held whole.
+JSON output is json.dumps(doc, indent=2), written chunk by chunk by
+json.dump, and json is imported only on that path.  A certificate, whose
+legs are most of its output, is built and fully checked first and then
+streamed: the header goes through json.dumps, and each leg is one %-format
+of a template made once per certificate, so the document is never held
+whole.
 
 Work is bounded before it starts: `verify` refuses a --box or
 --index-bound below 1 for every suite (an empty window checks nothing), as
 `atlas` refuses an empty box or one of more than ATLAS_POINT_CAP points,
-and `cell` and `certificate` count the good bases of gamma (without
-building one) and refuse more than GOOD_BASIS_CAP of them.
+and `cell`, `certificate` and `atlas` (on its box's corner point) count the
+good bases of gamma (without building one) and refuse more than
+GOOD_BASIS_CAP of them.
 
 Output is byte-deterministic for a fixed invocation and seed.  Exit
 codes: 0 success, 1 verification or internal-check failure, 2 usage or
@@ -125,18 +127,6 @@ def _fmt_roots(roots) -> str:
     return " ".join(_fmt_root(r) for r in sorted(roots)) or "-"
 
 
-def _ascii(text: str) -> str:
-    """json.encoder.encode_basestring_ascii, imported on the first JSON write.
-
-    Only --format json needs json, and every command is a fresh process: the
-    first call rebinds this name to the C escaper itself.
-    """
-    global _ascii
-    from json.encoder import encode_basestring_ascii as _ascii
-
-    return _ascii(text)
-
-
 def _json_list(items, pad: str) -> str:
     """Already rendered items as json.dumps(..., indent=2) writes a list at the indent pad."""
     if not items:
@@ -145,39 +135,12 @@ def _json_list(items, pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
-def _json_text(v, pad: str = "\n") -> str:
-    """v exactly as json.dumps(v, indent=2) writes it, nested at the indent pad.
-
-    json.dumps falls back to its pure-Python encoder whenever it indents;
-    this writer keeps only the cases a document of the CLI holds: dicts
-    with str keys, lists, str (through the encoder's ASCII escaper), int,
-    True, False and None.
-    """
-    kind = type(v)
-    if kind is str:
-        return _ascii(v)
-    if kind is int:
-        return str(v)
-    if kind is list:
-        inner = pad + "  "
-        return _json_list([str(x) if type(x) is int else _json_text(x, inner) for x in v], pad)
-    if kind is dict:
-        if not v:
-            return "{}"
-        inner = pad + "  "
-        items = [_ascii(k) + ": " + _json_text(x, inner) for k, x in v.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    raise TypeError(f"no JSON form for {kind.__name__} {v!r}")
-
-
 def _emit_json(doc) -> None:
-    print(_json_text(doc))
+    """json.dumps(doc, indent=2) and a newline, written chunk by chunk, never held whole."""
+    import json  # only --format json needs it, and every command is a fresh process
+
+    json.dump(doc, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _csv_writer():
@@ -373,22 +336,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = _run_suite(args.suite, args)
     ok = all(r.ok for r in results)
     if args.fmt == "json":
-        _emit_json(
+        suites = [
             {
-                "suites": [
-                    {
-                        "name": r.name,
-                        "cases": r.cases,
-                        "failed": r.failed,
-                        "ok": r.ok,
-                        "failures": r.failures,
-                        "reports": r.reports,
-                    }
-                    for r in results
-                ],
-                "ok": ok,
+                "name": r.name,
+                "cases": r.cases,
+                "failed": r.failed,
+                "ok": r.ok,
+                "failures": r.failures,
+                "reports": r.reports,
             }
-        )
+            for r in results
+        ]
+        _emit_json({"suites": suites, "ok": ok})
     elif args.fmt == "csv":
         w = _csv_writer()
         w.writerow(["name", "cases", "failures", "ok"])
@@ -416,6 +375,8 @@ def cmd_atlas(args: argparse.Namespace) -> int:
             f"atlas would locate {count} points ([1, {box}]^{n}), "
             f"above the cap of {ATLAS_POINT_CAP}; lower --box or --n"
         )
+    # gamma grows with every coordinate, so the corner's good bases bound every point's
+    _refuse_past_good_basis_cap(gamma(shifted_point([box] * n), p))
     buckets: dict[Partition, list[tuple[int, ...]]] = {
         c: [] for c in partitions_of(n + 1)
     }
@@ -423,21 +384,16 @@ def cmd_atlas(args: argparse.Namespace) -> int:
         pt = shifted_point(coords)
         cell = weight_cell_of(pt, p)
         buckets[cell].append(tuple(c - 1 for c in coords))
-    doc = {
-        "n": n,
-        "p": p,
-        "box": box,
-        "cells": {
+    if args.fmt == "json":
+        cells = {
             ",".join(str(x) for x in c.parts): {
                 "orbit_dim": orbit_label(c).dim,
                 "count": len(weights),
                 "weights": [list(wt) for wt in weights],
             }
             for c, weights in buckets.items()
-        },
-    }
-    if args.fmt == "json":
-        _emit_json(doc)
+        }
+        _emit_json({"n": n, "p": p, "box": box, "cells": cells})
     elif args.fmt == "csv":
         w = _csv_writer()
         w.writerow(["cell", "orbit_dim", "weight"])
@@ -491,10 +447,12 @@ def _write_certificate_json(
 ) -> None:
     """The certificate's document, as json.dumps(doc, indent=2) and a newline, leg by leg.
 
-    Only the header goes through _json_text; each leg is one %-format of
+    Only the header goes through json.dumps; each leg is one %-format of
     _leg_template and one write, so the document is never held whole.
     """
-    head = _json_text(
+    import json  # only --format json needs it, and every command is a fresh process
+
+    head = json.dumps(
         {
             "n": args.n,
             "p": args.p,
@@ -502,7 +460,8 @@ def _write_certificate_json(
             "s": list(cert.s.parts),
             "cell": list(transpose(cert.s).parts),
             "orbit_dim": cert.orbit.dim,
-        }
+        },
+        indent=2,
     )
     write = sys.stdout.write
     # the header's closing "\n}" gives way to the legs

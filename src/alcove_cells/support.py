@@ -14,14 +14,15 @@ is the least integer solution of its facette's difference bounds on the
 prefix sums, found by longest paths, and both are located from their
 prefix numerators, so the module builds no Fraction at all.  A
 certificate makes one construct_mu call for all its legs, which checks
-the point and tables its windows once and reads each mu's pairings once
-for both mu's facette and mu's alcove.
+the point, reads gamma off its alcove's codes and tables its windows once,
+and reads each mu's pairings once for both mu's facette and mu's alcove.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, Optional
+from math import prod
+from typing import Optional
 
 from .alcove import (
     Alcove,
@@ -146,34 +147,30 @@ def weight_cell_of(pt: ShiftedPoint, p: int) -> Partition:
 
 
 def construct_mu(
-    pt: ShiftedPoint, lam: Alcove, bases: Iterable[Iterable[RootA]]
-) -> list[tuple[ShiftedPoint, Facette, Alcove]]:
+    pt: ShiftedPoint, lam: Alcove
+) -> list[tuple[frozenset[RootA], ShiftedPoint, Facette, Alcove]]:
     """Exact rational points whose walls carry good bases' systems, located.
 
     Takes pt with its alcove lam at the level p = lam.p, as the caller
-    located it, and every good basis inside gamma(pt, p) to be built for pt.
-    For each basis, in order, produces mu with pairing divisible by p on
-    every root of the generated system, with mu's alcove weakly below lam,
-    and mu regular dominant, and returns (mu, mu's facette, mu's alcove), so
-    the caller need not locate mu again.  The inputs and all three
-    properties are machine-checked.  Once per call: lam must hold pt in its
-    lower closure, i.e. be pt's alcove (an integer loop), and pt must be
-    regular dominant.  Per basis: it must be good and lie inside gamma, both
-    checked in the one walk over its roots in decreasing order that also
-    fixes the denominator below.  Good means that consecutive roots strictly
-    decrease in both ends (see cells.is_good_basis); inside gamma is read off
-    lam's codes, since alpha is in gamma iff its index
-    floor(<pt, alpha> / p) + 1 is at least 2, i.e. iff its code
-    2 floor(<pt, alpha> / p) + 1 is at least 3.
+    located it, and builds one mu for every good basis of gamma(pt, p), in
+    enumerate_good_bases order.  gamma is read off lam's codes: alpha is in
+    gamma iff its index floor(<pt, alpha> / p) + 1 is at least 2, i.e. iff
+    its code 2 floor(<pt, alpha> / p) + 1 is at least 3.  Each mu has
+    pairing divisible by p on every root of its basis' system, its alcove
+    weakly below lam, and is regular dominant; the call returns
+    (basis, mu, mu's facette, mu's alcove) per basis, so the caller need not
+    locate mu again.  Checked once per call: lam must hold pt in its lower
+    closure, i.e. be pt's alcove (an integer loop), and pt must be regular
+    dominant.  The three properties of each mu are machine-checked.
 
-    Starting from the coordinates 1/n, the roots (i, j) are taken in
-    decreasing left end (a good basis has distinct left ends, and its right
-    ends decrease with them).  Each sets a_i so that a_i + ... + a_{j-1} = p,
-    then, when i > 1, sets a_1 = ... = a_{i-1} to half the least of
-    a_{j-1} / (i - 1) and (w_k p - a_j - ... - a_{k-1}) / (i - 1) for k = j,
-    ..., n+1, where w_k = floor(<pt, eps_j - eps_k> / p) + 1 is pt's window
-    at (j, k), read from pt's own prefix numerators (w_j = 1) and tabled
-    once per call for every (j, k).
+    The roots (i, j) of a basis are taken in decreasing left end (a good
+    basis has distinct left ends, and its right ends decrease with them),
+    starting from the coordinates 1/n.  Each sets a_i so that
+    a_i + ... + a_{j-1} = p, then, when i > 1, sets a_1 = ... = a_{i-1} to
+    half the least of a_{j-1} / (i - 1) and (w_k p - a_j - ... - a_{k-1}) /
+    (i - 1) for k = j, ..., n+1, where w_k = floor(<pt, eps_j - eps_k> / p)
+    + 1 is pt's window at (j, k), read from pt's own prefix numerators
+    (w_j = 1) and tabled once per call for every (j, k).
 
     The coordinates are integer numerators a over the one denominator
     D = n * prod 2(i - 1), the product over the basis roots with i > 1.
@@ -207,28 +204,11 @@ def construct_mu(
     num, width = pt._num, pt.denominator * p
     # windows[j - 1] lists pt's windows w_k at (j, k) for k = j, ..., n + 1
     windows = [tuple([(x - v) // width + 1 for x in num[k:]]) for k, v in enumerate(num)]
-    lam_codes = lam._codes
+    g = [r for r, c in zip(positive_roots(n), lam._codes) if c >= 3]
     out = []
-    for given in bases:
-        basis = frozenset(given)
+    for basis in enumerate_good_bases(g):
         roots = sorted(basis, reverse=True)
-        den, good, inside = n, True, True
-        # the first root has no predecessor to decrease from: start just above it
-        last_i, last_j = (roots[0][0] + 1, roots[0][1] + 1) if roots else (0, 0)
-        for r in roots:
-            i, j = r
-            if i >= last_i or j >= last_j:
-                good = False
-            last_i, last_j = i, j
-            k = pos_of.get(r)
-            if k is None or lam_codes[k] < 3:
-                inside = False
-            if i > 1:
-                den *= 2 * (i - 1)
-        if not good:
-            raise PreconditionError(f"{sorted(basis)} is not a good basis")
-        if not inside:
-            raise PreconditionError(f"{sorted(basis)} does not lie inside gamma")
+        den = n * prod([2 * (i - 1) for i, _ in roots if i > 1])
         a = [den // n] * n
         for i, j in roots:
             a[i - 1] = p * den - sum(a[i : j - 1])
@@ -239,17 +219,22 @@ def construct_mu(
         mu = _located_point(tuple(accumulate(a, initial=0)), den)
         step = mu._den * p
         codes = tuple([2 * (v // step) + (v % step > 0) for v in mu._pairs])
-        for beta in basis:
+        for beta in roots:
             if codes[pos_of[beta]] & 1:
                 raise InvariantViolationError(
-                    f"pairing at {tuple(beta)} is {mu.pairing(beta)}, not divisible by {p}"
+                    f"basis {sorted(basis)}: pairing at {tuple(beta)} is {mu.pairing(beta)}, "
+                    f"not divisible by {p}"
                 )
         if not mu.is_regular_dominant():
-            raise InvariantViolationError(f"constructed point {mu} left the chamber")
+            raise InvariantViolationError(
+                f"basis {sorted(basis)}: constructed point {mu} left the chamber"
+            )
         mu_alcove = _located(Alcove, rank=n, p=p, _codes=tuple([d | 1 for d in codes]))
         if not weak_leq(mu_alcove, lam):
-            raise InvariantViolationError("constructed point's alcove is not weakly below")
-        out.append((mu, _located(Facette, rank=n, p=p, _codes=codes), mu_alcove))
+            raise InvariantViolationError(
+                f"basis {sorted(basis)}: constructed point's alcove is not weakly below"
+            )
+        out.append((basis, mu, _located(Facette, rank=n, p=p, _codes=codes), mu_alcove))
     return out
 
 
@@ -304,10 +289,10 @@ def facette_lattice_point(f: Facette) -> Optional[ShiftedPoint]:
 def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
     """The per-good-basis certificate chain for the tilting upper bound.
 
-    Requires p >= n+1.  gamma is computed once, for the basis enumeration
-    and the oracle, pt's alcove once, and one construct_mu call builds and
-    locates every leg's mu.  Every leg is machine-checked: construct_mu
-    checks that the basis is good and inside gamma, that p divides the
+    Requires p >= n+1.  gamma is computed once, for the oracle, pt's alcove
+    once, and one construct_mu call enumerates the good bases of gamma, read
+    off that alcove's codes, and builds and locates every leg's mu.  Every
+    leg is machine-checked: construct_mu checks that p divides the
     constructed point's pairing on every root of the basis' system (so its
     stabilizer system contains that system), that mu is regular dominant
     and that its alcove is weakly below; here its facette must contain an
@@ -324,10 +309,9 @@ def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:
     n = pt.rank
     g = gamma(pt, p)
     lam_alcove = alcove_of(pt, p)
-    bases = enumerate_good_bases(g)
     legs = []
     pis = []
-    for basis, (mu, f, mu_alcove) in zip(bases, construct_mu(pt, lam_alcove, bases)):
+    for basis, mu, f, mu_alcove in construct_mu(pt, lam_alcove):
         mu_prime = facette_lattice_point(f)
         if mu_prime is None:
             raise InvariantViolationError(f"no lattice point in the facette of {mu}")

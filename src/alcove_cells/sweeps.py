@@ -42,7 +42,7 @@ from .alcove import (
 )
 from .cells import (
     comparable_pairs_of,
-    enumerate_good_bases,
+    count_good_bases,
     gamma,
     is_good_basis,
     positive_roots_of,
@@ -445,18 +445,25 @@ def mu_sweep(
     sample: Optional[int] = None,
     seed: int = 0,
 ) -> SweepResult:
-    """construct_mu postconditions on every (point, good basis) pair."""
+    """construct_mu postconditions on every (point, good basis) pair.
+
+    One call per point builds every good basis' mu and checks each one; the
+    call must also build exactly as many as gamma(pt, p) has good bases,
+    counted here apart from the gamma construct_mu reads off pt's alcove.
+    """
     hi = window_bound(p, box)
     res = SweepResult(f"mu n={n} p={p} box={hi}")
     pts = _window_points(res, n, hi, sample, seed)
     for pt in pts:
-        lam = alcove_of(pt, p)
-        for basis in enumerate_good_bases(gamma(pt, p)):
-            res.cases += 1
-            try:
-                construct_mu(pt, lam, [basis])
-            except (PreconditionError, InvariantViolationError) as exc:
-                res.fail(f"mu failed at {pt} basis {sorted(basis)}: {exc}")
+        count = count_good_bases(gamma(pt, p))
+        res.cases += count
+        try:
+            legs = construct_mu(pt, alcove_of(pt, p))
+        except (PreconditionError, InvariantViolationError) as exc:
+            res.fail(f"mu failed at {pt}: {exc}")
+            continue
+        if len(legs) != count:
+            res.fail(f"mu built {len(legs)} of the {count} good bases at {pt}")
     return res
 
 

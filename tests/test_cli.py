@@ -6,15 +6,15 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from alcove_cells import cli, sweeps
-from alcove_cells.cli import _json_text, build_parser, main
-from alcove_cells.partition import transpose
+from alcove_cells.cli import build_parser, main
+from alcove_cells.cells import count_good_bases, gamma
+from alcove_cells.partition import partitions_of, transpose
 from alcove_cells.rootsys import RootA, point_from_weight, shifted_point
 from alcove_cells.support import upper_bound_certificate
 
@@ -278,16 +278,69 @@ def test_atlas_rejects_empty_box(capsys):
     assert code == 2 and err != ""
 
 
+def _no_point_located(*args):
+    raise AssertionError("atlas located a point before refusing")
+
+
 def test_atlas_refuses_a_box_over_the_point_cap(capsys, monkeypatch):
-    import alcove_cells.support
-
-    def fail(*args):
-        raise AssertionError("atlas located a point before refusing")
-
-    monkeypatch.setattr(alcove_cells.support, "weight_cell_of", fail)
+    monkeypatch.setattr(cli, "weight_cell_of", _no_point_located)
     code, out, err = run(capsys, ["atlas", "--n", "7", "--p", "5"])
     assert code == 2 and out == ""
     assert "10000000 points" in err and "1000000" in err
+
+
+def test_atlas_refuses_a_box_past_the_good_basis_cap_before_any_point(capsys, monkeypatch):
+    # one point, (1, ..., 1), well inside the point cap; at p = 2 its gamma
+    # holds the 435 roots (i, j) with j - i >= 2 of A_30
+    monkeypatch.setattr(cli, "weight_cell_of", _no_point_located)
+    code, out, err = run(capsys, ["atlas", "--n", "30", "--p", "2", "--box", "1"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "alcove-cells: error: gamma (435 roots) holds 3814986502092304 good bases, "
+        f"above the cap of {cli.GOOD_BASIS_CAP}; lower the weight or --n, or raise --p\n"
+    )
+
+
+def test_the_atlas_corner_bounds_the_good_bases_of_its_whole_box(capsys, monkeypatch):
+    # gamma grows with every coordinate, so no point of [1, 4]^3 at p = 3 has
+    # more good bases than the corner (4, 4, 4): a cap at the corner's count
+    # lets the atlas run, one below refuses it
+    n, p, box = 3, 3, 4
+    corner = count_good_bases(gamma(shifted_point([box] * n), p))
+    box_points = [shifted_point(c) for c in product(range(1, box + 1), repeat=n)]
+    assert max(count_good_bases(gamma(pt, p)) for pt in box_points) == corner == 14
+    argv = ["atlas", "--n", str(n), "--p", str(p), "--box", str(box)]
+    monkeypatch.setattr(cli, "GOOD_BASIS_CAP", corner)
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(cli, "GOOD_BASIS_CAP", corner - 1)
+    monkeypatch.setattr(cli, "weight_cell_of", _no_point_located)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and f"holds {corner} good bases" in err
+
+
+def test_a_human_atlas_run_holds_no_json_document(monkeypatch):
+    # every point of a 22,500-point box goes to one cell: the run holds that
+    # bucket of weight tuples and no list per weight besides it
+    box, cells = 150, partitions_of(3)
+    monkeypatch.setattr(cli, "weight_cell_of", lambda pt, p: cells[0])
+    argv = ["atlas", "--n", "2", "--p", "5", "--box", str(box)]
+    with contextlib.redirect_stdout(_Discard()):
+        # the parser and the rank-2 tables, built once per process
+        assert main([*argv[:-1], "3"]) == 0
+    tracemalloc.start()
+    try:
+        bucket = list(product(range(box), repeat=2))
+        built = tracemalloc.get_traced_memory()[1]
+        del bucket
+        tracemalloc.reset_peak()
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(argv) == 0
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the bucket's growth by appends reads about 1.19; a JSON document
+    # beside it, about 2.3
+    assert run_peak <= 1.5 * built, (run_peak, built)
 
 
 def test_atlas_deterministic(capsys):
@@ -512,41 +565,6 @@ def test_runs_share_no_state_through_the_cached_parser(capsys):
     assert after[0] == 0 and after[1].startswith("good-sup n=2 p=3 box=6: ")
     build_parser.cache_clear()
     assert run(capsys, argv) == after
-
-
-# -- the JSON writer against json.dumps(indent=2) ----------------------------
-
-TRICKY = ['"', "\\", "\x00", "\x1f", "\x7f", "\n\t", "\u00e9", "\u2028", "\U0001f600", "a\"b\\c"]
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(2**80), max_value=2**80)
-    | st.text()
-    | st.sampled_from(TRICKY)
-)
-json_keys = st.text() | st.sampled_from(TRICKY)
-json_docs = st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_keys, inner, max_size=4),
-    max_leaves=24,
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(doc=json_docs)
-@example(doc={})
-@example(doc=[])
-@example(doc={"a": [], "b": {}, "c": [[], {}], "d": [True, False, None, -1, 10**30]})
-@example(doc={"\U0001f600\"\\\x01": ["\u00e9\U0001f600", "\x1f"]})
-def test_json_writer_matches_json_dumps_byte_for_byte(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2)
-
-
-def test_json_writer_refuses_values_no_cli_document_holds():
-    for value in (1.5, (1, 2), {1: "a"}):
-        with pytest.raises(TypeError):
-            _json_text(value)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "human"])

@@ -97,6 +97,8 @@ CASES = {
         "verify", "reduction", "--n", "4", "--p", "5", "--box", "10",
     ],
     "verify_mu_n2_p5_box_6": ["verify", "mu", "--n", "2", "--p", "5", "--box", "6"],
+    "verify_mu_n3_p3_box_6": ["verify", "mu", "--n", "3", "--p", "3", "--box", "6"],
+    "verify_mu_n4_p5_box_6": ["verify", "mu", "--n", "4", "--p", "5", "--box", "6"],
     "verify_lattice_n2_p3_box_4": [
         "verify", "lattice", "--n", "2", "--p", "3", "--box", "4",
     ],

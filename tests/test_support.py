@@ -24,7 +24,8 @@ from alcove_cells.support import (
 
 
 def _mu(pt, basis, p):
-    [(mu, mu_facette, mu_alcove)] = construct_mu(pt, alcove_of(pt, p), [basis])
+    legs = {b: rest for b, *rest in construct_mu(pt, alcove_of(pt, p))}
+    mu, mu_facette, mu_alcove = legs[frozenset(basis)]
     assert mu_facette == facette_of(mu, p)
     assert mu_alcove == alcove_of(mu, p)
     return mu
@@ -58,100 +59,101 @@ def test_construct_mu_single_simple_root():
 def test_construct_mu_walls_divisible_and_dominant():
     pt = shifted_point([8, 3, 6])
     p = 5
-    for basis in enumerate_good_bases(gamma(pt, p)):
-        mu = _mu(pt, basis, p)
+    legs = construct_mu(pt, alcove_of(pt, p))
+    assert len(legs) == 10
+    for basis, mu, _, _ in legs:
         assert mu.is_regular_dominant()
         for r in positive_roots_of(basis):
             assert mu.pairing(r) % p == 0
         assert weak_leq(alcove_of(mu, p), alcove_of(pt, p))
 
 
-def test_construct_mu_requires_membership():
-    with pytest.raises(PreconditionError, match="does not lie inside gamma"):
-        _mu(shifted_point([2, 2]), {RootA(1, 2)}, 5)
-    # at (20, 2, 2, 2, 2) and p = 3, gamma holds (1, 2) and (3, 5) but not
-    # (2, 3), and (5, 7) is not a root of A_4: the walk, in decreasing
-    # order, must check every root, not only the first
-    pt = shifted_point([20, 2, 2, 2, 2])
-    for basis in ({RootA(1, 2), RootA(2, 3)}, {RootA(2, 3), RootA(3, 5)}, {RootA(5, 7)}):
-        with pytest.raises(PreconditionError, match="does not lie inside gamma"):
-            _mu(pt, basis, 3)
-
-
-@pytest.mark.parametrize(
-    "basis",
-    [
-        {RootA(1, 4), RootA(2, 3)},  # nested: the right ends do not decrease
-        {RootA(1, 3), RootA(1, 4)},  # a shared left end
-        {RootA(1, 4), RootA(2, 4)},  # a shared right end
-        {RootA(1, 2), RootA(3, 4), RootA(2, 5)},  # a nested pair, not the first
-    ],
-)
-def test_construct_mu_requires_good_basis(basis):
-    # every root of A_4 is in gamma of (20, 20, 20, 20, 20) at p = 3, so only
-    # the good-basis check can refuse these
-    with pytest.raises(PreconditionError, match="is not a good basis"):
-        _mu(shifted_point([20] * 5), basis, 3)
-    # a basis that fails both checks is refused as not good, as before
-    with pytest.raises(PreconditionError, match="is not a good basis"):
-        _mu(shifted_point([20, 2, 2, 2, 2]), {RootA(1, 4), RootA(2, 3)}, 3)
-
-
 def test_construct_mu_rejects_the_alcove_of_another_point():
-    # (1,3) lies in gamma of (6,6) but not of (2,2) at p = 5, and the empty
-    # basis passes every later check: only the alcove check can refuse them
+    # the alcove of (6,6) at p = 5 holds every root of A_2 in its gamma, that
+    # of (2,2) none: the point is checked before any basis is built from it
     pt, other = shifted_point([2, 2]), shifted_point([6, 6])
-    for basis in ({RootA(1, 3)}, frozenset()):
-        with pytest.raises(PreconditionError, match="is not the alcove of"):
-            construct_mu(pt, alcove_of(other, 5), [basis])
-    # the point is checked once per call, before any basis, so also with none
     with pytest.raises(PreconditionError, match="is not the alcove of"):
-        construct_mu(pt, alcove_of(other, 5), [])
+        construct_mu(pt, alcove_of(other, 5))
+    with pytest.raises(PreconditionError, match="is not the alcove of"):
+        construct_mu(other, alcove_of(pt, 5))
     with pytest.raises(PreconditionError, match="rank mismatch"):
-        construct_mu(pt, alcove_of(shifted_point([2, 2, 2]), 5), [frozenset()])
+        construct_mu(pt, alcove_of(shifted_point([2, 2, 2]), 5))
 
 
 def test_construct_mu_refuses_a_point_off_the_chamber():
     # (1, 0) lies in the lower closure of its alcove but is not regular dominant
     pt = shifted_point([1, 0])
     with pytest.raises(PreconditionError, match="regular dominant"):
-        construct_mu(pt, alcove_of(pt, 5), [])
+        construct_mu(pt, alcove_of(pt, 5))
+
+
+def _break_one_mu(monkeypatch, target, move):
+    """Locate the mu built as target by move(num, den); every other mu as built."""
+
+    def located(num, den):
+        pt = rootsys._located_point(num, den)
+        return rootsys._located_point(move(num, den), den) if pt == target else pt
+
+    monkeypatch.setattr(support, "_located_point", located)
 
 
 def test_construct_mu_refuses_a_point_off_the_basis_walls(monkeypatch):
-    # mu's construction, nudged by 1/D at the left end of one basis root,
-    # leaves that root's pairing at kp + 1/D: the divisibility check must fire
+    # one basis' mu, nudged by 1/D at the left end of its least root, leaves
+    # that root's pairing at kp + 1/D: the divisibility check must fire and
+    # name the basis
     pt, p = point_from_weight((9, 9, 9, 9)), 5
     lam = alcove_of(pt, p)
-    bases = [b for b in enumerate_good_bases(gamma(pt, p)) if b]
-    assert len(bases) == 41
-    for basis in bases:
+    legs = [leg for leg in construct_mu(pt, lam) if leg[0]]
+    assert len(legs) == 41
+    for basis, mu, _, _ in legs:
         left = min(basis).i - 1
 
         def nudged(num, den, left=left):
             # one more unit on coordinate `left` raises every later prefix numerator
-            moved = num[: left + 1] + tuple(v + 1 for v in num[left + 1 :])
-            return rootsys._located_point(moved, den)
+            return num[: left + 1] + tuple(v + 1 for v in num[left + 1 :])
 
-        monkeypatch.setattr(support, "_located_point", nudged)
-        with pytest.raises(InvariantViolationError, match="not divisible"):
-            construct_mu(pt, lam, [basis])
+        _break_one_mu(monkeypatch, mu, nudged)
+        with pytest.raises(InvariantViolationError, match="not divisible") as exc:
+            construct_mu(pt, lam)
+        assert str(exc.value).startswith(f"basis {sorted(basis)}: pairing at ")
+
+
+def test_construct_mu_refuses_a_point_off_the_chamber_it_built(monkeypatch):
+    # one basis' mu, its first coordinate dropped to 0, keeps the pairing of
+    # every root (i, j) with i > 1, so the walls of a basis with no root
+    # (1, j) stay, but mu is no longer regular dominant
+    pt, p = point_from_weight((9, 9, 9, 9)), 5
+    lam = alcove_of(pt, p)
+
+    def dropped(num, den):
+        return (0, 0, *(v - num[1] for v in num[2:]))
+
+    legs = [leg for leg in construct_mu(pt, lam) if all(r.i > 1 for r in leg[0])]
+    assert len(legs) == 14
+    for basis, mu, _, _ in legs:
+        _break_one_mu(monkeypatch, mu, dropped)
+        with pytest.raises(InvariantViolationError, match="left the chamber") as exc:
+            construct_mu(pt, lam)
+        assert str(exc.value).startswith(f"basis {sorted(basis)}: constructed point ")
 
 
 def test_construct_mu_refuses_a_point_above_lambda(monkeypatch):
-    # mu's construction, raised by 100p on its first coordinate, keeps every
+    # one basis' mu, raised by 100p on its first coordinate, keeps every
     # basis wall (the pairings of the roots (1, j) rise by 100p) and stays
     # regular dominant, but its alcove leaves the order ideal below lambda
     pt, p = point_from_weight((9, 9, 9, 9)), 5
     lam = alcove_of(pt, p)
 
     def raised(num, den):
-        return rootsys._located_point((0, *(v + 100 * p * den for v in num[1:])), den)
+        return (0, *(v + 100 * p * den for v in num[1:]))
 
-    monkeypatch.setattr(support, "_located_point", raised)
-    for basis in enumerate_good_bases(gamma(pt, p)):
-        with pytest.raises(InvariantViolationError, match="not weakly below"):
-            construct_mu(pt, lam, [basis])
+    legs = construct_mu(pt, lam)
+    assert len(legs) == 42
+    for basis, mu, _, _ in legs:
+        _break_one_mu(monkeypatch, mu, raised)
+        with pytest.raises(InvariantViolationError, match="not weakly below") as exc:
+            construct_mu(pt, lam)
+        assert str(exc.value).startswith(f"basis {sorted(basis)}: ")
 
 
 def test_certificate_refuses_a_lattice_point_off_its_facette(monkeypatch):
@@ -183,7 +185,13 @@ def test_located_mu_and_lattice_points_equal_their_public_construction():
 
 
 def test_certificate_locates_lambda_once_and_each_mu_once(monkeypatch):
-    calls = {"gamma": 0, "alcove_of": 0, "facette_of": 0, "construct_mu": 0}
+    calls = {
+        "gamma": 0,
+        "alcove_of": 0,
+        "facette_of": 0,
+        "construct_mu": 0,
+        "enumerate_good_bases": 0,
+    }
 
     def counted(name, fn):
         def wrapper(*args):
@@ -198,12 +206,14 @@ def test_certificate_locates_lambda_once_and_each_mu_once(monkeypatch):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     cert = upper_bound_certificate(point_from_weight((9, 9, 9, 9)), 5)
     assert len(cert.legs) == 42
-    # one gamma for the legs and the oracle, one alcove for lambda, and one
-    # construct_mu call that locates every mu from its pairings; the one
-    # facette_of per leg is the lattice point's membership check
+    # one gamma for the oracle, one alcove for lambda, and one construct_mu
+    # call that enumerates the good bases from lambda's codes and locates
+    # every mu from its pairings; the one facette_of per leg is the lattice
+    # point's membership check
     assert calls["gamma"] == 1
     assert calls["alcove_of"] == 1
     assert calls["construct_mu"] == 1
+    assert calls["enumerate_good_bases"] == 1
     assert calls["facette_of"] == len(cert.legs)
     for leg in cert.legs:
         assert leg.mu_alcove == alcove_of(leg.mu, 5)
@@ -339,31 +349,27 @@ def test_randomized_mu_postconditions_rank4():
     p = 7
     for _ in range(40):
         pt = shifted_point([rng.randint(1, 2 * p) for _ in range(4)])
-        for basis in enumerate_good_bases(gamma(pt, p)):
-            _mu(pt, basis, p)
+        assert len(construct_mu(pt, alcove_of(pt, p))) == len(enumerate_good_bases(gamma(pt, p)))
 
 
-def test_construct_mu_on_all_bases_equals_one_call_per_basis():
-    # the point checks and the window table are shared by the bases of one
-    # call; each basis must still get the mu, facette and alcove that a call
-    # on it alone builds, at integral and at rational points
+def test_construct_mu_builds_every_good_basis_of_gamma_in_order():
+    # gamma is read off lam's codes, not computed from pt: the legs' bases
+    # must be enumerate_good_bases(gamma(pt, p)), in its order, and each mu
+    # located as facette_of and alcove_of locate it, at integral and at
+    # rational points
     rng = random.Random(25)
     built = 0
     for n in range(1, 6):
         for den in (1, 1, 2, 3, 6):
             p = rng.choice((2, 3, 5, 7))
             pt = shifted_point([Q(rng.randint(1, 2 * p * den), den) for _ in range(n)])
-            lam = alcove_of(pt, p)
-            bases = enumerate_good_bases(gamma(pt, p))
-            together = construct_mu(pt, lam, bases)
-            assert len(together) == len(bases)
-            for basis, got in zip(bases, together):
-                assert construct_mu(pt, lam, [basis]) == [got]
-                mu, mu_facette, mu_alcove = got
+            legs = construct_mu(pt, alcove_of(pt, p))
+            assert [basis for basis, *_ in legs] == list(enumerate_good_bases(gamma(pt, p)))
+            for _, mu, mu_facette, mu_alcove in legs:
                 assert (mu_facette, mu_alcove) == (facette_of(mu, p), alcove_of(mu, p))
                 assert (mu_facette._codes, mu_alcove._codes) == (
                     facette_of(mu, p)._codes,
                     alcove_of(mu, p)._codes,
                 )
-            built += len(bases)
+            built += len(legs)
     assert built > 200

@@ -185,6 +185,17 @@ def test_mu_sweep_small():
     assert r.ok and r.cases > 0
 
 
+def test_mu_sweep_fails_a_point_whose_bases_are_not_all_built(monkeypatch):
+    # construct_mu reads gamma off the point's alcove; a call that drops a
+    # leg must not pass for the good bases the sweep counts from gamma itself
+    built = sweeps.construct_mu
+    monkeypatch.setattr(sweeps, "construct_mu", lambda pt, lam: built(pt, lam)[1:])
+    r = mu_sweep(2, 3, box=3)
+    # the 9 points of [1, 3]^2 hold 24 good bases, and every point lost one
+    assert r.cases == 24
+    assert r.failed == 9 and r.failures[0] == "mu built 0 of the 1 good bases at (1, 1)"
+
+
 def test_lattice_sweep_small():
     r = lattice_sweep(2, 5, box=10)
     assert r.ok and r.cases > 0
@@ -244,7 +255,7 @@ def _refuse(*args):
             "construct_mu",
             _refuse,
             lambda: mu_sweep(2, 3, box=3),
-            "mu failed at (1, 1) basis []: refused",
+            "mu failed at (1, 1): refused",
         ),
         (
             "facette_lattice_point",
