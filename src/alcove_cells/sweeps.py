@@ -450,6 +450,9 @@ def mu_sweep(
     One call per point builds every good basis' mu and checks each one; the
     call must also build exactly as many as gamma(pt, p) has good bases,
     counted here apart from the gamma construct_mu reads off pt's alcove.
+    Cases count (point, good basis) pairs, but failures count points: a
+    failing postcondition stops the point's call, and its message names the
+    first failing basis.
     """
     hi = window_bound(p, box)
     res = SweepResult(f"mu n={n} p={p} box={hi}")

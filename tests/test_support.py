@@ -61,7 +61,8 @@ def test_construct_mu_walls_divisible_and_dominant():
     p = 5
     legs = construct_mu(pt, alcove_of(pt, p))
     assert len(legs) == 10
-    for basis, mu, _, _ in legs:
+    for basis, mu, mu_facette, mu_alcove in legs:
+        assert (mu_facette, mu_alcove) == (facette_of(mu, p), alcove_of(mu, p))
         assert mu.is_regular_dominant()
         for r in positive_roots_of(basis):
             assert mu.pairing(r) % p == 0
@@ -349,7 +350,10 @@ def test_randomized_mu_postconditions_rank4():
     p = 7
     for _ in range(40):
         pt = shifted_point([rng.randint(1, 2 * p) for _ in range(4)])
-        assert len(construct_mu(pt, alcove_of(pt, p))) == len(enumerate_good_bases(gamma(pt, p)))
+        legs = construct_mu(pt, alcove_of(pt, p))
+        assert [basis for basis, *_ in legs] == list(enumerate_good_bases(gamma(pt, p)))
+        for _, mu, mu_facette, mu_alcove in legs:
+            assert (mu_facette, mu_alcove) == (facette_of(mu, p), alcove_of(mu, p))
 
 
 def test_construct_mu_builds_every_good_basis_of_gamma_in_order():
