@@ -61,6 +61,7 @@ from .rootsys import (
     root_position,
 )
 
+# the most families either reachability search may hold in seen
 DEFAULT_BFS_BOUND = 10**6
 
 
@@ -617,14 +618,15 @@ def weak_leq(a: Alcove, b: Alcove) -> bool:
     return all(map(le, a._codes, b._codes))
 
 
-def weak_leq_oracle(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
+def weak_leq_oracle(a: Alcove, b: Alcove) -> bool:
     """Weak order decided independently by a search along up_step_neighbors.
 
     The search never visits an alcove whose index exceeds b's anywhere
     (raising steps only ever increase indices, so the prune is exact).  It
     runs depth-first, the last family found expanded next, so it heads
     straight up towards b; it is still complete, since every family that
-    enters seen is expanded before the answer is False.
+    enters seen is expanded before the answer is False.  More than
+    DEFAULT_BFS_BOUND families in seen raise ResourceLimitError.
     """
     if (a.rank, a.p) != (b.rank, b.p):
         raise PreconditionError("weak_leq_oracle compares alcoves of equal rank and p")
@@ -633,6 +635,7 @@ def weak_leq_oracle(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> boo
     start, goal = a._codes, b._codes
     if not all(map(le, start, goal)):
         return False
+    bound = DEFAULT_BFS_BOUND
     seen = {start}
     stack = [start]
     while stack:
@@ -773,7 +776,7 @@ def _raising_graph(rank: int) -> _RaisingGraph:
     return _RaisingGraph(rank)
 
 
-def up_reachable(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
+def up_reachable(a: Alcove, b: Alcove) -> bool:
     """Reachability of b from a by raising reflections, one per step.
 
     A single step from alcove C reflects across the upper bounding
@@ -797,6 +800,7 @@ def up_reachable(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
     split is only a heuristic.  Either way the search is complete: every
     family that enters seen is expanded before the answer is False, so the
     order changes how many families a True answer visits, never the answer.
+    More than DEFAULT_BFS_BOUND families in seen raise ResourceLimitError.
     """
     if (a.rank, a.p) != (b.rank, b.p):
         raise PreconditionError("up_reachable compares alcoves of equal rank and p")
@@ -809,6 +813,7 @@ def up_reachable(a: Alcove, b: Alcove, bound: int = DEFAULT_BFS_BOUND) -> bool:
     tops = [h + 2 * r for h, r in zip(_ceilings(rank, b._codes), rows)]
     families, goal_codes = graph.families, b._codes
     start, goal = graph.id_of(a._codes), graph.id_of(goal_codes)
+    bound = DEFAULT_BFS_BOUND
     seen = {start}
     near, far = [start], []
     while near or far:

@@ -14,6 +14,7 @@ lowering the eventual supremum, mirroring how the two routes agree.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate, groupby
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolationError, PreconditionError
@@ -121,15 +122,18 @@ def count_good_bases(scope: Iterable[RootA]) -> int:
     """len(enumerate_good_bases(scope)), without building a basis.
 
     A good basis is an increasing chain of roots (see enumerate_good_bases).
-    In canonical root order, the chains that end at r number
-    ways(r) = 1 + the sum of ways(r') over the earlier roots r' of the
-    scope whose two ends are both smaller; the empty basis adds one more.
+    The chains ending at (i, j) number 1 + the chains ending at a root with
+    both ends smaller; the empty basis adds one more.  Read by left end,
+    ending[j] counts the chains of the earlier left ends that end at j, so
+    each root reads a prefix sum taken before its group: O(|scope| + n^2).
     """
     pool = sorted(set(scope))
-    ways: list[int] = []
-    for r in pool:
-        ways.append(1 + sum([w for q, w in zip(pool, ways) if q.i < r.i and q.j < r.j]))
-    return 1 + sum(ways)
+    ending = [0] * (max([r.j for r in pool], default=0) + 1)
+    for _, group in groupby(pool, lambda r: r.i):
+        below = list(accumulate(ending, initial=0))
+        for r in group:
+            ending[r.j] += 1 + below[r.j]
+    return 1 + sum(ending)
 
 
 def s_partition(pt: ShiftedPoint, p: int) -> Partition:

@@ -18,12 +18,15 @@ streamed: the header goes through json.dumps, and each leg is one %-format
 of a template made once per certificate, so the document is never held
 whole.
 
-Work is bounded before it starts: `verify` refuses a --box or
---index-bound below 1 for every suite (an empty window checks nothing), as
-`atlas` refuses an empty box or one of more than ATLAS_POINT_CAP points,
-and `cell`, `certificate` and `atlas` (on its box's corner point) count the
-good bases of gamma (without building one) and refuse more than
-GOOD_BASIS_CAP of them.
+Work is bounded by four module constants, none of them an option.
+`verify` refuses a --box or --index-bound below 1 for every suite (an
+empty window checks nothing), and its sampled suites check at most
+SAMPLE_CAP points.  `atlas` refuses an empty box or one of more than
+ATLAS_POINT_CAP points.  `cell`, `certificate` and `atlas` (on its box's
+corner point) count the good bases of gamma (without building one) and
+refuse more than GOOD_BASIS_CAP of them.  The weak-order suite's two
+reachability searches stop with exit 1 once one holds more than
+alcove.DEFAULT_BFS_BOUND families.
 
 Output is byte-deterministic for a fixed invocation and seed.  Exit
 codes: 0 success, 1 verification or internal-check failure, 2 usage or
@@ -43,13 +46,7 @@ from fractions import Fraction as Q
 from itertools import product
 from typing import Optional, Sequence
 
-from .alcove import (
-    DEFAULT_BFS_BOUND,
-    alcove_of,
-    facette_of,
-    stabilizer_subroot_system,
-    upper_walls,
-)
+from .alcove import alcove_of, facette_of, stabilizer_subroot_system, upper_walls
 from .cells import count_good_bases, d_partition, enumerate_good_bases, gamma
 from .errors import (
     InvariantViolationError,
@@ -296,7 +293,7 @@ def _run_suite(name: str, args: argparse.Namespace) -> list[sweeps.SweepResult]:
     if name == "lclosure":
         return [sweeps.lclosure_sweep(n, p, box)]
     if name == "weak-order":
-        return [sweeps.weak_order_sweep(n, p, args.index_bound, args.bfs_bound)]
+        return [sweeps.weak_order_sweep(n, p, args.index_bound)]
     if name == "good-sup":
         return [sweeps.good_sup_sweep(n, p, box, SAMPLE_CAP, args.seed)]
     if name == "reduction":
@@ -331,8 +328,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _window_box(args)
     if args.index_bound < 1:
         raise PreconditionError(f"--index-bound must be at least 1, got {args.index_bound}")
-    if args.bfs_bound < 1:
-        raise PreconditionError(f"--bfs-bound must be positive, got {args.bfs_bound}")
     results = _run_suite(args.suite, args)
     ok = all(r.ok for r in results)
     if args.fmt == "json":
@@ -488,10 +483,8 @@ def _write_certificate_json(
 
 def cmd_certificate(args: argparse.Namespace) -> int:
     pt = _point_of(args)
-    # gamma takes only a regular dominant point (the certificate refuses any
-    # other), and is computed here only where the subsets of all n(n+1)/2
-    # roots outnumber the cap: below that no gamma of A_n can pass it
-    if pt.is_regular_dominant() and 1 << len(positive_roots(args.n)) > GOOD_BASIS_CAP:
+    # gamma takes only a regular dominant point; the certificate refuses any other
+    if pt.is_regular_dominant():
         _refuse_past_good_basis_cap(gamma(pt, args.p))
     cert = upper_bound_certificate(pt, args.p)
     if args.fmt == "json":
@@ -573,15 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", choices=SUITES)
     verify.add_argument(
         "--index-bound", type=int, default=3, help="alcove index cap for sweeps"
-    )
-    verify.add_argument(
-        "--bfs-bound",
-        type=int,
-        default=DEFAULT_BFS_BOUND,
-        help=(
-            "cap on the families a reachability search holds in seen "
-            f"(default {DEFAULT_BFS_BOUND})"
-        ),
     )
     verify.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
     command("atlas", cmd_atlas, "cell decomposition of a box of weights", box=True)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alcove_cells import alcove
 from alcove_cells.alcove import (
     AffineMap,
     Alcove,
@@ -426,15 +427,16 @@ def test_raise_step_matches_geometric_reflection():
                 assert _raise_step(n, a._codes, pos) == image._codes
 
 
-def test_oracle_bound_raises():
+def test_oracle_bound_raises(monkeypatch):
     a = bottom_alcove(3, 3)
     b = alcove_of(shifted_point([5, 5, 5]), 3)
     assert b.indices == (2, 4, 6, 2, 4, 2)
+    monkeypatch.setattr(alcove, "DEFAULT_BFS_BOUND", 2)
     with pytest.raises(ResourceLimitError):
-        weak_leq_oracle(a, b, bound=2)
+        weak_leq_oracle(a, b)
 
 
-def test_up_reachable_bound_raises():
+def test_up_reachable_bound_raises(monkeypatch):
     # the depth-first search from the bottom alcove holds 36 families in seen
     # when it meets b, so 36 is the least bound it finishes under; on a True
     # answer that count depends on the search order (a breadth-first search
@@ -443,19 +445,23 @@ def test_up_reachable_bound_raises():
     b = Alcove(3, 5, (1, 2, 3, 2, 3, 2))
     assert b in dominant_alcoves(3, 5, 4) and weak_leq(a, b)
     for bound in (1, 35):
+        monkeypatch.setattr(alcove, "DEFAULT_BFS_BOUND", bound)
         with pytest.raises(ResourceLimitError, match=f"raising BFS exceeded bound {bound}"):
-            up_reachable(a, b, bound=bound)
-    assert up_reachable(a, b, bound=36)
+            up_reachable(a, b)
+    monkeypatch.setattr(alcove, "DEFAULT_BFS_BOUND", 36)
+    assert up_reachable(a, b)
 
 
-def test_up_reachable_bound_on_a_false_answer():
+def test_up_reachable_bound_on_a_false_answer(monkeypatch):
     # a False answer expands every family of the pruned region, whatever the
     # search order, so 440 is the least bound it finishes under in any order
     a = Alcove(3, 5, (1, 1, 4, 1, 3, 3))
     b = Alcove(3, 5, (1, 4, 4, 4, 4, 1))
+    monkeypatch.setattr(alcove, "DEFAULT_BFS_BOUND", 439)
     with pytest.raises(ResourceLimitError, match="raising BFS exceeded bound 439"):
-        up_reachable(a, b, bound=439)
-    assert not up_reachable(a, b, bound=440)
+        up_reachable(a, b)
+    monkeypatch.setattr(alcove, "DEFAULT_BFS_BOUND", 440)
+    assert not up_reachable(a, b)
 
 
 def test_weak_order_sweep_raising_graph_size():

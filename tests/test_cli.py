@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from alcove_cells import cli, sweeps
+from alcove_cells import alcove, cli, sweeps
 from alcove_cells.cli import build_parser, main
 from alcove_cells.cells import count_good_bases, gamma
 from alcove_cells.partition import partitions_of, transpose
@@ -229,6 +229,7 @@ def test_verify_reports_every_failure(capsys, monkeypatch, fmt, line):
         ["cell", "--weight", "5,5", "--seed", "1"],
         ["alcove", "--weight", "5,5", "--box", "6"],
         ["certificate", "--weight", "5,5", "--bfs-bound", "4"],
+        ["verify", "weak-order", "--bfs-bound", "1"],
         ["atlas", "--index-bound", "2"],
         ["atlas", "--seed", "1"],
     ],
@@ -245,20 +246,10 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_verify_resource_limit_exits_one(capsys):
-    code, _, err = run(
-        capsys, ["verify", "weak-order", "--n", "2", "--p", "3", "--bfs-bound", "1"]
-    )
+def test_verify_resource_limit_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(alcove, "DEFAULT_BFS_BOUND", 1)
+    code, _, err = run(capsys, ["verify", "weak-order", "--n", "2", "--p", "3"])
     assert code == 1 and err == "alcove-cells: failure: weak-order BFS exceeded bound 1\n"
-
-
-@pytest.mark.parametrize("bound", ["0", "-5"])
-def test_verify_rejects_a_non_positive_bfs_bound(capsys, bound):
-    code, out, err = run(
-        capsys, ["verify", "weak-order", "--n", "2", "--p", "3", "--bfs-bound", bound]
-    )
-    assert code == 2 and out == ""
-    assert err == f"alcove-cells: error: --bfs-bound must be positive, got {bound}\n"
 
 
 def test_atlas_counts_tile_box(capsys):
@@ -299,6 +290,19 @@ def test_atlas_refuses_a_box_past_the_good_basis_cap_before_any_point(capsys, mo
         "alcove-cells: error: gamma (435 roots) holds 3814986502092304 good bases, "
         f"above the cap of {cli.GOOD_BASIS_CAP}; lower the weight or --n, or raise --p\n"
     )
+
+
+def test_the_good_basis_count_refuses_a_large_gamma_quickly():
+    # 19,900 roots in gamma: only a count near linear in |gamma| refuses within the timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "alcove_cells.cli", "atlas", "--n", "200", "--p", "2", "--box", "1"],
+        capture_output=True,
+        env=_src_env(),
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "gamma (19900 roots) holds" in proc.stderr and "above the cap" in proc.stderr
 
 
 def test_the_atlas_corner_bounds_the_good_bases_of_its_whole_box(capsys, monkeypatch):

@@ -237,6 +237,15 @@ def test_good_sup_sweep_fails_when_gamma_is_not_upward_closed(monkeypatch):
     assert any(f.endswith("is not an upper ideal: missing [(1, 3)]") for f in r.failures)
 
 
+def test_good_sup_sweep_fails_when_s_is_not_monotone(monkeypatch):
+    # a comparable pair whose s drops in dominance can only come from a
+    # defect in s_partition, so the probe fails the sweep, not just reports
+    monkeypatch.setattr(sweeps, "dominance_leq", lambda a, b: False)
+    r = good_sup_sweep(2, 3, box=6)
+    assert not r.ok and r.failures[0].startswith("s not monotone along weak order: ")
+    assert r.reports[-1] == "monotonicity probe: 200 comparable pairs examined"
+
+
 def _refuse(*args):
     raise PreconditionError("refused")
 
