@@ -19,8 +19,14 @@ bounds closed, an interior point is a midpoint of a facette's own bounds.
 Point location, closures and stabilizer root systems compare the point's
 integer pairing numerators with multiples of p; the closure predicates read
 them, the denominator and the facette's codes straight from the stored
-fields, and _lower_closure_masks decides the lower-closure test for many
-(facette, point) pairs at once, per (root, code, point).  A facette,
+fields.  A relation that is a conjunction over roots is decided for many
+pairs at once by one builder, _relation_masks: per root it groups the
+columns by their value there and decides the relation once per (row code,
+distinct value), and a row's bitmask over the columns is the AND of its
+roots' masks.  Three relations go through it: the lower closure on the
+points' numerators (_lower_closure_masks), the closure on the points'
+facette codes (_closure_masks) and the weak order on alcove codes
+(_weak_masks).  A facette,
 alcoves included, stores only its codes and decodes its Wall/Between data
 or indices on read; the families the library makes itself (a point's, a
 walked one, a raised one) are located, skipping the checks they pass by
@@ -43,7 +49,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import permutations, product
 from operator import le, lt, mul
-from typing import Iterator, Sequence, Union
+from typing import Callable, Hashable, Iterator, Sequence, Union
 
 from .errors import InvariantViolationError, PreconditionError, ResourceLimitError
 from .rootsys import (
@@ -293,7 +299,8 @@ def lower_closure_contains(f: Facette, pt: ShiftedPoint) -> bool:
     The test is a conjunction over roots, and the part at a root reads only
     the root's code c, pt's pairing numerator v there and the step den * p:
     -step <= 2v - c step < step for odd c, 2v = c step for even c.
-    _lower_closure_masks decides it once per (root, code, point) on this.
+    _lower_closure_masks decides it once per (root, code, distinct (2v, step))
+    on this.
     """
     if pt.rank != f.rank:
         raise PreconditionError(f"rank mismatch: point {pt.rank}, facette {f.rank}")
@@ -308,34 +315,68 @@ def lower_closure_contains(f: Facette, pt: ShiftedPoint) -> bool:
     return True
 
 
+def _relation_masks(
+    row_codes: Sequence[Sequence[int]],
+    columns: Sequence[Sequence[Hashable]],
+    related: Callable[[int, Hashable], bool],
+) -> list[int]:
+    """Bit j of row k's mask: related(row_codes[k][pos], columns[j][pos]) on every root pos.
+
+    Rows and columns carry one value per root.  Per root the columns are
+    grouped by their value there, related is decided once per (row code,
+    distinct column value), and a row code's mask at the root is the OR of
+    the groups it relates to; a row's mask is the AND of its roots' masks.
+    """
+    masks = [(1 << len(columns)) - 1] * len(row_codes)
+    for pos, values in enumerate(zip(*columns)):
+        groups: dict = {}
+        for j, v in enumerate(values):
+            groups[v] = groups.get(v, 0) | 1 << j
+        by_code = {}
+        for c in {row[pos] for row in row_codes}:
+            bits = 0
+            for v, group in groups.items():
+                if related(c, v):
+                    bits |= group
+            by_code[c] = bits
+        masks = [m & by_code[row[pos]] for m, row in zip(masks, row_codes)]
+    return masks
+
+
 def _lower_closure_masks(facettes: Sequence[Facette], pts: Sequence[ShiftedPoint]) -> list[int]:
     """lower_closure_contains on every (facette, point) pair, as point bitmasks.
 
-    Bit j of a facette's mask is lower_closure_contains(f, pts[j]).  That test
-    is a conjunction over roots (see its docstring), so one pass over the
-    points per root and per code that some facette carries there decides the
-    root's part as a mask, and a facette's mask is the AND of its roots'
-    masks.  The facettes share one rank and p, the points' rank.
+    Bit j of a facette's mask is lower_closure_contains(f, pts[j]): the
+    _relation_masks of the facettes' codes against each point's (2v, den p)
+    per root, the interval test of lower_closure_contains' docstring.  The
+    facettes share one rank and p, the points' rank.
     """
     if not facettes:
         return []
     rank, p = facettes[0].rank, facettes[0].p
     if any(f.rank != rank or f.p != p for f in facettes) or any(pt.rank != rank for pt in pts):
         raise PreconditionError("masks need facettes of one rank and p and points of that rank")
-    steps = [pt._den * p for pt in pts]
-    masks = [(1 << len(pts)) - 1] * len(facettes)
-    for pos in range(len(positive_roots(rank))):
-        twice = [2 * pt._pairs[pos] for pt in pts]
-        by_code = {}
-        for c in {f._codes[pos] for f in facettes}:
-            bits = 0
-            for j, (v2, step) in enumerate(zip(twice, steps)):
-                gap = v2 - c * step
-                if (-step <= gap < step) if c & 1 else not gap:
-                    bits |= 1 << j
-            by_code[c] = bits
-        masks = [m & by_code[f._codes[pos]] for m, f in zip(masks, facettes)]
-    return masks
+
+    def related(c: int, numerator: tuple[int, int]) -> bool:
+        v2, step = numerator
+        gap = v2 - c * step
+        return -step <= gap < step if c & 1 else not gap
+
+    columns = [[(2 * v, pt._den * p) for v in pt._pairs] for pt in pts]
+    return _relation_masks([f._codes for f in facettes], columns, related)
+
+
+def _closure_masks(
+    facettes: Sequence[Facette], point_codes: Sequence[Sequence[int]]
+) -> list[int]:
+    """closure_contains on every (facette, point) pair, from the points' facette codes.
+
+    Bit j of a facette's mask says whether its closure holds a point whose
+    facette_of codes are point_codes[j]: the _relation_masks of the rule
+    |d - c| <= c & 1 (closure_contains' docstring), at every denominator.
+    """
+    rows = [f._codes for f in facettes]
+    return _relation_masks(rows, point_codes, lambda c, d: abs(d - c) <= c & 1)
 
 
 def closure_contains(f: Facette, pt: ShiftedPoint) -> bool:
@@ -616,6 +657,19 @@ def weak_leq(a: Alcove, b: Alcove) -> bool:
     if not (a.is_dominant() and b.is_dominant()):
         raise PreconditionError("weak_leq is defined on dominant alcoves only")
     return all(map(le, a._codes, b._codes))
+
+
+def _weak_masks(alcoves: Sequence[Alcove]) -> list[int]:
+    """weak_leq on every pair of these alcoves, as bitmasks.
+
+    Bit j of alcoves[k]'s mask is weak_leq(alcoves[k], alcoves[j]): the
+    _relation_masks of the codes against themselves under <=.  The alcoves
+    share one rank and p and are dominant, as weak_leq requires.
+    """
+    if len({(a.rank, a.p) for a in alcoves}) > 1 or not all(a.is_dominant() for a in alcoves):
+        raise PreconditionError("weak masks need dominant alcoves of one rank and p")
+    codes = [a._codes for a in alcoves]
+    return _relation_masks(codes, codes, le)
 
 
 def weak_leq_oracle(a: Alcove, b: Alcove) -> bool:

@@ -69,6 +69,7 @@ from .rootsys import (
 )
 from .support import (
     CONJECTURE,
+    NO_RESULT,
     UpperBoundCertificate,
     tilting_support,
     upper_bound_certificate,
@@ -177,8 +178,14 @@ def cmd_cell(args: argparse.Namespace) -> int:
     pred = tilting_support(pt, args.p)
     if pred.backing == CONJECTURE:
         print(
-            f"alcove-cells: note: p={args.p} is at most n+1={n + 1}: "
+            f"alcove-cells: note: p={args.p} is at most n+2={n + 2}: "
             "the prediction is conjecture-backed",
+            file=sys.stderr,
+        )
+    elif pred.backing == NO_RESULT:
+        print(
+            f"alcove-cells: note: p={args.p} is not a prime of at least n+1={n + 1}: "
+            "no result backs the prediction",
             file=sys.stderr,
         )
     s = pred.partition

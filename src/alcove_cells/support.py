@@ -62,6 +62,7 @@ from .rootsys import (
 
 THEOREM = "theorem"
 CONJECTURE = "conjecture"
+NO_RESULT = "none"
 
 
 class SupportPrediction(_Record):
@@ -101,15 +102,53 @@ def _require_integral_dominant(pt: ShiftedPoint, regular: bool) -> None:
         raise PreconditionError(f"{pt} is not {'regular ' if regular else ''}dominant")
 
 
+def _is_prime(p: int) -> bool:
+    """Primality by the strong test to the prime bases up to 41, exact below 3.3e24.
+
+    No composite below 3,317,044,064,679,887,385,961,981 passes it for all
+    of these bases (Sorenson and Webster, 2017); from there on the test is
+    not proven, and p counts as not prime.
+    """
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if p < 2 or p >= 3_317_044_064_679_887_385_961_981:
+        return False
+    if p in bases or any(p % b == 0 for b in bases):
+        return p in bases
+    odd, twos = p - 1, 0
+    while not odd & 1:
+        odd, twos = odd >> 1, twos + 1
+    for b in bases:
+        x = pow(b, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _backing(rank: int, p: int) -> str:
-    return THEOREM if p > rank + 1 else CONJECTURE
+    """The result behind a prediction at rank n: the group SL_{n+1}, of Coxeter number h = n + 1.
+
+    theorem: p prime and p > n + 2, where the source paper proves Humphreys'
+    conjecture (for SL_m at p > m + 1).  conjecture: p prime and
+    h <= p <= n + 2, inside the conjecture's range p >= h but outside the
+    proof's.  none: p composite or p < h, where neither applies.
+    """
+    if not _is_prime(p) or p < rank + 1:
+        return NO_RESULT
+    return THEOREM if p > rank + 2 else CONJECTURE
 
 
 def tilting_support(pt: ShiftedPoint, p: int) -> SupportPrediction:
     """Predicted tilting-module support: the orbit of s(pt) transposed.
 
-    Theorem-backed for p > n+1; for smaller p the same formula is the
-    conjectural prediction, and backing says so.
+    backing names the result behind it (_backing): theorem for prime
+    p > n+2, conjecture for prime n+1 <= p <= n+2, none otherwise; the
+    formula is the same in all three.
     """
     check_p(p)
     _require_integral_dominant(pt, regular=True)

@@ -11,13 +11,14 @@ point, good-sup runs the oracle and the upper-ideal check and reduction
 walks the chain bases inside gamma (cells.set_partitions_within).  Results
 carry case counts, failure counts with the first descriptions, and
 non-failing observational reports.
-The dominant alcoves, the facettes meeting a box, the box test and the
-facettes whose closure holds a point are calls of one integer generator,
-alcove._code_families, and its families are located or looked up by code:
-lclosure reads its closure pairs from each point's facette codes, with no
-closure test per (facette, point) pair, and its direct route from
-alcove._lower_closure_masks, the interval test decided once per (root, code,
-point) as point bitmasks, with no lower_closure_contains call per pair.
+The dominant alcoves, the facettes meeting a box and the box test are calls
+of one integer generator, alcove._code_families, and its families are
+located.  The direct pair relations of lclosure and weak-order are bitmasks
+of one builder, alcove._relation_masks, which decides a relation once per
+(root, row code, distinct column value): lclosure's closure pairs from each
+point's facette codes and its direct route from the points' numerators, and
+weak-order's index criterion from the alcove codes, with no walk per point
+and no predicate call per pair.  Only the oracles run per pair.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ from __future__ import annotations
 import math
 import random
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .alcove import (
     Alcove,
     Facette,
+    _closure_masks,
     _code_families,
     _lower_closure_masks,
+    _weak_masks,
     alcove_of,
     facette_of,
     lower_closure_contains_via_stabilizer,
@@ -188,25 +191,6 @@ def _box_windows(n: int, p: int, hi: int) -> list[range]:
     return [range(t // p - (-t // p) + 1) for t in (hi * (j - i) for i, j in positive_roots(n))]
 
 
-def _closure_families(
-    rank: int, codes: Sequence[int], windows: Sequence[range]
-) -> Iterator[tuple[int, ...]]:
-    """The facettes within `windows`, as code families, whose closure holds a
-    point of facette codes `codes`.
-
-    On a root where the point has code d, the closure of a facette with code c
-    holds it iff |d - c| <= c & 1 (alcove.closure_contains): c = d when d is
-    odd, c in {d - 1, d, d + 1} when d is even.  The realizable families with
-    those codes on every root, cut to the root's window, are exactly those
-    facettes.
-    """
-    allowed = [
-        range(max(d - 1 + (d & 1), w.start), min(d + 2 - (d & 1), w.stop))
-        for d, w in zip(codes, windows)
-    ]
-    return _code_families(rank, allowed)
-
-
 def facettes_meeting_box(n: int, p: int, hi: int) -> list[Facette]:
     """All facettes whose region meets the dominant box [0, hi]^n.
 
@@ -236,33 +220,26 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
     Compares the two characterizations on every (facette, point) pair
     with integral points in [0, box]^n and facettes meeting that box; for
     points outside a facette's topological closure the stabilizer route
-    is undefined, so the direct route is required to answer false.  The
-    closure pairs are read from each point's facette codes, one
-    _closure_families walk per point cut to the box's code windows, not a
-    closure test per pair.  The
-    direct route is the facette's bit in _lower_closure_masks, which decides
-    the interval test on the point's own pairing numerators and step, never
-    on its facette codes, so the outside-closure check can fail; each
-    facette's closure and lower-closure pairs are visited in ascending point
-    order.
+    is undefined, so the direct route is required to answer false.  Both
+    relations are point bitmasks of alcove._relation_masks: the closure
+    pairs from each point's facette codes (alcove._closure_masks), and the
+    direct route from the point's own pairing numerators and step, never
+    its facette codes (alcove._lower_closure_masks), so the outside-closure
+    check can fail.  Each facette's closure and lower-closure pairs are
+    visited in ascending point order.
     """
     hi = window_bound(p, box)
     res = SweepResult(f"lclosure n={n} p={p} box={hi}")
     pts = integral_points(n, 0, hi)
     facettes = facettes_meeting_box(n, p, hi)
     res.require_window(len(pts) * len(facettes), "(facette, point) pairs")
-    windows = _box_windows(n, p, hi)
-    position = {f._codes: k for k, f in enumerate(facettes)}
-    closed = [0] * len(facettes)  # point bitmask of each facette's closure
-    for j, pt in enumerate(pts):
-        codes = facette_of(pt, p)._codes
-        if codes not in position:
+    known = {f._codes for f in facettes}
+    point_codes = [facette_of(pt, p)._codes for pt in pts]
+    for pt, codes in zip(pts, point_codes):
+        if codes not in known:
             res.fail(f"facette of {pt} missing from the box enumeration")
-        for family in _closure_families(n, codes, windows):
-            k = position.get(family)
-            if k is not None:
-                closed[k] |= 1 << j
     res.cases = len(facettes) * len(pts)
+    closed = _closure_masks(facettes, point_codes)
     for f, inside, lower in zip(facettes, closed, _lower_closure_masks(facettes, pts)):
         pending = inside | lower  # the pairs to check, in ascending point order
         while pending:
@@ -287,16 +264,19 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
 def weak_order_sweep(n: int, p: int, index_bound: int) -> SweepResult:
     """Weak order: index criterion against the up-step search, and raising consistency.
 
+    The index criterion on every pair is a bit of alcove._weak_masks, the
+    codes compared under <= by alcove._relation_masks; the search runs on
+    every pair, and raising reachability on every weakly ordered one.
     Either search raises ResourceLimitError once it holds more than
     alcove.DEFAULT_BFS_BOUND families.
     """
     res = SweepResult(f"weak-order n={n} p={p} index_bound={index_bound}")
     alcoves = dominant_alcoves(n, p, index_bound)
     res.require_window(len(alcoves), "dominant alcoves")
-    for a in alcoves:
-        res.cases += len(alcoves)
-        for b in alcoves:
-            direct = weak_leq(a, b)
+    res.cases = len(alcoves) ** 2
+    for a, above in zip(alcoves, _weak_masks(alcoves)):
+        for j, b in enumerate(alcoves):
+            direct = bool(above >> j & 1)
             oracle = weak_leq_oracle(a, b)
             if direct != oracle:
                 res.fail(

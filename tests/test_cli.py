@@ -518,9 +518,36 @@ def test_cell_conjecture_caveat_is_a_structured_note(capsys):
     code, out, err = run(capsys, ["cell", "--n", "4", "--p", "5", "--weight", "6,2,9,3"])
     assert code == 0
     assert err == (
-        "alcove-cells: note: p=5 is at most n+1=5: the prediction is conjecture-backed\n"
+        "alcove-cells: note: p=5 is at most n+2=6: the prediction is conjecture-backed\n"
     )
     assert out == (GOLDEN / "cell_n4_p5_weight_6_2_9_3.human").read_text(encoding="utf-8")
+
+
+CONJECTURE_NOTE = "the prediction is conjecture-backed"
+NO_RESULT_NOTE = "no result backs the prediction"
+
+
+@pytest.mark.parametrize(
+    "n, p, weight, backing, note",
+    [
+        # p = n + 2: inside the conjecture's range, outside the paper's proof
+        (3, 5, "3,1,4", "conjecture", f"p=5 is at most n+2=5: {CONJECTURE_NOTE}"),
+        # composite p backs nothing, at p = n + 2 or past it
+        (2, 4, "1,1", "none", f"p=4 is not a prime of at least n+1=3: {NO_RESULT_NOTE}"),
+        (2, 9, "2,2", "none", f"p=9 is not a prime of at least n+1=3: {NO_RESULT_NOTE}"),
+        # p < h
+        (
+            11, 2, "0" + ",0" * 10, "none",
+            f"p=2 is not a prime of at least n+1=12: {NO_RESULT_NOTE}",
+        ),
+    ],
+)
+def test_cell_names_what_backs_a_prediction_the_paper_does_not_prove(
+    capsys, n, p, weight, backing, note
+):
+    code, out, err = run(capsys, ["cell", "--n", str(n), "--p", str(p), "--weight", weight])
+    assert code == 0 and err == f"alcove-cells: note: {note}\n"
+    assert f"backing: {backing}\n" in out
 
 
 def test_theorem_backed_cell_prints_no_note(capsys):

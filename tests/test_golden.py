@@ -74,6 +74,9 @@ CASES = {
         "verify", "lclosure", "--n", "2", "--p", "3", "--box", "4",
     ],
     "verify_lclosure_n3_p3": ["verify", "lclosure", "--n", "3", "--p", "3"],
+    "verify_lclosure_n3_p5_box_7": [
+        "verify", "lclosure", "--n", "3", "--p", "5", "--box", "7",
+    ],
     "verify_lclosure_n4_p3_box_3": [
         "verify", "lclosure", "--n", "4", "--p", "3", "--box", "3",
     ],

@@ -34,15 +34,16 @@ Fraction recursion over pt's alcove that it replaced.  Located families:
 the alcoves and facettes of points and the walked families of
 facettes_meeting_box and dominant_alcoves against the public constructors.
 The family walk: _code_families against a brute-force filter of every
-code tuple by _realizable.  The closure walk: the facettes _closure_families
-yields for a point's codes within the box's code windows, which the lclosure
-sweep takes as its closure pairs, against closure_contains on every box
-facette, at integral points and at points of denominator 2, 3 and 6, and
-against the walk with no window, whose box facettes it must all keep.  The
-lower-closure masks: the point bitmasks _lower_closure_masks builds per
-(root, code), from which the lclosure sweep reads its direct route, against
-lower_closure_contains on every (box facette, point) pair, at integral points
-and on batches that mix the denominators 1, 2, 3 and 6.
+code tuple by _realizable.  The relation masks: _relation_masks against the
+pairwise definition for any relation, asking it once per (root, row code,
+distinct column value), and its three relations pair by pair against the
+predicates they replace.  The closure masks, the lclosure sweep's closure
+pairs, against closure_contains on every box facette and every facette next
+to the box that misses it, at integral points and on batches that mix the
+denominators 1, 2, 3 and 6.  The lower-closure masks, its direct route,
+against lower_closure_contains on every (box facette, point) pair, on the
+same points.  The weak masks, the weak-order sweep's index criterion,
+against weak_leq on every pair of dominant alcoves in four windows.
 """
 
 import random
@@ -50,6 +51,7 @@ from collections import deque
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -63,12 +65,15 @@ from alcove_cells.alcove import (
     Wall,
     _class_permutations,
     _closing_order,
+    _closure_masks,
     _code_families,
     _lower_closure_masks,
     _node_classes,
     _raise_step,
     _realizable,
+    _relation_masks,
     _splits,
+    _weak_masks,
     alcove_of,
     closure_contains,
     facette_of,
@@ -103,6 +108,7 @@ from alcove_cells.partition import Partition, partition_of_basis, sup
 from alcove_cells.rootsys import (
     RootA,
     ShiftedPoint,
+    _located,
     chain_components,
     inverse_cartan_numerators,
     point_from_e,
@@ -116,7 +122,6 @@ from alcove_cells.rootsys import (
 from alcove_cells.support import construct_mu, facette_lattice_point, upper_bound_certificate
 from alcove_cells.sweeps import (
     _box_windows,
-    _closure_families,
     _meets_box,
     dominant_alcoves,
     facettes_meeting_box,
@@ -902,47 +907,47 @@ def _box_facettes(n, p, hi):
     return tuple(facettes_meeting_box(n, p, hi))
 
 
-def _unclamped_closure_families(n, codes):
-    """_closure_families with no window to cut it: every facette whose
-    closure holds a point of these codes, inside the box or not."""
-    return _closure_families(n, codes, [range(-(10**9), 10**9)] * len(codes))
+@lru_cache(maxsize=None)
+def _widened_facettes(n, p, hi):
+    """The families within the box's code windows widened by one code on each
+    side: every facette whose closure holds a point of the box, whether it
+    meets the box or not, since a closure holding a point of code d has code
+    d - 1, d or d + 1 on each root."""
+    wide = [range(w.start - 1, w.stop + 1) for w in _box_windows(n, p, hi)]
+    return tuple(_located(Facette, rank=n, p=p, _codes=c) for c in _code_families(n, wide))
 
 
-def _closure_pairs(n, p, hi, pt):
-    """(walked, tested): the box facettes _closure_families yields for pt's
-    codes within the box's windows, as the lclosure sweep walks them, and
-    those that closure_contains admits, both as code tuples."""
-    box = _box_facettes(n, p, hi)
-    walked = set(_closure_families(n, facette_of(pt, p)._codes, _box_windows(n, p, hi)))
-    return walked & {f._codes for f in box}, {f._codes for f in box if closure_contains(f, pt)}
+def _bits(mask, size):
+    assert mask >> size == 0
+    return [bool(mask >> j & 1) for j in range(size)]
+
+
+def _assert_closure_masks_match_closure_contains(facettes, pts, p):
+    """_closure_masks on the points' facette codes against closure_contains
+    on every pair; every point lies in the closure of its own facette."""
+    masks = _closure_masks(facettes, [facette_of(pt, p)._codes for pt in pts])
+    assert len(masks) == len(facettes)
+    for f, mask in zip(facettes, masks):
+        assert _bits(mask, len(pts)) == [closure_contains(f, pt) for pt in pts], f.data
+    mask_of = dict(zip(facettes, masks))
+    assert all(mask_of[facette_of(pt, p)] >> j & 1 for j, pt in enumerate(pts))
+    return mask_of
 
 
 @pytest.mark.parametrize("n, p, hi", CLOSURE_WINDOWS)
-def test_closure_families_match_closure_contains_on_integral_windows(n, p, hi):
-    pairs = 0
-    for pt in integral_points(n, 0, hi):
-        walked, tested = _closure_pairs(n, p, hi, pt)
-        assert walked == tested, (pt.coords, p, hi)
-        pairs += len(tested)
-    assert pairs > 0
-
-
-@pytest.mark.parametrize("n, p, hi", CLOSURE_WINDOWS)
-def test_clamped_closure_walk_keeps_every_box_facette_of_the_unclamped_walk(n, p, hi):
-    box = {f._codes for f in _box_facettes(n, p, hi)}
-    windows = _box_windows(n, p, hi)
-    clamped_total = unclamped_total = 0
-    for pt in integral_points(n, 0, hi):
-        codes = facette_of(pt, p)._codes
-        clamped = list(_closure_families(n, codes, windows))
-        unclamped = set(_unclamped_closure_families(n, codes))
-        assert set(clamped) <= unclamped
-        assert all(c in w for family in clamped for c, w in zip(family, windows))
-        assert set(clamped) & box == unclamped & box, (pt.coords, p, hi)
-        clamped_total += len(clamped)
-        unclamped_total += len(unclamped)
+def test_closure_masks_match_closure_contains_on_integral_windows(n, p, hi):
+    """The closure pairs the lclosure sweep reads, on the box facettes and on
+    the facettes next to the box that miss it."""
+    rows = _widened_facettes(n, p, hi)
+    mask_of = _assert_closure_masks_match_closure_contains(rows, integral_points(n, 0, hi), p)
+    box = set(_box_facettes(n, p, hi))
+    assert box <= set(rows)
+    inside = sum(mask_of[f].bit_count() for f in box)
+    total = sum(mask.bit_count() for mask in mask_of.values())
+    assert inside > 0
     if (n, p, hi) == (3, 3, 6):
-        assert (unclamped_total, unclamped_total - clamped_total) == (4629, 2050)
+        # the sweep's 2579 closure pairs, and 2050 with facettes off the box
+        assert (total, total - inside) == (4629, 2050)
 
 
 def _draw_window_point(draw, n, p, hi, dens):
@@ -955,36 +960,31 @@ def _draw_window_point(draw, n, p, hi, dens):
 
 
 @st.composite
-def points_in_closure_windows(draw):
-    """(window, pt): pt in the window's box with coordinates of denominator
-    2, 3 or 6, half of them in (p / den)Z, so on many hyperplanes."""
+def point_batches_in_closure_windows(draw):
+    """(window, pts): one to eight points of the window's box, each with its
+    own denominator 1, 2, 3 or 6, drawn with half of its coordinates'
+    numerators multiples of p, so on many hyperplanes."""
     n, p, hi = draw(st.sampled_from(CLOSURE_WINDOWS))
-    return (n, p, hi), _draw_window_point(draw, n, p, hi, [2, 3, 6])
+    size = draw(st.integers(min_value=1, max_value=8))
+    return (n, p, hi), [_draw_window_point(draw, n, p, hi, [1, 2, 3, 6]) for _ in range(size)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=points_in_closure_windows())
-@example(case=((3, 3, 6), ShiftedPoint((Q(3, 2), Q(3, 2), Q(3)))))
-@example(case=((3, 5, 7), ShiftedPoint((Q(5, 3), Q(10, 3), Q(5, 6)))))
-def test_closure_families_match_closure_contains(case):
-    """The code rule behind the lclosure sweep holds for any denominator: the
-    box facettes it walks are those whose closure holds pt, and every family
-    it walks, inside the box or not, is a facette whose closure holds pt."""
-    (n, p, hi), pt = case
-    walked, tested = _closure_pairs(n, p, hi, pt)
-    assert walked == tested and facette_of(pt, p)._codes in tested
-    for codes in _unclamped_closure_families(n, facette_of(pt, p)._codes):
-        data = tuple(Between((c + 1) // 2) if c & 1 else Wall(c // 2) for c in codes)
-        assert closure_contains(Facette(n, p, data), pt), (codes, pt.coords)
+@given(case=point_batches_in_closure_windows())
+@example(case=((3, 3, 6), [ShiftedPoint((Q(3, 2), Q(3, 2), Q(3)))]))
+@example(case=((3, 5, 7), [ShiftedPoint((Q(5, 3), Q(10, 3), Q(5, 6)))]))
+def test_closure_masks_match_closure_contains_on_mixed_denominators(case):
+    """The code rule |d - c| <= c & 1 holds at any denominator, on the box
+    facettes and off the box."""
+    (n, p, hi), pts = case
+    _assert_closure_masks_match_closure_contains(_widened_facettes(n, p, hi), pts, p)
 
 
 def _assert_masks_match_lower_closure_contains(facettes, pts):
     masks = _lower_closure_masks(facettes, pts)
     assert len(masks) == len(facettes)
     for f, mask in zip(facettes, masks):
-        assert mask >> len(pts) == 0, f.data
-        bits = [bool(mask >> j & 1) for j in range(len(pts))]
-        assert bits == [lower_closure_contains(f, pt) for pt in pts], f.data
+        assert _bits(mask, len(pts)) == [lower_closure_contains(f, pt) for pt in pts], f.data
     return masks
 
 
@@ -995,15 +995,6 @@ def test_lower_closure_masks_match_lower_closure_contains_on_integral_windows(n,
     # every point lies in the lower closure of its own facette
     mask_of = dict(zip(box, masks))
     assert all(mask_of[facette_of(pt, p)] >> j & 1 for j, pt in enumerate(pts))
-
-
-@st.composite
-def point_batches_in_closure_windows(draw):
-    """(window, pts): one to eight points of the window's box, each with its
-    own denominator 1, 2, 3 or 6, drawn as points_in_closure_windows draws."""
-    n, p, hi = draw(st.sampled_from(CLOSURE_WINDOWS))
-    size = draw(st.integers(min_value=1, max_value=8))
-    return (n, p, hi), [_draw_window_point(draw, n, p, hi, [1, 2, 3, 6]) for _ in range(size)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1034,6 +1025,58 @@ def test_lower_closure_masks_refuse_mixed_ranks_and_levels():
     ):
         with pytest.raises(PreconditionError):
             _lower_closure_masks(facettes, pts)
+
+
+@pytest.mark.parametrize(
+    "n, p, index_bound, ordered",
+    [(1, 2, 5, 15), (2, 3, 4, 90), (3, 5, 4, 848), (4, 3, 3, 1254)],
+)
+def test_weak_masks_match_weak_leq(n, p, index_bound, ordered):
+    alcoves = dominant_alcoves(n, p, index_bound)
+    masks = _weak_masks(alcoves)
+    assert len(masks) == len(alcoves)
+    for a, mask in zip(alcoves, masks):
+        assert _bits(mask, len(alcoves)) == [weak_leq(a, b) for b in alcoves], a.indices
+    # at (3, 5, 4) the weak-order sweep's 848 up_reachable calls
+    assert sum(mask.bit_count() for mask in masks) == ordered
+
+
+def test_weak_masks_refuse_what_weak_leq_refuses():
+    alcoves = dominant_alcoves(2, 3, 3)
+    assert _weak_masks([]) == []
+    for bad in (Alcove(2, 3, (0, 1, 1)), Alcove(2, 5, (1, 1, 1)), Alcove(1, 3, (1,))):
+        with pytest.raises(PreconditionError):
+            _weak_masks(alcoves + [bad])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    roots=st.integers(min_value=0, max_value=4),
+    data=st.data(),
+)
+def test_relation_masks_match_the_pairwise_definition(roots, data):
+    """Any relation, on any rows and columns: bit j of row k is the AND over
+    roots, and related is asked once per (root, row code, distinct value)."""
+    codes = st.lists(st.integers(-3, 3), min_size=roots, max_size=roots).map(tuple)
+    rows = data.draw(st.lists(codes, max_size=6))
+    columns = data.draw(st.lists(codes, max_size=9))
+    asked = []
+
+    def rule(c, v):
+        return (c * v + c) % 3 != 1
+
+    def related(c, v):
+        asked.append((c, v))
+        return rule(c, v)
+
+    masks = _relation_masks(rows, columns, related)
+    assert len(masks) == len(rows)
+    for row, mask in zip(rows, masks):
+        expected = [all(map(rule, row, col)) for col in columns]
+        assert _bits(mask, len(columns)) == expected
+    distinct = [len(set(values)) for values in zip(*columns)]
+    row_codes = [len({row[pos] for row in rows}) for pos in range(len(distinct))]
+    assert len(asked) == sum(map(mul, row_codes, distinct))
 
 
 def _facette_lattice_point_by_search(f):

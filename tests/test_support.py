@@ -13,6 +13,7 @@ from alcove_cells.partition import dominance_leq, partition, partitions_of
 from alcove_cells.rootsys import RootA, ShiftedPoint, point_from_weight, shifted_point
 from alcove_cells.support import (
     CONJECTURE,
+    NO_RESULT,
     THEOREM,
     construct_mu,
     facette_lattice_point,
@@ -265,8 +266,39 @@ def test_tilting_support_warns_below_threshold():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pred = tilting_support(point_from_weight([0, 0]), 2)
-    assert pred.backing == CONJECTURE
+    assert pred.backing == NO_RESULT
     assert not pred.upper_bound_applicable
+
+
+@pytest.mark.parametrize(
+    "n, p, backing",
+    [
+        (2, 4, NO_RESULT),  # composite, and p = n + 2
+        (2, 9, NO_RESULT),  # composite, past n + 2
+        (4, 6, NO_RESULT),  # composite, p = n + 2
+        (2, 1, NO_RESULT),  # 1 is not a prime
+        (11, 2, NO_RESULT),  # p < h = n + 1
+        (3, 3, NO_RESULT),  # p < h
+        (2, 3, CONJECTURE),  # p = h
+        (4, 5, CONJECTURE),  # p = h
+        (1, 3, CONJECTURE),  # p = n + 2
+        (3, 5, CONJECTURE),  # p = n + 2
+        (2, 5, THEOREM),  # p > n + 2
+        (3, 7, THEOREM),  # p > n + 2
+        (5, 11, THEOREM),  # p > n + 2, skipping the composite 8, 9, 10
+        (2, 1_000_000_000_000_000_003, THEOREM),  # a prime far past n + 2
+        (2, 3_215_031_751, NO_RESULT),  # a strong pseudoprime to the bases 2, 3, 5, 7
+        # 1287836182261 * 2575672364521, the least composite that passes the
+        # strong test to every prime base up to 41: the test's proven range ends there
+        (2, 3_317_044_064_679_887_385_961_981, NO_RESULT),
+    ],
+)
+def test_backing_names_the_result_that_covers_p(n, p, backing):
+    # the rank-n point is SL_{n+1}: the paper proves SL_m at p > m + 1, that
+    # is p > n + 2, and Humphreys' conjecture is stated for p >= h = n + 1
+    weight = [0] * n
+    assert tilting_support(point_from_weight(weight), p).backing == backing
+    assert induced_support(point_from_weight(weight), p).backing == backing
 
 
 def test_induced_support_predictions():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from alcove_cells import sweeps
-from alcove_cells.alcove import lower_closure_contains
+from alcove_cells.alcove import lower_closure_contains, weak_leq
 from alcove_cells.errors import PreconditionError
 from alcove_cells.rootsys import RootA
 from alcove_cells.sweeps import (
@@ -153,6 +153,43 @@ def test_lclosure_sweep_fails_every_pair_outside_the_lower_closure_when_direct_s
 def test_weak_order_sweep_small():
     r = weak_order_sweep(2, 3, index_bound=3)
     assert r.ok and r.cases > 0
+
+
+def test_weak_order_sweep_fails_every_pair_when_the_search_contradicts_the_index_route(
+    monkeypatch,
+):
+    monkeypatch.setattr(sweeps, "weak_leq_oracle", lambda a, b: not weak_leq(a, b))
+    r = weak_order_sweep(3, 5, index_bound=4)
+    assert (r.cases, r.failed) == (4096, 4096)
+    assert r.failures[0] == (
+        "weak order disagrees on (1, 1, 1, 1, 1, 1) vs (1, 1, 1, 1, 1, 1): "
+        "index=True bfs=False"
+    )
+
+
+def test_weak_order_sweep_fails_exactly_the_weakly_ordered_pairs_when_none_is_reachable(
+    monkeypatch,
+):
+    monkeypatch.setattr(sweeps, "up_reachable", lambda a, b: False)
+    r = weak_order_sweep(3, 5, index_bound=4)
+    assert (r.cases, r.failed) == (4096, 848)
+    assert r.failures[0] == (
+        "(1, 1, 1, 1, 1, 1) weakly below (1, 1, 1, 1, 1, 1) but not up-reachable"
+    )
+
+
+def test_weak_order_sweep_fails_when_the_index_route_says_yes_on_every_pair(monkeypatch):
+    # all-ones masks are wrong on the 4096 - 848 pairs that are not weakly
+    # ordered: the search disagrees on each, and up_reachable refuses the
+    # 2801 of them that raising cannot reach either
+    monkeypatch.setattr(sweeps, "_weak_masks", lambda al: [(1 << len(al)) - 1] * len(al))
+    r = weak_order_sweep(3, 5, index_bound=4)
+    assert (r.cases, r.failed) == (4096, 3248 + 2801)
+    assert r.failures[:2] == [
+        "weak order disagrees on (1, 1, 2, 1, 1, 1) vs (1, 1, 1, 1, 1, 1): "
+        "index=True bfs=False",
+        "(1, 1, 2, 1, 1, 1) weakly below (1, 1, 1, 1, 1, 1) but not up-reachable",
+    ]
 
 
 def test_good_sup_sweep_small():
