@@ -36,7 +36,10 @@ its stabilizer permutes the eps coordinates within the classes of equal
 prefix numerators mod p, so the group is enumerated as a product of
 symmetric groups instead of being closed under composition.  AffineMap,
 the Fraction closure of stabilizer_group and the solver of the
-constraints module are oracles.
+constraints module are oracles.  The three oracles the verify sweeps pit
+against the masks answer one row per call, as a bitmask too: the stabilizer
+route over a facette's points, and the two searches (weak_leq_oracle,
+up_reachable) from one source alcove to all of its targets at once.
 
 Points are always carried rho-shifted, so the affine Weyl group action
 implemented by AffineMap is the dot action written plainly.
@@ -567,13 +570,16 @@ def _class_permutations(classes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
     return tuple(out)
 
 
-def lower_closure_contains_via_stabilizer(f: Facette, pt: ShiftedPoint) -> bool:
-    """Lower-closure membership via the stabilizer characterization.
+def lower_closure_contains_via_stabilizer(f: Facette, pts: Sequence[ShiftedPoint]) -> int:
+    """Lower-closure membership via the stabilizer characterization, as a bitmask.
 
-    Requires pt to lie in the topological closure of f.  Picks the
+    Bit j says whether pts[j] lies in the lower closure of f.  Requires
+    every point to lie in the topological closure of f.  Picks the
     deterministic interior point lam of f and tests lam - w.lam against
     the nonnegative root cone for every element w of Stab(pt), the group
-    generated by the reflections through pt's hyperplanes.
+    generated by the reflections through pt's hyperplanes.  One call
+    answers a facette's whole row: it reads lam once, and each point's
+    class permutations once.
 
     Stab(pt) is enumerated without group algebra.  Its reflections are the
     s_{eps_i - eps_j, mp} with nodes i, j in one class of _node_classes,
@@ -587,12 +593,21 @@ def lower_closure_contains_via_stabilizer(f: Facette, pt: ShiftedPoint) -> bool:
     the prefix sums over nodes i < k, for k = 1..n, and the cone test asks
     each to be nonnegative.
     """
-    if not closure_contains(f, pt):
+    if not all(closure_contains(f, pt) for pt in pts):
         raise PreconditionError("point lies outside the closure of the facette")
     lam = interior_point(f)
-    u = [a * pt._den - b * lam._den for a, b in zip(lam._num, pt._num)]
+    mask = 0
+    for j, pt in enumerate(pts):
+        u = [a * pt._den - b * lam._den for a, b in zip(lam._num, pt._num)]
+        if _in_cone(u, _class_permutations(_node_classes(pt, f.p))):
+            mask |= 1 << j
+    return mask
+
+
+def _in_cone(u: Sequence[int], sigmas: Sequence[tuple[int, ...]]) -> bool:
+    """Whether every sigma keeps the prefix sums of u[sigma[k]] - u[k], k < len(u) - 1, >= 0."""
     last = len(u) - 1
-    for sigma in _class_permutations(_node_classes(pt, f.p)):
+    for sigma in sigmas:
         total = 0
         for k in range(last):
             total += u[sigma[k]] - u[k]
@@ -672,38 +687,60 @@ def _weak_masks(alcoves: Sequence[Alcove]) -> list[int]:
     return _relation_masks(codes, codes, le)
 
 
-def weak_leq_oracle(a: Alcove, b: Alcove) -> bool:
-    """Weak order decided independently by a search along up_step_neighbors.
+def _target_bits(
+    start: tuple[int, ...], targets: Sequence[Alcove]
+) -> tuple[int, dict[tuple[int, ...], int]]:
+    """The bits of the targets equal to start, and every other target family with its bits."""
+    found, pending = 0, {}
+    for j, b in enumerate(targets):
+        if b._codes == start:
+            found |= 1 << j
+        else:
+            pending[b._codes] = pending.get(b._codes, 0) | 1 << j
+    return found, pending
 
-    The search never visits an alcove whose index exceeds b's anywhere
-    (raising steps only ever increase indices, so the prune is exact).  It
-    runs depth-first, the last family found expanded next, so it heads
-    straight up towards b; it is still complete, since every family that
-    enters seen is expanded before the answer is False.  More than
-    DEFAULT_BFS_BOUND families in seen raise ResourceLimitError.
+
+def weak_leq_oracle(a: Alcove, alcoves: Sequence[Alcove]) -> int:
+    """Weak order decided independently by one search along up_step_neighbors.
+
+    Bit j says whether alcoves[j] is reached from a by raising steps across
+    upper walls.  Raising steps only ever increase indices, so a path from a
+    to b stays within the codes <= b's, and a b whose codes are not all >=
+    a's is never reached.  One search serves the other targets: pruned to
+    the componentwise maximum of their codes, it still holds every path to
+    each of them, since a family it drops lies below none of them.  The
+    search runs depth-first, the last family found expanded next, and stops
+    once every target is found; it is complete otherwise, since every family
+    that enters seen is expanded before a bit is left clear.  More than
+    DEFAULT_BFS_BOUND families in seen in one call raise ResourceLimitError.
     """
-    if (a.rank, a.p) != (b.rank, b.p):
+    if any((b.rank, b.p) != (a.rank, a.p) for b in alcoves):
         raise PreconditionError("weak_leq_oracle compares alcoves of equal rank and p")
-    if not (a.is_dominant() and b.is_dominant()):
+    if not (a.is_dominant() and all(b.is_dominant() for b in alcoves)):
         raise PreconditionError("weak_leq_oracle is defined on dominant alcoves only")
-    start, goal = a._codes, b._codes
-    if not all(map(le, start, goal)):
-        return False
+    start = a._codes
+    found, targets = _target_bits(start, alcoves)
+    pending = {codes: bits for codes, bits in targets.items() if all(map(le, start, codes))}
+    if not pending:
+        return found
+    ceiling = tuple(map(max, zip(*pending)))
     bound = DEFAULT_BFS_BOUND
     seen = {start}
     stack = [start]
     while stack:
-        cur = stack.pop()
-        if cur == goal:
-            return True
-        for nxt in _up_step_families(a.rank, cur):
-            if nxt in seen or not all(map(le, nxt, goal)):
+        for nxt in _up_step_families(a.rank, stack.pop()):
+            if nxt in seen or not all(map(le, nxt, ceiling)):
                 continue
+            bits = pending.pop(nxt, 0)
+            if bits:
+                found |= bits
+                if not pending:
+                    return found
             seen.add(nxt)
             if len(seen) > bound:
                 raise ResourceLimitError(f"weak-order BFS exceeded bound {bound}")
             stack.append(nxt)
-    return False
+    return found
 
 
 def _reflected_root(beta: RootA, g: RootA) -> tuple[RootA, bool]:
@@ -830,43 +867,51 @@ def _raising_graph(rank: int) -> _RaisingGraph:
     return _RaisingGraph(rank)
 
 
-def up_reachable(a: Alcove, b: Alcove) -> bool:
-    """Reachability of b from a by raising reflections, one per step.
+def up_reachable(a: Alcove, targets: Sequence[Alcove]) -> int:
+    """Reachability from a by raising reflections, one per step, as a bitmask.
 
-    A single step from alcove C reflects across the upper bounding
-    hyperplane H_{beta, n_beta(C) p} for any positive root beta (a wall or
-    not); the transitive closure of these steps is the full alcove-level
-    raising relation, because the higher reflections s_{beta, mp} with
-    m > n_beta factor through consecutive one-steps along beta.  The
-    search prunes through exact monotone coordinates: the step sends each
-    point x of C to x + c beta with c > 0, so t_k(x) = (n+1)<x, omega_k>/p
-    never decreases along a path.  On a family whose simple-root indices
-    have the inverse-Cartan-weighted combinations h, t_k lies strictly
-    between h_k - R_k and h_k, R_k the row sum.  So every family reached
-    from a has h_k > t_k > h_k(a) - R_k, a floor that can never prune, and
-    only the ceiling bound h_k < h_k(b) + R_k is tested.  It is tested on
-    the codes' ceilings 2h - R (see _ceilings), as 2h - R < 2h(b) - R + 2R.
+    Bit j says whether targets[j] is reached from a.  A single step from
+    alcove C reflects across the upper bounding hyperplane
+    H_{beta, n_beta(C) p} for any positive root beta (a wall or not); the
+    transitive closure of these steps is the full alcove-level raising
+    relation, because the higher reflections s_{beta, mp} with m > n_beta
+    factor through consecutive one-steps along beta.  The search prunes
+    through exact monotone coordinates: the step sends each point x of C to
+    x + c beta with c > 0, so t_k(x) = (n+1)<x, omega_k>/p never decreases
+    along a path.  On a family whose simple-root indices have the
+    inverse-Cartan-weighted combinations h, t_k lies strictly between
+    h_k - R_k and h_k, R_k the row sum.  So every family reached from a has
+    h_k > t_k > h_k(a) - R_k, a floor that can never prune, and every family
+    on a path to b has h_k < h_k(b) + R_k, tested on the codes' ceilings
+    2h - R (see _ceilings), as 2h - R < 2h(b) - R + 2R.  One search serves
+    every target: it prunes by the componentwise maximum of the targets'
+    bounds, which keeps every path to each of them, and stops once every
+    target is found.
     The search runs on the ids of the rank's interned raising graph,
-    depth-first on two stacks: a family whose codes are componentwise <= b's
-    goes on near, any other on far, and far is popped only when near is
-    empty.  On dominant alcoves codes <= b's is the weak order, so the
-    search climbs towards b before it widens; off the dominant chamber the
-    split is only a heuristic.  Either way the search is complete: every
-    family that enters seen is expanded before the answer is False, so the
-    order changes how many families a True answer visits, never the answer.
-    More than DEFAULT_BFS_BOUND families in seen raise ResourceLimitError.
+    depth-first on two stacks: a family whose codes are componentwise <= the
+    targets' maximum goes on near, any other on far, and far is popped only
+    when near is empty.  On dominant alcoves codes <= b's is the weak order,
+    so with one target the search climbs towards it before it widens; else
+    the split is only a heuristic.  Either way the search is complete: every
+    family that enters seen is expanded before a bit is left clear, so the
+    order changes how many families the search visits, never the answer.
+    More than DEFAULT_BFS_BOUND families in seen in one call raise
+    ResourceLimitError.
     """
-    if (a.rank, a.p) != (b.rank, b.p):
+    if any((b.rank, b.p) != (a.rank, a.p) for b in targets):
         raise PreconditionError("up_reachable compares alcoves of equal rank and p")
     rank = a.rank
-    if a._codes == b._codes:
-        return True
+    found, by_codes = _target_bits(a._codes, targets)
+    if not by_codes:
+        return found
     graph = _raising_graph(rank)
-    ceilings = graph.ceilings
+    ceilings, families = graph.ceilings, graph.families
+    pending = {graph.id_of(codes): bits for codes, bits in by_codes.items()}
     rows = [sum(row) for row in inverse_cartan_numerators(rank)]
-    tops = [h + 2 * r for h, r in zip(_ceilings(rank, b._codes), rows)]
-    families, goal_codes = graph.families, b._codes
-    start, goal = graph.id_of(a._codes), graph.id_of(goal_codes)
+    highest = map(max, zip(*(ceilings[t] for t in pending)))
+    tops = [h + 2 * r for h, r in zip(highest, rows)]
+    near_codes = tuple(map(max, zip(*by_codes)))
+    start = graph.id_of(a._codes)
     bound = DEFAULT_BFS_BOUND
     seen = {start}
     near, far = [start], []
@@ -874,10 +919,13 @@ def up_reachable(a: Alcove, b: Alcove) -> bool:
         for nxt in graph.raises(near.pop() if near else far.pop()):
             if nxt in seen or not all(map(lt, ceilings[nxt], tops)):
                 continue
-            if nxt == goal:
-                return True
+            bits = pending.pop(nxt, 0)
+            if bits:
+                found |= bits
+                if not pending:
+                    return found
             seen.add(nxt)
             if len(seen) > bound:
                 raise ResourceLimitError(f"raising BFS exceeded bound {bound}")
-            (near if all(map(le, families[nxt], goal_codes)) else far).append(nxt)
-    return False
+            (near if all(map(le, families[nxt], near_codes)) else far).append(nxt)
+    return found

@@ -18,7 +18,11 @@ of one builder, alcove._relation_masks, which decides a relation once per
 (root, row code, distinct column value): lclosure's closure pairs from each
 point's facette codes and its direct route from the points' numerators, and
 weak-order's index criterion from the alcove codes, with no walk per point
-and no predicate call per pair.  Only the oracles run per pair.
+and no predicate call per pair.  The oracles answer one row per call as
+well: one stabilizer pass per facette, and one search per source alcove for
+each of the weak order and raising.  A row's failures are the set bits of
+the XOR of its two masks, walked in ascending order, so they read as a
+pair-by-pair walk would write them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .alcove import (
     Alcove,
@@ -214,6 +218,19 @@ def dominant_alcoves(n: int, p: int, index_bound: int) -> list[Alcove]:
     return [_located(Alcove, rank=n, p=p, _codes=c) for c in sorted(_code_families(n, windows))]
 
 
+def _set_bits(mask: int) -> Iterator[int]:
+    """The positions of mask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _spread(mask: int, positions: Sequence[int]) -> int:
+    """Bit k of mask moved to bit positions[k]."""
+    return sum(1 << j for k, j in enumerate(positions) if mask >> k & 1)
+
+
 def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
     """Lower-closure membership: interval route against stabilizer route.
 
@@ -225,8 +242,12 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
     pairs from each point's facette codes (alcove._closure_masks), and the
     direct route from the point's own pairing numerators and step, never
     its facette codes (alcove._lower_closure_masks), so the outside-closure
-    check can fail.  Each facette's closure and lower-closure pairs are
-    visited in ascending point order.
+    check can fail.  The stabilizer route runs once per facette, on the
+    points of its closure in ascending order, and its bits are spread back
+    to point positions; as they lie inside the closure, the XOR with the
+    direct route's mask is a disagreement inside the closure and a
+    lower-closure bit outside it, and its set bits are walked in ascending
+    point order.
     """
     hi = window_bound(p, box)
     res = SweepResult(f"lclosure n={n} p={p} box={hi}")
@@ -241,18 +262,16 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
     res.cases = len(facettes) * len(pts)
     closed = _closure_masks(facettes, point_codes)
     for f, inside, lower in zip(facettes, closed, _lower_closure_masks(facettes, pts)):
-        pending = inside | lower  # the pairs to check, in ascending point order
-        while pending:
-            j = (pending & -pending).bit_length() - 1
-            pending &= pending - 1
+        members = list(_set_bits(inside))
+        dual = _spread(lower_closure_contains_via_stabilizer(f, [pts[j] for j in members]), members)
+        # dual lies inside the closure, so outside it the XOR is lower itself
+        for j in _set_bits(lower ^ dual):
             pt, direct = pts[j], bool(lower >> j & 1)
             if inside >> j & 1:
-                dual = lower_closure_contains_via_stabilizer(f, pt)
-                if direct != dual:
-                    res.fail(
-                        f"routes disagree: facette {f.data} point {pt} "
-                        f"direct={direct} stabilizer={dual}"
-                    )
+                res.fail(
+                    f"routes disagree: facette {f.data} point {pt} "
+                    f"direct={direct} stabilizer={not direct}"
+                )
             else:
                 res.fail(
                     f"point {pt} outside closure yet inside lower closure "
@@ -265,9 +284,13 @@ def weak_order_sweep(n: int, p: int, index_bound: int) -> SweepResult:
     """Weak order: index criterion against the up-step search, and raising consistency.
 
     The index criterion on every pair is a bit of alcove._weak_masks, the
-    codes compared under <= by alcove._relation_masks; the search runs on
-    every pair, and raising reachability on every weakly ordered one.
-    Either search raises ResourceLimitError once it holds more than
+    codes compared under <= by alcove._relation_masks.  Per source alcove,
+    one search answers the weak order on the whole window and one raising
+    search answers reachability on the alcoves weakly above the source;
+    each prunes by the largest bound of its targets and stops once all are
+    found.  The set bits of the two XORs with the index row are walked in
+    ascending order, a disagreement before a missed raise on each pair.
+    Either search raises ResourceLimitError once one call holds more than
     alcove.DEFAULT_BFS_BOUND families.
     """
     res = SweepResult(f"weak-order n={n} p={p} index_bound={index_bound}")
@@ -275,15 +298,17 @@ def weak_order_sweep(n: int, p: int, index_bound: int) -> SweepResult:
     res.require_window(len(alcoves), "dominant alcoves")
     res.cases = len(alcoves) ** 2
     for a, above in zip(alcoves, _weak_masks(alcoves)):
-        for j, b in enumerate(alcoves):
-            direct = bool(above >> j & 1)
-            oracle = weak_leq_oracle(a, b)
-            if direct != oracle:
+        disagree = above ^ weak_leq_oracle(a, alcoves)
+        ordered = list(_set_bits(above))
+        unreached = above ^ _spread(up_reachable(a, [alcoves[j] for j in ordered]), ordered)
+        for j in _set_bits(disagree | unreached):
+            b, direct = alcoves[j], bool(above >> j & 1)
+            if disagree >> j & 1:
                 res.fail(
                     f"weak order disagrees on {a.indices} vs {b.indices}: "
-                    f"index={direct} bfs={oracle}"
+                    f"index={direct} bfs={not direct}"
                 )
-            if direct and not up_reachable(a, b):
+            if unreached >> j & 1:
                 res.fail(
                     f"{a.indices} weakly below {b.indices} but not up-reachable"
                 )

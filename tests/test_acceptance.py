@@ -54,7 +54,7 @@ def test_criterion_01_zero_orbit_regression(capsys):
         if weight_cell_of(mu, p) == partition([1, 1, 1]):
             problems.append(f"p={p}: cell(mu) unexpectedly (1,1,1)")
         a, b = alcove_of(lam, p), alcove_of(mu, p)
-        if not up_reachable(a, b):
+        if not up_reachable(a, [b]):
             problems.append(f"p={p}: not up-reachable")
         if weak_leq(a, b):
             problems.append(f"p={p}: unexpectedly weakly below")

@@ -228,14 +228,22 @@ def test_closure_examples():
 
 def test_stabilizer_route_examples():
     c0 = bottom_alcove(2, 5)
-    assert lower_closure_contains_via_stabilizer(c0, shifted_point([0, 3]))
-    assert not lower_closure_contains_via_stabilizer(c0, shifted_point([5, 0]))
-    # interior points have trivial stabilizer
-    assert lower_closure_contains_via_stabilizer(c0, shifted_point([2, 2]))
+    # bit j answers pts[j]; interior points have trivial stabilizer
+    pts = [shifted_point([0, 3]), shifted_point([5, 0]), shifted_point([2, 2])]
+    assert lower_closure_contains_via_stabilizer(c0, pts) == 0b101
+    assert lower_closure_contains_via_stabilizer(c0, pts[::-1]) == 0b101
+    assert lower_closure_contains_via_stabilizer(c0, pts[1:2]) == 0
+    assert lower_closure_contains_via_stabilizer(c0, []) == 0
 
 
 @pytest.mark.parametrize(
-    "contains", [closure_contains, lower_closure_contains, lower_closure_contains_via_stabilizer]
+    "contains",
+    [
+        closure_contains,
+        lower_closure_contains,
+        lambda f, pt: lower_closure_contains_via_stabilizer(f, [pt]),
+    ],
+    ids=["closure_contains", "lower_closure_contains", "lower_closure_contains_via_stabilizer"],
 )
 def test_closure_predicates_refuse_a_point_of_another_rank(contains):
     # zip would pair a rank-3 point's first pairings with a rank-2 facette's
@@ -250,10 +258,11 @@ def test_closure_predicates_refuse_a_point_of_another_rank(contains):
 
 
 def test_stabilizer_route_requires_closure_membership():
-    with pytest.raises(PreconditionError):
-        lower_closure_contains_via_stabilizer(
-            bottom_alcove(2, 5), shifted_point([6, 6])
-        )
+    # one point outside the closure refuses the whole row
+    inside = shifted_point([0, 3])
+    for pts in ([shifted_point([6, 6])], [inside, shifted_point([6, 6])]):
+        with pytest.raises(PreconditionError):
+            lower_closure_contains_via_stabilizer(bottom_alcove(2, 5), pts)
 
 
 def test_interior_point_round_trip():
@@ -348,7 +357,8 @@ def test_up_step_neighbors_raise_exactly_one_index():
         for b in up_step_neighbors(a):
             deltas = [y - x for x, y in zip(a.indices, b.indices)]
             assert sorted(deltas) == [0] * (len(deltas) - 1) + [1]
-            assert up_reachable(a, b)
+        above = up_step_neighbors(a)
+        assert up_reachable(a, above) == (1 << len(above)) - 1
 
 
 def test_weak_leq_known_values():
@@ -364,8 +374,26 @@ def test_weak_leq_known_values():
 def test_weak_leq_matches_oracle_small():
     alcoves = dominant_alcoves(2, 3, 3)
     for a in alcoves:
-        for b in alcoves:
-            assert weak_leq(a, b) == weak_leq_oracle(a, b)
+        row = weak_leq_oracle(a, alcoves)
+        assert [bool(row >> j & 1) for j in range(len(alcoves))] == [
+            weak_leq(a, b) for b in alcoves
+        ]
+
+
+def test_row_oracles_refuse_a_row_they_cannot_compare():
+    # one alcove of another rank or p, or off the dominant chamber for the
+    # weak order, refuses the whole row
+    a = bottom_alcove(2, 3)
+    row = dominant_alcoves(2, 3, 2)
+    for bad in (bottom_alcove(2, 5), bottom_alcove(1, 3)):
+        for oracle, name in ((weak_leq_oracle, "weak_leq_oracle"), (up_reachable, "up_reachable")):
+            with pytest.raises(PreconditionError, match=f"{name} compares alcoves of equal rank"):
+                oracle(a, row + [bad])
+    below = Alcove(2, 3, (0, 1, 1))
+    for source, targets in ((a, row + [below]), (below, row)):
+        with pytest.raises(PreconditionError, match="defined on dominant alcoves only"):
+            weak_leq_oracle(source, targets)
+    assert up_reachable(below, [a]) == 1 and weak_leq_oracle(a, []) == 0
 
 
 def test_bfs_depth_counts_separating_hyperplanes():
@@ -390,25 +418,26 @@ def test_up_reachable_remark_pair():
     lam = alcove_of(shifted_point([6, 6]), 5)
     mu = alcove_of(shifted_point([14, 2]), 5)
     assert mu.indices == (3, 4, 1)
-    assert up_reachable(lam, mu)
+    assert up_reachable(lam, [mu, lam, mu]) == 0b111
     assert not weak_leq(lam, mu)
-    assert up_reachable(lam, lam)
+    assert up_reachable(lam, []) == 0
 
 
 def test_up_reachable_extends_weak_order():
     alcoves = dominant_alcoves(2, 5, 3)
     for a in alcoves:
-        for b in alcoves:
-            if weak_leq(a, b):
-                assert up_reachable(a, b)
+        above = [b for b in alcoves if weak_leq(a, b)]
+        assert up_reachable(a, above) == (1 << len(above)) - 1
 
 
 def test_up_reachable_at_rank_one_is_the_index_order():
     # at rank 1 the ceiling bound h < h(b) + R admits b itself with no slack
     alcoves = [Alcove(1, 5, (k,)) for k in range(-3, 4)]
     for a in alcoves:
-        for b in alcoves:
-            assert up_reachable(a, b) == (a.indices <= b.indices)
+        row = up_reachable(a, alcoves)
+        assert [bool(row >> j & 1) for j in range(len(alcoves))] == [
+            a.indices <= b.indices for b in alcoves
+        ]
 
 
 def test_raise_step_matches_geometric_reflection():
@@ -433,7 +462,7 @@ def test_oracle_bound_raises(monkeypatch):
     assert b.indices == (2, 4, 6, 2, 4, 2)
     monkeypatch.setattr(alcove, "DEFAULT_BFS_BOUND", 2)
     with pytest.raises(ResourceLimitError):
-        weak_leq_oracle(a, b)
+        weak_leq_oracle(a, [b])
 
 
 def test_up_reachable_bound_raises(monkeypatch):
@@ -447,9 +476,9 @@ def test_up_reachable_bound_raises(monkeypatch):
     for bound in (1, 35):
         monkeypatch.setattr(alcove, "DEFAULT_BFS_BOUND", bound)
         with pytest.raises(ResourceLimitError, match=f"raising BFS exceeded bound {bound}"):
-            up_reachable(a, b)
+            up_reachable(a, [b])
     monkeypatch.setattr(alcove, "DEFAULT_BFS_BOUND", 36)
-    assert up_reachable(a, b)
+    assert up_reachable(a, [b]) == 1
 
 
 def test_up_reachable_bound_on_a_false_answer(monkeypatch):
@@ -459,17 +488,17 @@ def test_up_reachable_bound_on_a_false_answer(monkeypatch):
     b = Alcove(3, 5, (1, 4, 4, 4, 4, 1))
     monkeypatch.setattr(alcove, "DEFAULT_BFS_BOUND", 439)
     with pytest.raises(ResourceLimitError, match="raising BFS exceeded bound 439"):
-        up_reachable(a, b)
+        up_reachable(a, [b])
     monkeypatch.setattr(alcove, "DEFAULT_BFS_BOUND", 440)
-    assert not up_reachable(a, b)
+    assert up_reachable(a, [b]) == 0
 
 
 def test_weak_order_sweep_raising_graph_size():
-    # the depth-first search heads for b, so the sweep's 848 up_reachable
-    # calls intern 337 rank-3 families; the breadth-first search interned 858
+    # the sweep's 64 up_reachable calls, one per source and each pruned by
+    # the largest of its targets' ceilings, intern 557 rank-3 families
     _raising_graph.cache_clear()
     assert weak_order_sweep(3, 5, 4).ok
-    assert len(_raising_graph(3).families) == 337
+    assert len(_raising_graph(3).families) == 557
 
 
 @given(st.data())

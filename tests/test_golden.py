@@ -81,6 +81,9 @@ CASES = {
         "verify", "lclosure", "--n", "4", "--p", "3", "--box", "3",
     ],
     "verify_weak_order_n2_p3": ["verify", "weak-order", "--n", "2", "--p", "3"],
+    "verify_weak_order_n3_p3_index_bound_5": [
+        "verify", "weak-order", "--n", "3", "--p", "3", "--index-bound", "5",
+    ],
     "verify_weak_order_n3_p5_index_bound_4": [
         "verify", "weak-order", "--n", "3", "--p", "5", "--index-bound", "4",
     ],

@@ -6,10 +6,11 @@ windows.  Point location: the integer-numerator forms of alcove_of,
 facette_of, gamma, stabilizer_subroot_system and the closures against
 the Fraction pairing formulas, on random rational points.  Stabilizers:
 the class-permutation group against the Fraction closure of
-stabilizer_group, and the integer cone test against the Fraction loop
-over AffineMap.apply.  Raising: up_reachable's depth-first search on its
-interned raising graph against the BFS that recomputed every step and tested
-both bounds, on dominant pairs and on random pairs off the dominant chamber,
+stabilizer_group, and the integer cone test, one row per facette, against
+the Fraction loop over AffineMap.apply.  Raising: up_reachable's
+depth-first search on its interned raising graph, one row of targets per
+source, against the BFS that recomputed every step and tested both bounds
+for one pair, on dominant rows and on random rows off the dominant chamber,
 and the floor bound it dropped against every family raised inside a
 start's box.  Walls and up-steps: the split rule behind
 upper_walls / lower_walls and the index transform behind up_step_neighbors
@@ -43,7 +44,8 @@ to the box that misses it, at integral points and on batches that mix the
 denominators 1, 2, 3 and 6.  The lower-closure masks, its direct route,
 against lower_closure_contains on every (box facette, point) pair, on the
 same points.  The weak masks, the weak-order sweep's index criterion,
-against weak_leq on every pair of dominant alcoves in four windows.
+against weak_leq on every pair of dominant alcoves in four windows, and
+so are the rows of weak_leq_oracle, one search per source.
 """
 
 import random
@@ -75,6 +77,7 @@ from alcove_cells.alcove import (
     _splits,
     _weak_masks,
     alcove_of,
+    bottom_alcove,
     closure_contains,
     facette_of,
     interior_point,
@@ -87,6 +90,7 @@ from alcove_cells.alcove import (
     up_step_neighbors,
     upper_walls,
     weak_leq,
+    weak_leq_oracle,
 )
 from alcove_cells import cells, sweeps
 from alcove_cells.cells import (
@@ -402,15 +406,27 @@ def _via_stabilizer_by_fractions(f, pt):
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_stabilizer_route_matches_the_fraction_loop_on_the_lclosure_window(rank):
+    # one row per facette, over the points of its closure in the box
     pts = integral_points(rank, 0, 6)
     answers = []
     for f in facettes_meeting_box(rank, 3, 6):
-        for pt in pts:
-            if closure_contains(f, pt):
-                fast = lower_closure_contains_via_stabilizer(f, pt)
-                assert fast == _via_stabilizer_by_fractions(f, pt), (f.data, pt.coords)
-                answers.append(fast)
+        row = [pt for pt in pts if closure_contains(f, pt)]
+        fast = _bits(lower_closure_contains_via_stabilizer(f, row), len(row))
+        assert fast == [_via_stabilizer_by_fractions(f, pt) for pt in row], f.data
+        answers += fast
     assert True in answers and False in answers
+
+
+def test_stabilizer_rows_read_each_point_apart():
+    # a row mixes points whose classes differ; reusing the previous point's
+    # classes or answer would move a bit
+    f = bottom_alcove(3, 3)
+    row = [pt for pt in integral_points(3, 0, 3) if closure_contains(f, pt)]
+    fast = _bits(lower_closure_contains_via_stabilizer(f, row), len(row))
+    assert fast == [_via_stabilizer_by_fractions(f, pt) for pt in row]
+    assert len({_node_classes(pt, 3) for pt in row}) > 2 and len(set(fast)) == 2
+    for j in range(len(row)):
+        assert lower_closure_contains_via_stabilizer(f, row[j:]) == _pack(fast[j:])
 
 
 @settings(max_examples=300, deadline=None)
@@ -423,7 +439,7 @@ def test_stabilizer_route_matches_the_fraction_loop(case, nudge):
     near = ShiftedPoint(tuple(c + d for c, d in zip(pt.coords, nudge)))
     f = facette_of(near, p)
     if closure_contains(f, pt):
-        assert lower_closure_contains_via_stabilizer(f, pt) == _via_stabilizer_by_fractions(
+        assert lower_closure_contains_via_stabilizer(f, [pt]) == _via_stabilizer_by_fractions(
             f, pt
         )
 
@@ -467,38 +483,62 @@ def _up_reachable_plain(a, b):
 
 
 def test_up_reachable_matches_the_plain_bfs_on_every_pair():
+    # one row per source over the whole window: the search pruned by the
+    # largest ceiling of all the targets answers each pair as its own did
     alcoves = dominant_alcoves(2, 3, 4)
-    answers = [
-        (up_reachable(a, b), _up_reachable_plain(a, b)) for a in alcoves for b in alcoves
-    ]
-    assert all(fast == plain for fast, plain in answers)
-    assert {fast for fast, _ in answers} == {True, False}
+    answers = []
+    for a in alcoves:
+        fast = _bits(up_reachable(a, alcoves), len(alcoves))
+        assert fast == [_up_reachable_plain(a, b) for b in alcoves], a.indices
+        answers += fast
+    assert set(answers) == {True, False}
 
 
 def test_up_reachable_matches_the_plain_bfs_on_comparable_pairs():
     alcoves = dominant_alcoves(3, 5, 4)
-    pairs = [(a, b) for a in alcoves for b in alcoves if weak_leq(a, b)]
-    assert len(pairs) == 848
-    for a, b in pairs:
-        assert up_reachable(a, b) == _up_reachable_plain(a, b), (a.indices, b.indices)
+    rows = [(a, [b for b in alcoves if weak_leq(a, b)]) for a in alcoves]
+    assert sum(len(above) for _, above in rows) == 848
+    for a, above in rows:
+        fast = _bits(up_reachable(a, above), len(above))
+        assert fast == [_up_reachable_plain(a, b) for b in above], a.indices
 
 
 def test_up_reachable_matches_the_plain_bfs_off_the_dominant_chamber():
     # off the dominant chamber codes <= b's is not the raising order, so the
     # near/far split of the search only orders it; the answers must not move
     rng = random.Random(23)
-    for rank, span, count in ((2, 12, 2400), (3, 3, 600)):
+    for rank, span, sources, width in ((2, 12, 120, 20), (3, 3, 60, 10)):
 
         def random_alcove():
             coords = [Q(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(rank)]
             return alcove_of(ShiftedPoint(coords), 3)
 
-        pairs = [(random_alcove(), random_alcove()) for _ in range(count)]
-        assert sum(not a.is_dominant() for a, _ in pairs) > count // 2
-        answers = [up_reachable(a, b) for a, b in pairs]
+        rows = [(random_alcove(), [random_alcove() for _ in range(width)]) for _ in range(sources)]
+        assert sum(not a.is_dominant() for a, _ in rows) > sources // 2
+        answers = []
+        for a, targets in rows:
+            fast = _bits(up_reachable(a, targets), width)
+            assert fast == [_up_reachable_plain(a, b) for b in targets], a.indices
+            answers += fast
         assert set(answers) == {True, False}
-        for (a, b), fast in zip(pairs, answers):
-            assert fast == _up_reachable_plain(a, b), (a.indices, b.indices)
+
+
+def test_up_reachable_row_mixes_reached_and_unreached_targets():
+    # the first target found must not end the search, and a target the
+    # search cannot reach must neither stop it nor be reported
+    a = Alcove(3, 5, (1, 2, 2, 1, 1, 1))
+    targets = [
+        Alcove(3, 5, (1, 1, 3, 1, 2, 2)),  # reached, though not weakly above a
+        Alcove(3, 5, (1, 1, 2, 1, 2, 1)),
+        a,
+        bottom_alcove(3, 5),
+        Alcove(3, 5, (1, 4, 4, 4, 4, 1)),
+        Alcove(3, 5, (1, 1, 3, 1, 2, 2)),
+    ]
+    assert [_up_reachable_plain(a, b) for b in targets] == [True, False, True, False, True, True]
+    assert up_reachable(a, targets) == 0b110101
+    assert up_reachable(a, targets[1:2]) == 0 and up_reachable(a, []) == 0
+    assert not weak_leq(a, targets[0])
 
 
 def _ceilings_and_rows(rank):
@@ -922,6 +962,11 @@ def _bits(mask, size):
     return [bool(mask >> j & 1) for j in range(size)]
 
 
+def _pack(answers):
+    """The bitmask whose bit j is answers[j]."""
+    return sum(1 << j for j, answer in enumerate(answers) if answer)
+
+
 def _assert_closure_masks_match_closure_contains(facettes, pts, p):
     """_closure_masks on the points' facette codes against closure_contains
     on every pair; every point lies in the closure of its own facette."""
@@ -1039,6 +1084,18 @@ def test_weak_masks_match_weak_leq(n, p, index_bound, ordered):
         assert _bits(mask, len(alcoves)) == [weak_leq(a, b) for b in alcoves], a.indices
     # at (3, 5, 4) the weak-order sweep's 848 up_reachable calls
     assert sum(mask.bit_count() for mask in masks) == ordered
+
+
+@pytest.mark.parametrize("n, p, index_bound", [(1, 2, 5), (2, 3, 4), (3, 5, 4), (4, 3, 3)])
+def test_weak_rows_match_weak_leq(n, p, index_bound):
+    # one search per source, over the whole window and over a reversed
+    # window with a repeat, answers each pair as weak_leq does
+    alcoves = dominant_alcoves(n, p, index_bound)
+    shuffled = alcoves[::-1] + alcoves[:1]
+    for a in alcoves:
+        for row in (alcoves, shuffled):
+            fast = _bits(weak_leq_oracle(a, row), len(row))
+            assert fast == [weak_leq(a, b) for b in row], a.indices
 
 
 def test_weak_masks_refuse_what_weak_leq_refuses():

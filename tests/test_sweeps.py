@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +114,33 @@ def test_lclosure_sweep_rank_four():
     assert r.ok and r.cases == 76544
 
 
+# The whole count and the kept failure list, in order, of every failure
+# scenario below, as the sweeps wrote them while the oracles answered one
+# pair per call: the row loops must reproduce the text and the order exactly.
+FAILURE_CONTRACT = json.loads((Path(__file__).parent / "sweep_failures.json").read_text())
+
+
+def _assert_pinned(name, r):
+    pinned = FAILURE_CONTRACT[name]
+    assert (r.cases, r.failed) == (pinned["cases"], pinned["failed"])
+    assert r.failures == pinned["failures"]
+
+
+def test_failure_contract_holds_exactly_the_scenarios_below():
+    assert {name: pinned["failed"] for name, pinned in FAILURE_CONTRACT.items()} == {
+        "lclosure_contradicting_stabilizer_n2_p3_box6": 153,
+        "lclosure_contradicting_stabilizer_n3_p3_box6": 2579,
+        "lclosure_contradicting_stabilizer_n4_p3_box3": 3896,
+        "lclosure_all_ones_direct_n2_p3_box6": 1528,
+        "lclosure_all_ones_direct_n3_p3_box6": 99554,
+        "lclosure_all_ones_direct_n4_p3_box3": 75611,
+        "weak_order_contradicting_search_n3_p5_index_bound4": 4096,
+        "weak_order_nothing_reachable_n3_p5_index_bound4": 848,
+        "weak_order_all_ones_index_n3_p5_index_bound4": 3248 + 2801,
+    }
+    assert all(len(pinned["failures"]) == 20 for pinned in FAILURE_CONTRACT.values())
+
+
 @pytest.mark.parametrize(
     "n, p, box, closure_pairs", [(2, 3, 6, 153), (3, 3, 6, 2579), (4, 3, 3, 3896)]
 )
@@ -120,11 +149,13 @@ def test_lclosure_sweep_sends_exactly_the_closure_pairs_to_the_stabilizer_route(
 ):
     # a stabilizer route that contradicts the direct one fails every pair it
     # is asked about: the closure pairs, as many as closure_contains admits
-    def contradict(f, pt):
-        return not lower_closure_contains(f, pt)
+    def contradict(f, pts):
+        return sum(1 << j for j, pt in enumerate(pts) if not lower_closure_contains(f, pt))
 
     monkeypatch.setattr(sweeps, "lower_closure_contains_via_stabilizer", contradict)
-    assert lclosure_sweep(n, p, box=box).failed == closure_pairs
+    r = lclosure_sweep(n, p, box=box)
+    assert r.failed == closure_pairs
+    _assert_pinned(f"lclosure_contradicting_stabilizer_n{n}_p{p}_box{box}", r)
 
 
 @pytest.mark.parametrize(
@@ -148,6 +179,7 @@ def test_lclosure_sweep_fails_every_pair_outside_the_lower_closure_when_direct_s
             "point (0, 1) outside closure yet inside lower closure of "
             "(Wall(index=0), Wall(index=0), Wall(index=0))"
         )
+    _assert_pinned(f"lclosure_all_ones_direct_n{n}_p{p}_box{box}", r)
 
 
 def test_weak_order_sweep_small():
@@ -158,24 +190,29 @@ def test_weak_order_sweep_small():
 def test_weak_order_sweep_fails_every_pair_when_the_search_contradicts_the_index_route(
     monkeypatch,
 ):
-    monkeypatch.setattr(sweeps, "weak_leq_oracle", lambda a, b: not weak_leq(a, b))
+    def contradict(a, alcoves):
+        return sum(1 << j for j, b in enumerate(alcoves) if not weak_leq(a, b))
+
+    monkeypatch.setattr(sweeps, "weak_leq_oracle", contradict)
     r = weak_order_sweep(3, 5, index_bound=4)
     assert (r.cases, r.failed) == (4096, 4096)
     assert r.failures[0] == (
         "weak order disagrees on (1, 1, 1, 1, 1, 1) vs (1, 1, 1, 1, 1, 1): "
         "index=True bfs=False"
     )
+    _assert_pinned("weak_order_contradicting_search_n3_p5_index_bound4", r)
 
 
 def test_weak_order_sweep_fails_exactly_the_weakly_ordered_pairs_when_none_is_reachable(
     monkeypatch,
 ):
-    monkeypatch.setattr(sweeps, "up_reachable", lambda a, b: False)
+    monkeypatch.setattr(sweeps, "up_reachable", lambda a, targets: 0)
     r = weak_order_sweep(3, 5, index_bound=4)
     assert (r.cases, r.failed) == (4096, 848)
     assert r.failures[0] == (
         "(1, 1, 1, 1, 1, 1) weakly below (1, 1, 1, 1, 1, 1) but not up-reachable"
     )
+    _assert_pinned("weak_order_nothing_reachable_n3_p5_index_bound4", r)
 
 
 def test_weak_order_sweep_fails_when_the_index_route_says_yes_on_every_pair(monkeypatch):
@@ -190,6 +227,7 @@ def test_weak_order_sweep_fails_when_the_index_route_says_yes_on_every_pair(monk
         "index=True bfs=False",
         "(1, 1, 2, 1, 1, 1) weakly below (1, 1, 1, 1, 1, 1) but not up-reachable",
     ]
+    _assert_pinned("weak_order_all_ones_index_n3_p5_index_bound4", r)
 
 
 def test_good_sup_sweep_small():
@@ -292,7 +330,7 @@ def _refuse(*args):
     [
         (
             "lower_closure_contains_via_stabilizer",
-            lambda f, pt: None,
+            lambda f, pts: 0,
             lambda: lclosure_sweep(2, 3, box=2),
             "routes disagree: facette (Wall(index=0), Wall(index=0), Wall(index=0)) "
             "point (0, 0) direct=True",
