@@ -282,10 +282,14 @@ def alcove_of(pt: ShiftedPoint, p: int) -> Alcove:
 
 
 def facette_of(pt: ShiftedPoint, p: int) -> Facette:
-    """The unique facette containing pt: code 2q on a wall, 2q + 1 strictly above it."""
+    """The unique facette containing pt: code 2q on a wall, 2q + 1 strictly above it.
+
+    That is floor + ceil of the pairing over p, read as v // step - (-v // step)
+    on the pairing numerators v over step = den * p.
+    """
     check_p(p)
     step = pt._den * p
-    codes = tuple([2 * (v // step) + (v % step > 0) for v in pt._pairs])
+    codes = tuple([v // step - (-v // step) for v in pt._pairs])
     return _located(Facette, rank=pt.rank, p=p, _codes=codes)
 
 

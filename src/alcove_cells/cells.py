@@ -13,7 +13,6 @@ lowering the eventual supremum, mirroring how the two routes agree.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import accumulate, groupby
 from typing import Iterable, Sequence
 
@@ -287,9 +286,12 @@ def d_partition(pt: ShiftedPoint, p: int) -> Partition:
     of nodes inside one class; its simple roots are the consecutive pairs
     of each class, a chain basis whose components are the classes with
     two or more nodes.  Padding with 1s for the singletons, the partition
-    is the class sizes in decreasing order, counted by residue.
+    is the class sizes in decreasing order, counted by residue in a dict.
     """
     check_p(p)
     step = pt._den * p
-    sizes = Counter([v % step for v in pt._num]).values()
-    return _located(Partition, parts=tuple(sorted(sizes, reverse=True)))
+    sizes: dict[int, int] = {}
+    for v in pt._num:
+        r = v % step
+        sizes[r] = sizes.get(r, 0) + 1
+    return _located(Partition, parts=tuple(sorted(sizes.values(), reverse=True)))

@@ -450,7 +450,9 @@ def _write_certificate_json(
     """The certificate's document, as json.dumps(doc, indent=2) and a newline, leg by leg.
 
     Only the header goes through json.dumps; each leg is one %-format of
-    _leg_template and one write, so the document is never held whole.
+    _leg_template and one write, so the document is never held whole.  The
+    roots of A_n and the partitions of n+1 recur from leg to leg, so each
+    is rendered once per certificate.
     """
     import json  # only --format json needs it, and every command is a fresh process
 
@@ -470,17 +472,23 @@ def _write_certificate_json(
     write(head[:-2] + ',\n  "legs": [')
     template = _leg_template(args.n, cert.legs[0].lambda_alcove.indices)
     pad = _LEG_PAD
+    root_text = {r: _ROOT_TEMPLATE % r for r in positive_roots(args.n)}
+    rendered: dict[tuple[int, ...], str] = {}
     sep = ""
     for leg in cert.legs:
+        pi, d = leg.pi.parts, leg.d_mu_prime.parts
+        for parts in (pi, d):
+            if parts not in rendered:
+                rendered[parts] = _json_list([str(x) for x in parts], pad)
         write(
             template
             % (
                 sep,
-                _json_list([_ROOT_TEMPLATE % r for r in sorted(leg.basis)], pad),
-                _json_list([str(x) for x in leg.pi.parts], pad),
+                _json_list([root_text[r] for r in sorted(leg.basis)], pad),
+                rendered[pi],
                 *leg.mu.coord_strings(),
                 *leg.mu_prime.coord_strings(),
-                _json_list([str(x) for x in leg.d_mu_prime.parts], pad),
+                rendered[d],
                 *leg.mu_alcove.indices,
             )
         )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache, total_ordering
 from itertools import accumulate, zip_longest
+from operator import le
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -65,14 +66,19 @@ def partition(parts: Iterable[int]) -> Partition:
 
 
 def dominance_leq(a: Partition, b: Partition) -> bool:
-    """a <= b in dominance order: every prefix sum of a is at most b's."""
+    """a <= b in dominance order: every prefix sum of a is at most b's.
+
+    The sums are compared up to the shorter partition's length.  Past it the
+    shorter one's sums are the total: if b is shorter, a's sums stay at most
+    the total; if a is, its last compared sum is the total already, which
+    b's sum there reaches only if b ends there too.
+    """
     total = a.total
     if total != b.total:
         raise PreconditionError(
             f"dominance compares partitions of equal weight, got {total} != {b.total}"
         )
-    sums = zip_longest(accumulate(a.parts), accumulate(b.parts), fillvalue=total)
-    return all(x <= y for x, y in sums)
+    return all(map(le, accumulate(a.parts), accumulate(b.parts)))
 
 
 def transpose(a: Partition) -> Partition:
@@ -144,26 +150,31 @@ def partition_of_basis(basis: Iterable[RootA], n: int) -> Partition:
     """Partition of n+1 attached to a chain basis inside A_n.
 
     Each chain component on m+1 nodes contributes a part m+1; the result
-    is padded with parts 1 up to total weight n+1.
+    is padded with parts 1 up to total weight n+1.  A chain basis repeats
+    no left end and no right end (see chain_components), so its components
+    are the walks along the next-node pointers from the left ends that are
+    no root's right end, one walk each.  A set of roots that repeats an end
+    is refused, and so is one with a node outside 1..n+1, named by its
+    component as chain_components builds it.
     """
     roots = tuple(basis)
-    comps = chain_components(roots)
-    if comps is None:
+    nxt = dict(roots)
+    ends = set(nxt.values())
+    if len(nxt) != len(roots) or len(ends) != len(roots):
         raise PreconditionError(f"{sorted(roots)} is not a chain basis")
-    for c in comps:
-        if c[-1] > n + 1 or c[0] < 1:
-            raise PreconditionError(f"node {c} outside A_{n}")
-    return _partition_of_components(comps, n)
-
-
-def _partition_of_components(comps: Sequence[tuple[int, ...]], n: int) -> Partition:
-    """The node counts of chain_components' output, padded with 1s to n+1.
-
-    Its components are disjoint and come by weakly decreasing node count,
-    so on nodes 1..n+1 the counts are already the leading parts.
-    """
-    parts = tuple(len(c) for c in comps)
-    return _located(Partition, parts=parts + (1,) * (n + 1 - sum(parts)))
+    if roots and (min(nxt) < 1 or max(ends) > n + 1):
+        for c in chain_components(roots):
+            if c[-1] > n + 1 or c[0] < 1:
+                raise PreconditionError(f"node {c} outside A_{n}")
+    parts = []
+    for v in nxt.keys() - ends:
+        size = 1
+        while v in nxt:
+            v = nxt[v]
+            size += 1
+        parts.append(size)
+    parts.sort(reverse=True)
+    return _located(Partition, parts=(*parts, *[1] * (n + 1 - sum(parts))))
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,7 @@ import math
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import accumulate, combinations
+from operator import lt
 from typing import NamedTuple, Sequence, Union
 
 from .errors import PreconditionError
@@ -213,8 +214,11 @@ class ShiftedPoint(_Record):
         Each coordinate is its prefix-numerator difference over _den, reduced
         by their gcd (positive, and equal to _den for a zero or whole
         coordinate), so it prints as str(Fraction) does: "-7/2", "0", "3".
+        An integral point (_den == 1) prints its differences as they are.
         """
         num, den = self._num, self._den
+        if den == 1:
+            return tuple([str(b - a) for a, b in zip(num, num[1:])])
         out = []
         for a, b in zip(num, num[1:]):
             v = b - a
@@ -239,7 +243,7 @@ class ShiftedPoint(_Record):
     def is_regular_dominant(self) -> bool:
         """Every coordinate positive: the prefix numerators strictly increase."""
         num = self._num
-        return all(a < b for a, b in zip(num, num[1:]))
+        return all(map(lt, num, num[1:]))
 
     def is_integral(self) -> bool:
         return self._den == 1

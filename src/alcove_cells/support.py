@@ -10,18 +10,21 @@ system while its alcove stays weakly below, locates an integral point in
 mu's facette, and compares partitions; the supremum over the legs is
 checked against the all-bases oracle.  mu is computed in one loop on
 integer numerators over a denominator fixed up front, the lattice point
-is the least integer solution of its facette's difference bounds on the
-prefix sums, found by longest paths, and both are located from their
-prefix numerators, so the module builds no Fraction at all.  A
-certificate makes one construct_mu call for all its legs, which checks
-the point, reads gamma off its alcove's codes and tables its windows once,
-and reads each mu's pairings once for both mu's facette and mu's alcove.
+is read off its facette's codes in closed form (a fixed quotient by p per
+prefix sum, plus the rank of the prefix sum's class of remainders), and
+both are located from their prefix numerators, so the module builds no
+Fraction at all.  A certificate makes one construct_mu call for all its
+legs, which checks the point, reads gamma off its alcove's codes and
+tables its windows once, and reads each mu's pairings once for both mu's
+facette and mu's alcove; every later step of a leg reads integer tuples
+(codes, prefix numerators, parts) and builds each of the leg's records once.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import prod
+from operator import le
 from typing import Optional
 
 from .alcove import (
@@ -30,7 +33,6 @@ from .alcove import (
     alcove_of,
     facette_of,
     lower_closure_contains,
-    weak_leq,
 )
 from .cells import (
     d_partition,
@@ -224,7 +226,7 @@ def construct_mu(
     no Fraction is built at all.
 
     mu's pairing numerators v are read once, over step = den(mu) * p: its
-    facette code is d = 2 floor(v / step) + [v mod step > 0], as facette_of
+    facette code is d = floor(v / step) + ceil(v / step), as facette_of
     computes it, and its alcove code is d | 1 = 2 floor(v / step) + 1, as
     alcove_of computes it.  p divides a pairing iff its facette code is
     even.  Divisibility is checked on the basis roots alone, which is the
@@ -241,8 +243,8 @@ def construct_mu(
     p, n = lam.p, pt.rank
     pos_of = root_position(n)
     num, width = pt._num, pt.denominator * p
-    # windows[j - 1] lists pt's windows w_k at (j, k) for k = j, ..., n + 1
-    windows = [tuple([(x - v) // width + 1 for x in num[k:]]) for k, v in enumerate(num)]
+    # windows[j - 1] lists w_k p for pt's windows w_k at (j, k), k = j, ..., n + 1
+    windows = [tuple([((x - v) // width + 1) * p for x in num[k:]]) for k, v in enumerate(num)]
     g = [r for r, c in zip(positive_roots(n), lam._codes) if c >= 3]
     out = []
     for basis in enumerate_good_bases(g):
@@ -253,11 +255,11 @@ def construct_mu(
             a[i - 1] = p * den - sum(a[i : j - 1])
             if i > 1:
                 tails = accumulate(a[j - 1 :], initial=0)
-                low = min(a[j - 2], *(w * p * den - t for w, t in zip(windows[j - 1], tails)))
+                low = min(a[j - 2], *(w * den - t for w, t in zip(windows[j - 1], tails)))
                 a[: i - 1] = [low // (2 * (i - 1))] * (i - 1)
         mu = _located_point(tuple(accumulate(a, initial=0)), den)
         step = mu._den * p
-        codes = tuple([2 * (v // step) + (v % step > 0) for v in mu._pairs])
+        codes = tuple([v // step - (-v // step) for v in mu._pairs])
         for beta in roots:
             if codes[pos_of[beta]] & 1:
                 raise InvariantViolationError(
@@ -269,7 +271,8 @@ def construct_mu(
                 f"basis {sorted(basis)}: constructed point {mu} left the chamber"
             )
         mu_alcove = _located(Alcove, rank=n, p=p, _codes=tuple([d | 1 for d in codes]))
-        if not weak_leq(mu_alcove, lam):
+        # weak_leq on two alcoves it would accept: both are dominant, as mu and pt are
+        if not all(map(le, mu_alcove._codes, lam._codes)):
             raise InvariantViolationError(
                 f"basis {sorted(basis)}: constructed point's alcove is not weakly below"
             )
@@ -278,51 +281,46 @@ def construct_mu(
 
 
 def facette_lattice_point(f: Facette) -> Optional[ShiftedPoint]:
-    """The coordinate-lexicographically smallest integral point of f, if any.
+    """The least integral point of f, below every other in each prefix sum, if any.
 
     An integral point is its prefix sums X_0 = 0, X_1, ..., X_n, and its
-    pairing at the root (i, j) is X_{j-1} - X_{i-1}.  A wall of code c fixes
-    that difference at c p / 2; a window of code c bounds it to
-    [(c - 1) p / 2 + 1, (c + 1) p / 2 - 1], which holds no integer when p = 1.
-    So the integral points of f are the integer solutions of difference
-    bounds lo <= X_b - X_a <= hi, with a = i - 1 < b = j - 1.
+    pairing at the root (i, j) is X_b - X_a, with a = i - 1 < b = j - 1.
+    Write X_v = p q_v + r_v with 0 <= r_v < p.  Then X_b - X_a is
+    p (q_b - q_a) + (r_b - r_a) with |r_b - r_a| < p, so its code
+    2 floor((X_b - X_a) / p) + [p does not divide it] is
+    2 (q_b - q_a) + sign(r_b - r_a).  At a = 0, where q_0 = r_0 = 0, the code
+    of (1, b + 1) is 2 q_b + [r_b > 0], so q_b is that code // 2, and then
+    c_(a+1, b+1) - 2 (q_b - q_a) is the sign of r_b - r_a.  The same reading
+    holds for every point of f, rational ones too, with p times the
+    fractional parts of X_v / p for r_v: f fixes q, and it orders the nodes
+    0, ..., n into classes of equal r, node 0's class lowest (r_0 = 0).
 
-    Integer solutions of such bounds are closed under componentwise min: if
-    X_a <= Y_a then min(X_b, Y_b) <= X_b <= X_a + hi, and if X_b <= Y_b then
-    X_b >= X_a + lo >= min(X_a, Y_a) + lo.  The roots (1, j) bound every X_v
-    below, so when f has an integral point it has a least one, below every
-    other in each X_v: their lexicographic minimum in X, and so in the
-    coordinates X_k - X_{k-1}, which first differ where the prefix sums do.
-    It is the longest-path weights from node 0, with an edge a -> b of weight
-    lo and an edge b -> a of weight -hi per root: every solution has X_v at
-    least the weight of every path from 0 to v, and those weights solve the
-    bounds when no cycle is positive.  They start at the bounds of the roots
-    (1, j), and Bellman-Ford relaxes all edges in rounds; a simple path has
-    at most n edges, so without a positive cycle a round within n + 1
-    changes nothing, and with one every round moves a weight.  A positive
-    cycle, which integer bounds can hold while the rational region is
-    non-empty, leaves no integral point, and so does an empty window.
+    Hence the integral points of f are exactly X = p q + r over the integer
+    r with r_0 = 0 and r_v < p that are equal within each class of f and
+    strictly increase from class to class: each such X has f's codes, by
+    the same computation.  Such r are closed under componentwise min, and
+    the least one gives the k-th class from the bottom the residue k, as r
+    climbs by at least 1 per class from r_0 = 0.  It exists iff f has at
+    most p classes; at p = 1 a window at any (1, j) already makes two.  The
+    least point is below every other integral point of f in each X_v, so it
+    is also their coordinate-lexicographic minimum, the coordinates
+    X_k - X_{k-1} first differing where the prefix sums do.  Node v's class
+    counts the nodes strictly below it, and its rank is that count's rank
+    among the distinct counts.  f must be realizable, as Facette checks.
     """
-    p, n = f.p, f.rank
-    x = [0] * (n + 1)
-    edges = []
-    for (i, j), c in zip(positive_roots(n), f._codes):
-        w = c & 1
-        lo, hi = (c - w) * p // 2 + w, (c + w) * p // 2 - w
-        if lo > hi:
-            return None
-        if i == 1:
-            x[j - 1] = lo
-        edges += ((i - 1, j - 1, lo), (j - 1, i - 1, -hi))
-    for _ in range(n + 1):
-        moved = False
-        for a, b, w in edges:
-            if x[a] + w > x[b]:
-                x[b] = x[a] + w
-                moved = True
-        if not moved:
-            return _located_point(tuple(x), 1)
-    return None
+    p, n, codes = f.p, f.rank, f._codes
+    q = [0, *[c // 2 for c in codes[:n]]]
+    below = [0] * (n + 1)
+    # the roots (i, j) in canonical order are the node pairs (i - 1, j - 1) in this order
+    for (a, b), c in zip(combinations(range(n + 1), 2), codes):
+        sign = c - 2 * (q[b] - q[a])
+        if sign:
+            below[b if sign > 0 else a] += 1
+    counts = sorted(set(below))
+    if len(counts) > p:
+        return None
+    rank = {b: k for k, b in enumerate(counts)}
+    return _located_point(tuple([p * v + rank[b] for v, b in zip(q, below)]), 1)
 
 
 def upper_bound_certificate(pt: ShiftedPoint, p: int) -> UpperBoundCertificate:

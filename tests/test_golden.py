@@ -108,6 +108,9 @@ CASES = {
     "verify_lattice_n2_p3_box_4": [
         "verify", "lattice", "--n", "2", "--p", "3", "--box", "4",
     ],
+    "verify_lattice_n4_p5_box_7": [
+        "verify", "lattice", "--n", "4", "--p", "5", "--box", "7",
+    ],
     "verify_all_n2_p2_box_3": ["verify", "all", "--n", "2", "--p", "2", "--box", "3"],
     "verify_all_n2_p5": ["verify", "all", "--n", "2", "--p", "5"],
     "verify_all_n2_p3_box_4": ["verify", "all", "--n", "2", "--p", "3", "--box", "4"],

@@ -25,11 +25,12 @@ set_partitions_within behind s_partition_oracle_of and reduction_sweep
 against the subset routes it replaced, and the explicit stack of
 reduce_all against the recursion it replaced.  Box facettes, interior points and
 lattice points: the split-rule generator behind facettes_meeting_box, its
-box test on the gcd grid, the midpoint interior_point and the least-solution
-facette_lattice_point against the Floyd-Warshall box search, the solver's
-feasibility and witness, and the coordinate-by-coordinate lattice search
-(on window families, on every certificate leg's facette, and on a facette
-whose integer bounds hold a positive cycle).
+box test on the gcd grid and the midpoint interior_point against the
+Floyd-Warshall box search and the solver's feasibility and witness; the
+closed-form facette_lattice_point against the coordinate-by-coordinate
+lattice search (on window families, on every certificate leg's facette, and
+on a facette whose integer bounds hold a positive cycle) and against the
+Bellman-Ford longest paths it replaced (on random rational points).
 The mu construction: the one integer loop of construct_mu against the
 Fraction recursion over pt's alcove that it replaced.  Located families:
 the alcoves and facettes of points and the walked families of
@@ -1178,6 +1179,59 @@ def _facette_lattice_point_by_search(f):
 
     coords = search(0)
     return None if coords is None else ShiftedPoint(tuple(Q(c) for c in coords))
+
+
+def _facette_lattice_point_by_longest_paths(f):
+    """facette_lattice_point as it was: the least integer solution of the
+    facette's difference bounds lo <= X_b - X_a <= hi on the prefix sums, by
+    Bellman-Ford longest paths from node 0, with an edge a -> b of weight lo
+    and an edge b -> a of weight -hi per root; an empty window or a positive
+    cycle (a round within n + 1 still moving a weight) leaves none."""
+    p, n = f.p, f.rank
+    x = [0] * (n + 1)
+    edges = []
+    for (i, j), c in zip(positive_roots(n), f._codes):
+        w = c & 1
+        lo, hi = (c - w) * p // 2 + w, (c + w) * p // 2 - w
+        if lo > hi:
+            return None
+        if i == 1:
+            x[j - 1] = lo
+        edges += ((i - 1, j - 1, lo), (j - 1, i - 1, -hi))
+    for _ in range(n + 1):
+        moved = False
+        for a, b, w in edges:
+            if x[a] + w > x[b]:
+                x[b] = x[a] + w
+                moved = True
+        if not moved:
+            return ShiftedPoint(tuple(v - u for u, v in zip(x, x[1:])))
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_closed_form_lattice_points_match_longest_paths_on_random_rational_points(seed):
+    """The facettes of 400 seeded random rational points: ranks 1-5, p 1-8,
+    denominators 1, 2, 3, 6 and 12, coordinates of either sign, so many lie
+    off the dominant chamber.  The closed form must equal the Bellman-Ford
+    least solution, and the coordinate search too where it is cheap; both
+    facettes with and without an integral point must occur."""
+    rng = random.Random(seed)
+    found = missing = 0
+    for _ in range(400):
+        rank, p, den = rng.randint(1, 5), rng.randint(1, 8), rng.choice((1, 2, 3, 6, 12))
+        coords = [Q(rng.randint(-3 * p * den, 3 * p * den), den) for _ in range(rank)]
+        f = facette_of(shifted_point(coords), p)
+        fast = facette_lattice_point(f)
+        assert fast == _facette_lattice_point_by_longest_paths(f), (coords, p)
+        if rank <= 3:
+            assert fast == _facette_lattice_point_by_search(f), (coords, p)
+        if fast is not None:
+            assert fast.is_integral() and facette_of(fast, p) == f
+        found += fast is not None
+        missing += fast is None
+    assert found > 0 and missing > 0
 
 
 def _lattice_points_against_the_search(facettes):

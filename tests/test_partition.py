@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -10,7 +11,6 @@ from alcove_cells.errors import PreconditionError
 from alcove_cells.partition import (
     Partition,
     _meet,
-    _partition_of_components,
     dominance_leq,
     orbit_label,
     parse_partition,
@@ -151,6 +151,40 @@ def test_partition_of_basis_rejects_invalid():
         partition_of_basis([RootA(1, 2), RootA(1, 3)], 3)
 
 
+def _partition_by_components(roots, n):
+    """partition_of_basis as it was, from chain_components' node tuples:
+    their sizes padded with 1s, or the message of the error it raised."""
+    comps = chain_components(tuple(roots))
+    if comps is None:
+        return "is not a chain basis"
+    for c in comps:
+        if c[-1] > n + 1 or c[0] < 1:
+            return f"node {c} outside A_{n}"
+    parts = tuple(len(c) for c in comps)
+    return parts + (1,) * (n + 1 - sum(parts))
+
+
+def test_partition_of_basis_matches_the_chain_components():
+    # root sets on the nodes 0..6, so that some leave A_4's nodes 1..5 and
+    # some repeat an end; each refusal must name what the tuples named
+    rng = random.Random(31)
+    n = 4
+    pool = [RootA(i, j) for i in range(7) for j in range(i + 1, 7)]
+    seen = Counter()
+    for _ in range(4000):
+        roots = rng.sample(pool, rng.randint(0, 5))
+        want = _partition_by_components(roots, n)
+        if isinstance(want, str):
+            with pytest.raises(PreconditionError) as exc:
+                partition_of_basis(roots, n)
+            assert want in str(exc.value), roots
+            seen[want.split()[0]] += 1
+        else:
+            assert partition_of_basis(roots, n).parts == want, roots
+            seen["kept"] += 1
+    assert min(seen["kept"], seen["is"], seen["node"]) > 0, seen
+
+
 def test_partitions_of_counts():
     # 1, 2, 3, 5, 7, 11, 15, 22 partitions of 1..8
     counts = [len(partitions_of(k)) for k in range(1, 9)]
@@ -198,7 +232,7 @@ def test_component_and_class_partitions_pass_the_checks():
     for n in range(1, 6):
         for blocks in set_partitions_within(positive_roots(n), n):
             b = [RootA(u, v) for block in blocks for u, v in zip(block, block[1:])]
-            q = _partition_of_components(chain_components(b), n)
+            q = partition_of_basis(b, n)
             assert q == _checked(q) and q.total == n + 1
     for p in (2, 3, 5):
         for coords in product(range(-2, 7), repeat=3):
