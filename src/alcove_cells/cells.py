@@ -286,7 +286,7 @@ def d_partition(pt: ShiftedPoint, p: int) -> Partition:
     of nodes inside one class; its simple roots are the consecutive pairs
     of each class, a chain basis whose components are the classes with
     two or more nodes.  Padding with 1s for the singletons, the partition
-    is the class sizes in decreasing order, counted by residue in a dict.
+    is the class sizes in decreasing order, counted by residue.
     """
     check_p(p)
     step = pt._den * p
