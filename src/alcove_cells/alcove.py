@@ -404,7 +404,6 @@ def closure_contains(f: Facette, pt: ShiftedPoint) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def interior_point(f: Facette) -> ShiftedPoint:
     """A deterministic exact rational point inside f.
 

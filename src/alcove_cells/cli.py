@@ -11,6 +11,11 @@ parsed namespace itself.  The option defaults live in the parser, and an
 absent `--box` stays None down to `sweeps.window_bound` (2p), so the CLI
 restates neither.
 
+The text reports of `cell` and `alcove` are each one ordered list of
+rows, and one writer renders the rows as CSV or as human text, so each
+field is stated once; the certificate's CSV and human legs share one
+per-leg field list.
+
 JSON output is json.dumps(doc, indent=2), written chunk by chunk by
 json.dump, and json is imported only on that path.  A certificate, whose
 legs are most of its output, is built and fully checked first and then
@@ -26,7 +31,10 @@ ATLAS_POINT_CAP points.  `cell`, `certificate` and `atlas` (on its box's
 corner point) count the good bases of gamma (without building one) and
 refuse more than GOOD_BASIS_CAP of them.  The weak-order suite's two
 reachability searches stop with exit 1 once one holds more than
-alcove.DEFAULT_BFS_BOUND families.
+alcove.DEFAULT_BFS_BOUND families.  A point entry with an exponent is
+refused, since 1e999999999 would build a number of any size, and `main`
+lifts Python's int-to-text digit limit, so a report prints the whole
+numbers its input gives.
 
 Output is byte-deterministic for a fixed invocation and seed.  Exit
 codes: 0 success, 1 verification or internal-check failure, 2 usage or
@@ -85,6 +93,9 @@ SUITES = ("lclosure", "weak-order", "good-sup", "reduction", "mu", "lattice", "a
 
 
 def _entries(text: str, n: int, option: str, parse, kind: str) -> tuple:
+    # an exponent (1e999999999) would build a number of any size from a short entry
+    if "e" in text.lower():
+        raise PreconditionError(f"{option} takes no exponents, got {text!r}")
     parts = text.split(",")
     if len(parts) != n:
         raise PreconditionError(f"{option} needs {n} entries, got {len(parts)}")
@@ -147,8 +158,28 @@ def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
-def _root_header(n: int) -> str:
-    return " ".join(_fmt_root(r) for r in positive_roots(n))
+def _fmt_walls(walls) -> str:
+    return " ".join(f"{_fmt_root(r)}={m}" for r, m in walls)
+
+
+def _write_rows(args: argparse.Namespace, pt: ShiftedPoint, title: str, rows) -> None:
+    """A report's rows as CSV or as human text, each field stated once.
+
+    A row is (field, text) or (field, text, line).  CSV writes a
+    `field,value` header, the n and p rows, and then `field,text` for each
+    row with a field.  The human report writes its title line and the
+    shifted point, then each row's line, which defaults to `label: text`
+    with the field's underscores read as spaces.
+    """
+    if args.fmt == "csv":
+        w = _csv_writer()
+        w.writerows([("field", "value"), ("n", args.n), ("p", args.p)])
+        w.writerows(row[:2] for row in rows if row[0])
+        return
+    print(f"{title}  n={args.n}  p={args.p}")
+    print(f"shifted point: {','.join(pt.coord_strings())}")
+    for row in rows:
+        print(row[2] if len(row) > 2 else f"{row[0].replace('_', ' ')}: {row[1]}")
 
 
 def _refuse_past_good_basis_cap(g: frozenset[RootA]) -> None:
@@ -176,25 +207,15 @@ def cmd_cell(args: argparse.Namespace) -> int:
     g = gamma(pt, args.p)
     _refuse_past_good_basis_cap(g)
     pred = tilting_support(pt, args.p)
-    if pred.backing == CONJECTURE:
-        print(
-            f"alcove-cells: note: p={args.p} is at most n+2={n + 2}: "
-            "the prediction is conjecture-backed",
-            file=sys.stderr,
-        )
-    elif pred.backing == NO_RESULT:
-        print(
-            f"alcove-cells: note: p={args.p} is not a prime of at least n+1={n + 1}: "
-            "no result backs the prediction",
-            file=sys.stderr,
-        )
+    note = {
+        CONJECTURE: f"is at most n+2={n + 2}: the prediction is conjecture-backed",
+        NO_RESULT: f"is not a prime of at least n+1={n + 1}: no result backs the prediction",
+    }.get(pred.backing)
+    if note:
+        print(f"alcove-cells: note: p={args.p} {note}", file=sys.stderr)
     s = pred.partition
     cell = transpose(s)
-    attaining = [
-        b
-        for b in enumerate_good_bases(g)
-        if partition_of_basis(b, n) == s
-    ]
+    attaining = [b for b in enumerate_good_bases(g) if partition_of_basis(b, n) == s]
     doc = {
         "n": n,
         "p": args.p,
@@ -210,35 +231,21 @@ def cmd_cell(args: argparse.Namespace) -> int:
     }
     if args.fmt == "json":
         _emit_json(doc)
-    elif args.fmt == "csv":
-        w = _csv_writer()
-        w.writerow(["field", "value"])
-        for key in ("n", "p"):
-            w.writerow([key, doc[key]])
-        w.writerow(["gamma", _fmt_roots(g)])
-        for b in attaining:
-            w.writerow(["good_basis", _fmt_roots(b)])
-        w.writerow(["s", str(s)])
-        w.writerow(["cell", str(cell)])
-        w.writerow(["orbit_dim", pred.orbit.dim])
-        w.writerow(["backing", pred.backing])
-    else:
-        print(f"cell report  n={n}  p={args.p}")
-        print(f"shifted point: {','.join(pt.coord_strings())}")
-        print(f"gamma: {_fmt_roots(g)}")
-        if attaining:
-            for b in attaining:
-                print(f"good basis attaining s: {_fmt_roots(b)}")
-        else:
-            print("good basis attaining s: none (supremum not attained)")
-        print(f"s: {s}")
-        print(f"cell: {cell}")
-        print(f"orbit dim: {pred.orbit.dim}")
-        print(f"backing: {pred.backing}")
-        print(
-            "upper bound certificate applicable: "
-            + ("yes" if pred.upper_bound_applicable else "no")
-        )
+        return 0
+    rows = [("gamma", _fmt_roots(g))]
+    rows += [
+        ("good_basis", text, f"good basis attaining s: {text}")
+        for text in map(_fmt_roots, attaining)
+    ] or [(None, None, "good basis attaining s: none (supremum not attained)")]
+    applicable = "yes" if pred.upper_bound_applicable else "no"
+    rows += [
+        ("s", s),
+        ("cell", cell),
+        ("orbit_dim", pred.orbit.dim),
+        ("backing", pred.backing),
+        (None, None, f"upper bound certificate applicable: {applicable}"),
+    ]
+    _write_rows(args, pt, "cell report", rows)
     return 0
 
 
@@ -263,63 +270,39 @@ def cmd_alcove(args: argparse.Namespace) -> int:
     }
     if args.fmt == "json":
         _emit_json(doc)
-    elif args.fmt == "csv":
-        w = _csv_writer()
-        w.writerow(["field", "value"])
-        w.writerow(["n", n])
-        w.writerow(["p", args.p])
-        w.writerow(["roots", _root_header(n)])
-        w.writerow(["alcove", " ".join(str(i) for i in a.indices)])
-        w.writerow(["walls", " ".join(f"{_fmt_root(r)}={m}" for r, m in walls) or "-"])
-        w.writerow(["upper_walls", " ".join(f"{_fmt_root(r)}={m}" for r, m in ups)])
-        w.writerow(["stabilizer_system", _fmt_roots(stab)])
-        w.writerow(["d", str(d)])
-    else:
-        print(f"alcove report  n={n}  p={args.p}")
-        print(f"shifted point: {','.join(pt.coord_strings())}")
-        print(f"roots:  {_root_header(n)}")
-        print(f"alcove: {' '.join(f'{i:>5d}' for i in a.indices)}")
-        if walls:
-            print(
-                "walls: "
-                + " ".join(f"{_fmt_root(r)}={m}" for r, m in walls)
-            )
-        else:
-            print("walls: none (interior point)")
-        print(
-            "upper walls: "
-            + " ".join(f"{_fmt_root(r)}={m}" for r, m in ups)
-        )
-        print(f"stabilizer system: {_fmt_roots(stab)}")
-        print(f"d: {d}")
+        return 0
+    roots = " ".join(_fmt_root(r) for r in positive_roots(n))
+    aligned = " ".join(f"{i:>5d}" for i in a.indices)
+    wall_text = _fmt_walls(walls)
+    rows = [
+        ("roots", roots, f"roots:  {roots}"),
+        ("alcove", " ".join(str(i) for i in a.indices), f"alcove: {aligned}"),
+        ("walls", wall_text) if walls else ("walls", "-", "walls: none (interior point)"),
+        ("upper_walls", _fmt_walls(ups)),
+        ("stabilizer_system", _fmt_roots(stab)),
+        ("d", d),
+    ]
+    _write_rows(args, pt, "alcove report", rows)
     return 0
 
 
 def _run_suite(name: str, args: argparse.Namespace) -> list[sweeps.SweepResult]:
     n, p, box = args.n, args.p, args.box
-    if name == "lclosure":
-        return [sweeps.lclosure_sweep(n, p, box)]
-    if name == "weak-order":
-        return [sweeps.weak_order_sweep(n, p, args.index_bound)]
-    if name == "good-sup":
-        return [sweeps.good_sup_sweep(n, p, box, SAMPLE_CAP, args.seed)]
-    if name == "reduction":
-        return [sweeps.reduction_sweep(n, p, box, SAMPLE_CAP, args.seed)]
-    if name == "mu":
-        return [sweeps.mu_sweep(n, p, box, SAMPLE_CAP, args.seed)]
-    if name == "lattice":
-        return [sweeps.lattice_sweep(n, p, box)]
-    assert name == "all"
-    out = []
-    for sub in ("lclosure", "weak-order", "good-sup", "reduction", "mu"):
-        out.extend(_run_suite(sub, args))
-    if p >= n + 1:
-        out.extend(_run_suite("lattice", args))
-    else:
+    runners = {
+        "lclosure": lambda: sweeps.lclosure_sweep(n, p, box),
+        "weak-order": lambda: sweeps.weak_order_sweep(n, p, args.index_bound),
+        "good-sup": lambda: sweeps.good_sup_sweep(n, p, box, SAMPLE_CAP, args.seed),
+        "reduction": lambda: sweeps.reduction_sweep(n, p, box, SAMPLE_CAP, args.seed),
+        "mu": lambda: sweeps.mu_sweep(n, p, box, SAMPLE_CAP, args.seed),
+        "lattice": lambda: sweeps.lattice_sweep(n, p, box),
+    }
+    if name != "all":
+        return [runners[name]()]
+    if p < n + 1:
         skipped = sweeps.SweepResult(f"lattice n={n} p={p}")
         skipped.reports.append("skipped: the lattice-point guarantee needs p >= n+1")
-        out.append(skipped)
-    return out
+        runners["lattice"] = lambda: skipped
+    return [run() for run in runners.values()]
 
 
 def _window_box(args: argparse.Namespace) -> int:
@@ -507,38 +490,40 @@ def cmd_certificate(args: argparse.Namespace) -> int:
         return 0
     # every leg holds the point's one alcove: decode its indices once
     lam_text = " ".join(str(i) for i in cert.legs[0].lambda_alcove.indices)
+    fields = (
+        ("basis", "  basis "),
+        ("pi", "    pi: "),
+        ("mu", "    mu: "),
+        ("mu_prime", "    mu_prime: "),
+        ("d_mu_prime", "    d(mu_prime): "),
+        ("mu_alcove", "    mu alcove:     "),
+        ("lambda_alcove", "    lambda alcove: "),
+    )
+    legs = [
+        (
+            _fmt_roots(leg.basis),
+            leg.pi,
+            ",".join(leg.mu.coord_strings()),
+            ",".join(leg.mu_prime.coord_strings()),
+            leg.d_mu_prime,
+            " ".join(str(i) for i in leg.mu_alcove.indices),
+            lam_text,
+        )
+        for leg in cert.legs
+    ]
     if args.fmt == "csv":
         w = _csv_writer()
-        w.writerow(
-            ["basis", "pi", "mu", "mu_prime", "d_mu_prime", "mu_alcove", "lambda_alcove"]
-        )
-        for leg in cert.legs:
-            w.writerow(
-                [
-                    _fmt_roots(leg.basis),
-                    str(leg.pi),
-                    ",".join(leg.mu.coord_strings()),
-                    ",".join(leg.mu_prime.coord_strings()),
-                    str(leg.d_mu_prime),
-                    " ".join(str(i) for i in leg.mu_alcove.indices),
-                    lam_text,
-                ]
-            )
-    else:
-        print(f"upper-bound certificate  n={args.n}  p={args.p}")
-        print(f"shifted point: {','.join(pt.coord_strings())}")
-        print(f"legs: {len(cert.legs)}")
-        for leg in cert.legs:
-            print(f"  basis {_fmt_roots(leg.basis)}")
-            print(f"    pi: {leg.pi}")
-            print(f"    mu: {','.join(leg.mu.coord_strings())}")
-            print(f"    mu_prime: {','.join(leg.mu_prime.coord_strings())}")
-            print(f"    d(mu_prime): {leg.d_mu_prime}")
-            print(f"    mu alcove:     {' '.join(str(i) for i in leg.mu_alcove.indices)}")
-            print(f"    lambda alcove: {lam_text}")
-        print(f"s: {cert.s}")
-        print(f"cell: {transpose(cert.s)}")
-        print(f"orbit dim: {cert.orbit.dim}")
+        w.writerow([field for field, _ in fields])
+        w.writerows(legs)
+        return 0
+    rows = [("legs", len(legs))]
+    rows += [
+        (None, None, f"{label}{text}")
+        for leg in legs
+        for (_, label), text in zip(fields, leg)
+    ]
+    rows += [("s", cert.s), ("cell", transpose(cert.s)), ("orbit_dim", cert.orbit.dim)]
+    _write_rows(args, pt, "upper-bound certificate", rows)
     return 0
 
 
@@ -607,6 +592,10 @@ def _join_point_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # reports print whole numbers as long as the input's: past the default
+    # 4300-digit int-to-text limit that Python 3.10.7 and later set
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(_join_point_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.n < 1 or args.p < 1:

@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import io
 import json
 import os
 import random
@@ -10,6 +12,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alcove_cells import alcove, cli, sweeps
 from alcove_cells.cli import build_parser, main
@@ -650,3 +654,56 @@ def test_a_closed_stdout_ends_the_run_quietly_with_status_141(fmt):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+ENTRIES = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["", "x", "1/0", "--1", "3/", "nan", "inf", "1_0"]),  # malformed
+    st.sampled_from(["9" * 40, "-" + "9" * 40, "9" * 5000, "1e5000", "1/" + "7" * 40]),  # huge
+    st.sampled_from(["7/2", "-3/4", "10/3", "9/6"]),  # fractional
+    st.sampled_from(["1.5", "-0.25", "2e3", "1.0"]),  # float
+)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["cell", "alcove", "verify", "atlas", "certificate"]))
+    # the second strategy of each pair puts most runs past the n >= 1, p >= 1 check
+    n = draw(st.integers(-1, 3) | st.integers(1, 3))
+    argv = [command, "--n", str(n), "--p", str(draw(st.integers(-2, 9) | st.integers(1, 9)))]
+    if command == "verify":
+        argv[1:1] = [draw(st.sampled_from(cli.SUITES))]
+        argv += ["--index-bound", str(draw(st.integers(-1, 3)))]
+    if command in ("verify", "atlas"):
+        # windows stay small: the default box of 2p reaches 18 at p = 9
+        argv += ["--box", str(draw(st.integers(-1, 3)))]
+    else:
+        # mostly --weight, n entries and integers, so that most runs reach a report
+        option = draw(st.sampled_from(["--weight", "--weight", "--shifted", None]))
+        if option:
+            size = draw(st.sampled_from([max(n, 0)] * 4 + [0, 4]))
+            entry = st.one_of(st.integers(0, 12).map(str), st.integers(0, 12).map(str), ENTRIES)
+            argv += [option, ",".join(draw(st.lists(entry, min_size=size, max_size=size)))]
+    return [*argv, "--format", draw(st.sampled_from(["human", "json", "csv"]))]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(argvs())
+# numbers past the interpreter's default 4300-digit int-to-text limit
+@example(["alcove", "--n", "1", "--p", "2", "--shifted", "1e5000", "--format", "human"])
+@example(["alcove", "--n", "1", "--p", "2", "--weight", "9" * 4300, "--format", "json"])
+@example(["certificate", "--n", "2", "--p", "3", "--weight", "9" * 5000 + ",0", "--format", "csv"])
+def test_every_argv_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0 and argv[-1] == "json":
+        json.loads(out.getvalue())
+    elif code == 0 and argv[-1] == "csv":
+        header, *rows = csv.reader(io.StringIO(out.getvalue()), strict=True)
+        assert all(len(row) == len(header) for row in rows), argv

@@ -897,7 +897,6 @@ def test_interior_points_match_the_witness_on_the_realizability_windows(rank, lo
     for data in families:
         f = Facette(rank, p, data)
         assert interior_point(f) == _interior_point_by_witness(f), data
-    interior_point.cache_clear()
 
 
 def _cell_meets(d, top):
