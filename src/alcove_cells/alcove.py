@@ -39,7 +39,10 @@ the Fraction closure of stabilizer_group and the solver of the
 constraints module are oracles.  The three oracles the verify sweeps pit
 against the masks answer one row per call, as a bitmask too: the stabilizer
 route over a facette's points, and the two searches (weak_leq_oracle,
-up_reachable) from one source alcove to all of its targets at once.
+up_reachable) from one source alcove to all of its targets at once.  Both
+searches are one loop, _raising_search, on one interned raising graph per
+rank; weak_leq_oracle steps across upper walls only, up_reachable along
+every raise, and neither reads the other's answers or the masks.
 
 Points are always carried rho-shifted, so the affine Weyl group action
 implemented by AffineMap is the dot action written plainly.
@@ -52,7 +55,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import permutations, product
 from operator import le, lt, mul
-from typing import Callable, Hashable, Iterator, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 from .errors import InvariantViolationError, PreconditionError, ResourceLimitError
 from .rootsys import (
@@ -652,20 +655,17 @@ def lower_walls(a: Alcove) -> frozenset[tuple[RootA, int]]:
     return frozenset((roots[k], (a._codes[k] - 1) // 2) for k in walls)
 
 
-@lru_cache(maxsize=None)
-def _up_step_families(rank: int, codes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    walls = _wall_positions(rank, codes, True)
-    return tuple(_raise_step(rank, codes, k) for k in walls)
-
-
 def up_step_neighbors(a: Alcove) -> tuple[Alcove, ...]:
     """Alcoves one raising step above a, one per upper wall.
 
-    Each neighbor is the reflection of a across the wall hyperplane, as
-    computed by _raise_step; results follow the wall roots' canonical order.
+    Each neighbor is the reflection of a across the wall hyperplane (_raise_step),
+    read off the rank's raising graph; results follow the wall roots' canonical order.
     """
-    families = _up_step_families(a.rank, a._codes)
-    return tuple(_located(Alcove, rank=a.rank, p=a.p, _codes=c) for c in families)
+    graph = _raising_graph(a.rank)
+    return tuple(
+        _located(Alcove, rank=a.rank, p=a.p, _codes=graph.families[fid])
+        for fid in graph.wall_raises(graph.id_of(a._codes))
+    )
 
 
 def weak_leq(a: Alcove, b: Alcove) -> bool:
@@ -688,62 +688,6 @@ def _weak_masks(alcoves: Sequence[Alcove]) -> list[int]:
         raise PreconditionError("weak masks need dominant alcoves of one rank and p")
     codes = [a._codes for a in alcoves]
     return _relation_masks(codes, codes, le)
-
-
-def _target_bits(
-    start: tuple[int, ...], targets: Sequence[Alcove]
-) -> tuple[int, dict[tuple[int, ...], int]]:
-    """The bits of the targets equal to start, and every other target family with its bits."""
-    found, pending = 0, {}
-    for j, b in enumerate(targets):
-        if b._codes == start:
-            found |= 1 << j
-        else:
-            pending[b._codes] = pending.get(b._codes, 0) | 1 << j
-    return found, pending
-
-
-def weak_leq_oracle(a: Alcove, alcoves: Sequence[Alcove]) -> int:
-    """Weak order decided independently by one search along up_step_neighbors.
-
-    Bit j says whether alcoves[j] is reached from a by raising steps across
-    upper walls.  Raising steps only ever increase indices, so a path from a
-    to b stays within the codes <= b's, and a b whose codes are not all >=
-    a's is never reached.  One search serves the other targets: pruned to
-    the componentwise maximum of their codes, it still holds every path to
-    each of them, since a family it drops lies below none of them.  The
-    search runs depth-first, the last family found expanded next, and stops
-    once every target is found; it is complete otherwise, since every family
-    that enters seen is expanded before a bit is left clear.  More than
-    DEFAULT_BFS_BOUND families in seen in one call raise ResourceLimitError.
-    """
-    if any((b.rank, b.p) != (a.rank, a.p) for b in alcoves):
-        raise PreconditionError("weak_leq_oracle compares alcoves of equal rank and p")
-    if not (a.is_dominant() and all(b.is_dominant() for b in alcoves)):
-        raise PreconditionError("weak_leq_oracle is defined on dominant alcoves only")
-    start = a._codes
-    found, targets = _target_bits(start, alcoves)
-    pending = {codes: bits for codes, bits in targets.items() if all(map(le, start, codes))}
-    if not pending:
-        return found
-    ceiling = tuple(map(max, zip(*pending)))
-    bound = DEFAULT_BFS_BOUND
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in _up_step_families(a.rank, stack.pop()):
-            if nxt in seen or not all(map(le, nxt, ceiling)):
-                continue
-            bits = pending.pop(nxt, 0)
-            if bits:
-                found |= bits
-                if not pending:
-                    return found
-            seen.add(nxt)
-            if len(seen) > bound:
-                raise ResourceLimitError(f"weak-order BFS exceeded bound {bound}")
-            stack.append(nxt)
-    return found
 
 
 def _reflected_root(beta: RootA, g: RootA) -> tuple[RootA, bool]:
@@ -834,8 +778,9 @@ class _RaisingGraph:
 
     A family gets an int id on first sight, and by id the graph keeps the
     family, its ceilings and, once the family is first expanded, the ids of
-    its raises, one per root position in root order.  Raising is a function
-    of the family alone, so the graph only grows and serves every p.
+    its raises, one per root position in root order, and of its raises
+    across upper walls, those at _wall_positions.  Raising is a function of
+    the family alone, so the graph only grows and serves every p.
     """
 
     def __init__(self, rank: int) -> None:
@@ -844,6 +789,7 @@ class _RaisingGraph:
         self.families: list[tuple[int, ...]] = []
         self.ceilings: list[tuple[int, ...]] = []
         self._raises: list[Union[tuple[int, ...], None]] = []
+        self._wall_raises: list[Union[tuple[int, ...], None]] = []
 
     def id_of(self, family: tuple[int, ...]) -> int:
         fid = self.ids.get(family)
@@ -852,6 +798,7 @@ class _RaisingGraph:
             self.families.append(family)
             self.ceilings.append(_ceilings(self.rank, family))
             self._raises.append(None)
+            self._wall_raises.append(None)
         return fid
 
     def raises(self, fid: int) -> tuple[int, ...]:
@@ -864,10 +811,93 @@ class _RaisingGraph:
             self._raises[fid] = out
         return out
 
+    def wall_raises(self, fid: int) -> tuple[int, ...]:
+        out = self._wall_raises[fid]
+        if out is None:
+            raised = self.raises(fid)
+            walls = _wall_positions(self.rank, self.families[fid], True)
+            out = self._wall_raises[fid] = tuple(raised[k] for k in walls)
+        return out
+
 
 @lru_cache(maxsize=None)
 def _raising_graph(rank: int) -> _RaisingGraph:
     return _RaisingGraph(rank)
+
+
+def _raising_search(
+    graph: _RaisingGraph,
+    steps: Callable[[int], tuple[int, ...]],
+    start: tuple[int, ...],
+    targets: Iterable[tuple[int, tuple[int, ...]]],
+    label: str,
+) -> int:
+    """Bit j for each target (j, codes) that steps (graph ids to ids) reach from start.
+
+    One search on the graph's ids serves every target.  It drops a family
+    unless each of its ceilings is below tops, the targets' largest plus
+    twice the row sum R.  It goes depth-first on two stacks: a family whose
+    codes are componentwise <= the targets' maximum goes on near, any other
+    on far, popped only when near is empty.  It stops once every target is
+    found, and is complete otherwise: every family that enters seen is
+    expanded before a bit is left clear, so the order changes the work,
+    never the answer.  More than DEFAULT_BFS_BOUND families in seen raise
+    ResourceLimitError, "<label> BFS exceeded bound N".
+    """
+    found, by_codes = 0, {}
+    for j, codes in targets:
+        if codes == start:
+            found |= 1 << j
+        else:
+            by_codes[codes] = by_codes.get(codes, 0) | 1 << j
+    if not by_codes:
+        return found
+    ceilings, families = graph.ceilings, graph.families
+    pending = {graph.id_of(codes): bits for codes, bits in by_codes.items()}
+    rows = [sum(row) for row in inverse_cartan_numerators(graph.rank)]
+    highest = map(max, zip(*(ceilings[t] for t in pending)))
+    tops = [h + 2 * r for h, r in zip(highest, rows)]
+    near_codes = tuple(map(max, zip(*by_codes)))
+    first = graph.id_of(start)
+    bound = DEFAULT_BFS_BOUND
+    seen = {first}
+    near, far = [first], []
+    while near or far:
+        for nxt in steps(near.pop() if near else far.pop()):
+            if nxt in seen or not all(map(lt, ceilings[nxt], tops)):
+                continue
+            bits = pending.pop(nxt, 0)
+            if bits:
+                found |= bits
+                if not pending:
+                    return found
+            seen.add(nxt)
+            if len(seen) > bound:
+                raise ResourceLimitError(f"{label} BFS exceeded bound {bound}")
+            (near if all(map(le, families[nxt], near_codes)) else far).append(nxt)
+    return found
+
+
+def weak_leq_oracle(a: Alcove, alcoves: Sequence[Alcove]) -> int:
+    """Weak order decided independently by one search across upper walls.
+
+    Bit j says whether _raising_search reaches alcoves[j] from a along the
+    graph's wall_raises (up_step_neighbors).  Raising steps only ever
+    increase indices, so a path from a to b stays within the codes <= b's,
+    and a b whose codes are not all >= a's is dropped before the search.
+    The ceilings of a family on the path, non-negative combinations of its
+    simple-root codes, are then <= b's, below the search's tops: the
+    ceiling test drops none of them, and all go on the near stack.  More
+    than DEFAULT_BFS_BOUND families held raise ResourceLimitError.
+    """
+    if any((b.rank, b.p) != (a.rank, a.p) for b in alcoves):
+        raise PreconditionError("weak_leq_oracle compares alcoves of equal rank and p")
+    if not (a.is_dominant() and all(b.is_dominant() for b in alcoves)):
+        raise PreconditionError("weak_leq_oracle is defined on dominant alcoves only")
+    start = a._codes
+    above = ((j, b._codes) for j, b in enumerate(alcoves) if all(map(le, start, b._codes)))
+    graph = _raising_graph(a.rank)
+    return _raising_search(graph, graph.wall_raises, start, above, "weak-order")
 
 
 def up_reachable(a: Alcove, targets: Sequence[Alcove]) -> int:
@@ -878,57 +908,23 @@ def up_reachable(a: Alcove, targets: Sequence[Alcove]) -> int:
     H_{beta, n_beta(C) p} for any positive root beta (a wall or not); the
     transitive closure of these steps is the full alcove-level raising
     relation, because the higher reflections s_{beta, mp} with m > n_beta
-    factor through consecutive one-steps along beta.  The search prunes
-    through exact monotone coordinates: the step sends each point x of C to
-    x + c beta with c > 0, so t_k(x) = (n+1)<x, omega_k>/p never decreases
-    along a path.  On a family whose simple-root indices have the
+    factor through consecutive one-steps along beta.  The search
+    (_raising_search, along every raise of the graph) prunes through exact
+    monotone coordinates: the step sends each point x of C to x + c beta
+    with c > 0, so t_k(x) = (n+1)<x, omega_k>/p never decreases along a
+    path.  On a family whose simple-root indices have the
     inverse-Cartan-weighted combinations h, t_k lies strictly between
     h_k - R_k and h_k, R_k the row sum.  So every family reached from a has
     h_k > t_k > h_k(a) - R_k, a floor that can never prune, and every family
     on a path to b has h_k < h_k(b) + R_k, tested on the codes' ceilings
-    2h - R (see _ceilings), as 2h - R < 2h(b) - R + 2R.  One search serves
-    every target: it prunes by the componentwise maximum of the targets'
-    bounds, which keeps every path to each of them, and stops once every
-    target is found.
-    The search runs on the ids of the rank's interned raising graph,
-    depth-first on two stacks: a family whose codes are componentwise <= the
-    targets' maximum goes on near, any other on far, and far is popped only
-    when near is empty.  On dominant alcoves codes <= b's is the weak order,
-    so with one target the search climbs towards it before it widens; else
-    the split is only a heuristic.  Either way the search is complete: every
-    family that enters seen is expanded before a bit is left clear, so the
-    order changes how many families the search visits, never the answer.
-    More than DEFAULT_BFS_BOUND families in seen in one call raise
-    ResourceLimitError.
+    2h - R (see _ceilings), as 2h - R < 2h(b) - R + 2R; the largest of the
+    targets' bounds keeps every path to each.  On dominant alcoves codes <=
+    b's is the weak order, so with one target the near stack climbs towards
+    it before it widens; else the split is only a heuristic.  More than
+    DEFAULT_BFS_BOUND families held raise ResourceLimitError.
     """
     if any((b.rank, b.p) != (a.rank, a.p) for b in targets):
         raise PreconditionError("up_reachable compares alcoves of equal rank and p")
-    rank = a.rank
-    found, by_codes = _target_bits(a._codes, targets)
-    if not by_codes:
-        return found
-    graph = _raising_graph(rank)
-    ceilings, families = graph.ceilings, graph.families
-    pending = {graph.id_of(codes): bits for codes, bits in by_codes.items()}
-    rows = [sum(row) for row in inverse_cartan_numerators(rank)]
-    highest = map(max, zip(*(ceilings[t] for t in pending)))
-    tops = [h + 2 * r for h, r in zip(highest, rows)]
-    near_codes = tuple(map(max, zip(*by_codes)))
-    start = graph.id_of(a._codes)
-    bound = DEFAULT_BFS_BOUND
-    seen = {start}
-    near, far = [start], []
-    while near or far:
-        for nxt in graph.raises(near.pop() if near else far.pop()):
-            if nxt in seen or not all(map(lt, ceilings[nxt], tops)):
-                continue
-            bits = pending.pop(nxt, 0)
-            if bits:
-                found |= bits
-                if not pending:
-                    return found
-            seen.add(nxt)
-            if len(seen) > bound:
-                raise ResourceLimitError(f"raising BFS exceeded bound {bound}")
-            (near if all(map(le, families[nxt], near_codes)) else far).append(nxt)
-    return found
+    graph = _raising_graph(a.rank)
+    wanted = enumerate(b._codes for b in targets)
+    return _raising_search(graph, graph.raises, a._codes, wanted, "raising")

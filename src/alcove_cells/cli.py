@@ -23,10 +23,11 @@ streamed: the header goes through json.dumps, and each leg is one %-format
 of a template made once per certificate, so the document is never held
 whole.
 
-Work is bounded by four module constants, none of them an option.
+Work is bounded by five module constants, none of them an option.
 `verify` refuses a --box or --index-bound below 1 for every suite (an
-empty window checks nothing), and its sampled suites check at most
-SAMPLE_CAP points.  `atlas` refuses an empty box or one of more than
+empty window checks nothing), its sampled suites check at most
+SAMPLE_CAP points, and its lclosure suite refuses a window of more than
+sweeps.LCLOSURE_PAIR_CAP (facette, point) pairs before it builds a point.  `atlas` refuses an empty box or one of more than
 ATLAS_POINT_CAP points.  `cell`, `certificate` and `atlas` (on its box's
 corner point) count the good bases of gamma (without building one) and
 refuse more than GOOD_BASIS_CAP of them.  The weak-order suite's two

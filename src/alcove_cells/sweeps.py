@@ -74,6 +74,7 @@ from .support import construct_mu, facette_lattice_point
 
 MAX_RECORDED_FAILURES = 20
 MONOTONICITY_PROBES = 200  # comparable pairs the good-sup sweep examines
+LCLOSURE_PAIR_CAP = 10**9  # (facette, point) pairs one lclosure sweep may check
 
 
 class SweepResult(_Record):
@@ -247,19 +248,28 @@ def lclosure_sweep(n: int, p: int, box: Optional[int] = None) -> SweepResult:
     to point positions; as they lie inside the closure, the XOR with the
     direct route's mask is a disagreement inside the closure and a
     lower-closure bit outside it, and its set bits are walked in ascending
-    point order.
+    point order.  The facettes are enumerated first: a window of more than
+    LCLOSURE_PAIR_CAP pairs raises PreconditionError before any point or
+    mask is built.
     """
     hi = window_bound(p, box)
     res = SweepResult(f"lclosure n={n} p={p} box={hi}")
-    pts = integral_points(n, 0, hi)
     facettes = facettes_meeting_box(n, p, hi)
-    res.require_window(len(pts) * len(facettes), "(facette, point) pairs")
+    pairs = len(facettes) * max(hi + 1, 0) ** n
+    if pairs > LCLOSURE_PAIR_CAP:
+        raise PreconditionError(
+            f"lclosure would check {pairs} (facette, point) pairs ({len(facettes)} "
+            f"facettes, [0, {hi}]^{n} points), above the cap of {LCLOSURE_PAIR_CAP}; "
+            "lower --box or --n"
+        )
+    res.require_window(pairs, "(facette, point) pairs")
+    pts = integral_points(n, 0, hi)
     known = {f._codes for f in facettes}
     point_codes = [facette_of(pt, p)._codes for pt in pts]
     for pt, codes in zip(pts, point_codes):
         if codes not in known:
             res.fail(f"facette of {pt} missing from the box enumeration")
-    res.cases = len(facettes) * len(pts)
+    res.cases = pairs
     closed = _closure_masks(facettes, point_codes)
     for f, inside, lower in zip(facettes, closed, _lower_closure_masks(facettes, pts)):
         members = list(_set_bits(inside))

@@ -493,6 +493,20 @@ def test_up_reachable_bound_on_a_false_answer(monkeypatch):
     assert up_reachable(a, [b]) == 0
 
 
+def test_weak_leq_oracle_bound_raises(monkeypatch):
+    # the search across upper walls from the bottom alcove holds 12 families
+    # in seen when it meets b, the near stack's and the far stack's, so 12
+    # is the least bound it finishes under
+    a = bottom_alcove(3, 5)
+    b = Alcove(3, 5, (1, 2, 3, 2, 3, 2))
+    assert b in dominant_alcoves(3, 5, 4) and weak_leq(a, b)
+    monkeypatch.setattr(alcove, "DEFAULT_BFS_BOUND", 11)
+    with pytest.raises(ResourceLimitError, match="^weak-order BFS exceeded bound 11$"):
+        weak_leq_oracle(a, [b])
+    monkeypatch.setattr(alcove, "DEFAULT_BFS_BOUND", 12)
+    assert weak_leq_oracle(a, [b]) == 1
+
+
 def test_weak_order_sweep_raising_graph_size():
     # the sweep's 64 up_reachable calls, one per source and each pruned by
     # the largest of its targets' ceilings, intern 557 rank-3 families

@@ -309,6 +309,24 @@ def test_the_good_basis_count_refuses_a_large_gamma_quickly():
     assert "gamma (19900 roots) holds" in proc.stderr and "above the cap" in proc.stderr
 
 
+def test_verify_lclosure_refuses_a_rank_five_window_quickly():
+    # 48,965 facettes x 19^5 points: the refusal comes after the facettes are
+    # enumerated and before any point or mask is built
+    proc = subprocess.run(
+        [sys.executable, "-m", "alcove_cells.cli", "verify", "lclosure", "--n", "5", "--p", "9"],
+        capture_output=True,
+        env=_src_env(),
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "alcove-cells: error: lclosure would check 121242187535 (facette, point) pairs "
+        "(48965 facettes, [0, 18]^5 points), above the cap of 1000000000; "
+        "lower --box or --n\n"
+    )
+
+
 def test_the_atlas_corner_bounds_the_good_bases_of_its_whole_box(capsys, monkeypatch):
     # gamma grows with every coordinate, so no point of [1, 4]^3 at p = 3 has
     # more good bases than the corner (4, 4, 4): a cap at the corner's count

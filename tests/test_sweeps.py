@@ -114,6 +114,30 @@ def test_lclosure_sweep_rank_four():
     assert r.ok and r.cases == 76544
 
 
+def test_lclosure_sweep_refuses_past_its_pair_cap_before_any_point(monkeypatch):
+    # 51 facettes x 4^3 points at (3, 3, 3): a cap of exactly 3,264 pairs
+    # admits the window, and one below refuses it before a point is built
+    monkeypatch.setattr(sweeps, "LCLOSURE_PAIR_CAP", 3264)
+    assert lclosure_sweep(3, 3, box=3).cases == 3264
+    monkeypatch.setattr(sweeps, "LCLOSURE_PAIR_CAP", 3263)
+    monkeypatch.setattr(sweeps, "integral_points", _refuse_points)
+    with pytest.raises(PreconditionError) as exc:
+        lclosure_sweep(3, 3, box=3)
+    assert str(exc.value) == (
+        "lclosure would check 3264 (facette, point) pairs (51 facettes, [0, 3]^3 points), "
+        "above the cap of 3263; lower --box or --n"
+    )
+
+
+def test_the_lclosure_cap_admits_box_eleven_at_rank_five_and_refuses_box_fourteen():
+    # 2,163 facettes x 12^5 points pass in under a minute; 48,965 x 15^5
+    # would fill memory
+    assert len(facettes_meeting_box(5, 11, 11)) * 12**5 == 538223616
+    assert 538223616 <= sweeps.LCLOSURE_PAIR_CAP
+    with pytest.raises(PreconditionError, match=r"^lclosure would check 37182796875 "):
+        lclosure_sweep(5, 7)
+
+
 # The whole count and the kept failure list, in order, of every failure
 # scenario below, as the sweeps wrote them while the oracles answered one
 # pair per call: the row loops must reproduce the text and the order exactly.
@@ -291,11 +315,12 @@ def test_sampled_points_match_sampling_the_full_list(n, lo, hi, sample, seed):
     assert _sampled_points(n, lo, hi, sample, seed) == expected
 
 
-def test_sampling_never_builds_the_box(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("integral_points called while sampling")
+def _refuse_points(*args):
+    raise AssertionError("integral_points called")
 
-    monkeypatch.setattr(sweeps, "integral_points", refuse)
+
+def test_sampling_never_builds_the_box(monkeypatch):
+    monkeypatch.setattr(sweeps, "integral_points", _refuse_points)
     pts = _sampled_points(5, 1, 14, 20, 0)
     assert len(set(pts)) == 20
     assert all(pt.is_integral() and min(pt.coords) >= 1 and max(pt.coords) <= 14 for pt in pts)
